@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
+from . import memo
 from .combinatorics import (
     Partition,
     centralizer_size,
@@ -151,17 +152,6 @@ def verify_orthogonality(table: CharacterTable) -> bool:
     return True
 
 
-_REGISTRY: dict[int, CharacterTable] = {}
-
-
 def character_table(n: int) -> CharacterTable:
-    """Process-wide memoized table; a disk cache may seed it via install."""
-    table = _REGISTRY.get(n)
-    if table is None:
-        table = _REGISTRY[n] = build_character_table(n)
-    return table
-
-
-def install(table: CharacterTable) -> CharacterTable:
-    """Adopt an externally loaded table as the process-wide copy."""
-    return _REGISTRY.setdefault(table.n, table)
+    """Process-wide memoized table; a disk cache may seed it (see memo)."""
+    return memo.lookup("char", n, build_character_table)

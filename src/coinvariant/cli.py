@@ -20,7 +20,7 @@ from .combinatorics import (
 )
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
-from .store import CacheStore, report_document, write_report
+from .store import DEFAULT_CAPS, CacheStore, report_document, write_report
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -107,6 +107,8 @@ def run(argv=None) -> int:
         parser.print_help()
         return 1
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (NonExactDivision, NonIntegral, LimitExceeded) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
@@ -128,25 +130,14 @@ def _store(args) -> CacheStore:
     return CacheStore(Path(args.cache_dir)) if args.cache_dir else CacheStore()
 
 
-def _caps(args, default: int) -> dict:
-    if args.max_n_override is not None:
-        return {"max_n": max(default, args.max_n_override)}
-    return {}
-
-
-def _seed_char(store: CacheStore, args, ns) -> None:
+def _seed(store: CacheStore, args, kind: str, ns) -> None:
+    """Load or build the ``kind`` tables for every n in ``ns``, honouring
+    ``--max-n-override`` for kinds with a size cap."""
+    caps = {}
+    if kind in DEFAULT_CAPS and args.max_n_override is not None:
+        caps = {"max_n": max(DEFAULT_CAPS[kind], args.max_n_override)}
     for n in ns:
-        store.get_or_build("char", n, **_caps(args, characters.DEFAULT_MAX_N))
-
-
-def _seed_kron(store: CacheStore, args, ns) -> None:
-    for n in ns:
-        store.get_or_build("kron", n, **_caps(args, kronecker.DEFAULT_MAX_N))
-
-
-def _seed_graded(store: CacheStore, args, ns) -> None:
-    for n in ns:
-        store.get_or_build("graded", n)
+        store.get_or_build(kind, n, **caps)
 
 
 def _emit(args, command: str, parameters: dict, payload: dict, store: CacheStore) -> None:
@@ -172,7 +163,7 @@ def cmd_kronecker(args) -> int:
         if sum(p) != n:
             raise ValueError(f"{format_partition(p)} is not a partition of {n}")
     store = _store(args)
-    _seed_char(store, args, [n])
+    _seed(store, args, "char", [n])
     print(kronecker.kronecker_coefficient(lam, mu, nu))
     return 0
 
@@ -180,11 +171,11 @@ def cmd_kronecker(args) -> int:
 def cmd_verify_flag(args) -> int:
     n = args.n
     store = _store(args)
-    _seed_char(store, args, [n])
-    _seed_graded(store, args, [n])
+    _seed(store, args, "char", [n])
+    _seed(store, args, "graded", [n])
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
     if args.degrees == "all":
-        _seed_kron(store, args, [n])
+        _seed(store, args, "kron", [n])
     report = verify.verify_flag_log_concavity(n, degrees, jobs=args.jobs)
     _emit(args, "verify-flag", {"n": n, "degrees": args.degrees}, report.payload(), store)
     print(
@@ -199,9 +190,9 @@ def cmd_verify_flag(args) -> int:
 def cmd_unimodal(args) -> int:
     n = args.n
     store = _store(args)
-    _seed_char(store, args, [n])
-    _seed_graded(store, args, [n])
-    _seed_kron(store, args, [n])
+    _seed(store, args, "char", [n])
+    _seed(store, args, "graded", [n])
+    _seed(store, args, "kron", [n])
     report = verify.verify_d_unimodality(n, jobs=args.jobs)
     _emit(args, "unimodal", {"n": n}, report.payload(), store)
     print(
@@ -219,8 +210,8 @@ def cmd_unimodal(args) -> int:
 def cmd_low_degree(args) -> int:
     n_max = args.n_max
     store = _store(args)
-    _seed_char(store, args, range(2, n_max + 1))
-    _seed_graded(store, args, range(2, n_max + 1))
+    _seed(store, args, "char", range(2, n_max + 1))
+    _seed(store, args, "graded", range(2, n_max + 1))
     report = verify.low_degree_harness(n_max, jobs=args.jobs)
     _emit(args, "low-degree-harness", {"n_max": n_max}, report.payload(), store)
     print(
@@ -237,9 +228,9 @@ def cmd_springer_scan(args) -> int:
     cap = springer.DEFAULT_MAX_N
     if args.max_n_override is not None:
         cap = max(cap, args.max_n_override)
-    _seed_char(store, args, range(2, n_max + 1))
-    _seed_graded(store, args, range(2, n_max + 1))
-    _seed_kron(store, args, range(2, n_max + 1))
+    _seed(store, args, "char", range(2, n_max + 1))
+    _seed(store, args, "graded", range(2, n_max + 1))
+    _seed(store, args, "kron", range(2, n_max + 1))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
     _emit(args, "springer-scan", {"n_max": n_max}, report.payload(), store)
     print(
@@ -257,6 +248,8 @@ def cmd_springer_scan(args) -> int:
 
 def cmd_selftest(args) -> int:
     n_max = args.n_max
+    if n_max < 2:
+        raise ValueError("selftest needs --n-max at least 2")
     store = _store(args)
     failures = 0
 
@@ -266,9 +259,9 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    _seed_char(store, args, range(1, n_max + 1))
-    _seed_graded(store, args, range(1, n_max + 1))
-    _seed_kron(store, args, range(2, n_max + 1))
+    _seed(store, args, "char", range(1, n_max + 1))
+    _seed(store, args, "graded", range(1, n_max + 1))
+    _seed(store, args, "kron", range(2, n_max + 1))
 
     ok = all(
         conjugate(conjugate(lam)) == lam

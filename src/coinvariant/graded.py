@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
+from . import memo
 from .characters import CharacterTable, character_table
 from .combinatorics import (
     Partition,
@@ -164,20 +165,9 @@ def _validate(table: GradedMultiplicityTable) -> None:
             raise AssertionError(f"column {i} does not match Poincare coefficient")
 
 
-_REGISTRY: dict[int, GradedMultiplicityTable] = {}
-
-
 def graded_table(n: int) -> GradedMultiplicityTable:
-    """Process-wide memoized table; a disk cache may seed it via install."""
-    table = _REGISTRY.get(n)
-    if table is None:
-        table = _REGISTRY[n] = build_graded_table(n)
-    return table
-
-
-def install(table: GradedMultiplicityTable) -> GradedMultiplicityTable:
-    """Adopt an externally loaded table as the process-wide copy."""
-    return _REGISTRY.setdefault(table.n, table)
+    """Process-wide memoized table; a disk cache may seed it (see memo)."""
+    return memo.lookup("graded", n, build_graded_table)
 
 
 def check_duality(n: int) -> bool:

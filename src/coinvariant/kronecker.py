@@ -11,9 +11,9 @@ Full tables store one entry per sorted index triple; lookups symmetrize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import factorial
 
+from . import memo
 from .characters import CharacterTable, character_table
 from .combinatorics import Partition, conjugate, dimension, partition_index
 from .errors import LimitExceeded, NonIntegral
@@ -144,20 +144,9 @@ def verify_kronecker_identities(table: KroneckerTable) -> bool:
     return True
 
 
-_REGISTRY: dict[int, KroneckerTable] = {}
-
-
 def kronecker_table(n: int) -> KroneckerTable:
-    """Process-wide memoized table; a disk cache may seed it via install."""
-    table = _REGISTRY.get(n)
-    if table is None:
-        table = _REGISTRY[n] = build_kronecker_table(n)
-    return table
-
-
-def install(table: KroneckerTable) -> KroneckerTable:
-    """Adopt an externally loaded table as the process-wide copy."""
-    return _REGISTRY.setdefault(table.n, table)
+    """Process-wide memoized table; a disk cache may seed it (see memo)."""
+    return memo.lookup("kron", n, build_kronecker_table)
 
 
 @dataclass
@@ -210,6 +199,5 @@ class OnDemandKronecker:
         return cached
 
 
-@cache
 def ondemand_kronecker(n: int) -> OnDemandKronecker:
-    return OnDemandKronecker(character_table(n))
+    return memo.lookup("ondemand", n, lambda m: OnDemandKronecker(character_table(m)))

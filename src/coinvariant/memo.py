@@ -1,0 +1,27 @@
+"""The one process-wide memo of exact tables, keyed by (kind, n).
+
+Library lookups build a missing table on first use; a cache store adopts
+every table it reads or builds, so a table seeded above a default size cap
+reaches later library calls.  Forked workers inherit the memo.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
+_TABLES: dict[tuple[str, int], object] = {}
+
+
+def lookup(kind: str, n: int, build: Callable[[int], T]) -> T:
+    """The memoized (kind, n) table, made by ``build(n)`` on a miss."""
+    table = _TABLES.get((kind, n))
+    if table is None:
+        table = _TABLES[(kind, n)] = build(n)
+    return table
+
+
+def adopt(kind: str, n: int, table: T) -> T:
+    """Memoize ``table`` unless a (kind, n) table is held; return the held one."""
+    return _TABLES.setdefault((kind, n), table)

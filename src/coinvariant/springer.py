@@ -198,6 +198,11 @@ def springer_counterexample_search(
         raise ValueError(
             f"n_max {n_max} above cap {max_n}; raise the cap explicitly to go higher"
         )
+    if n_max < max(n_min, 3):
+        raise ValueError(
+            f"n range [{n_min}, {n_max}] has no type with an interior degree; "
+            "n_max must be at least 3"
+        )
     counterexamples = []
     for n in range(n_min, n_max + 1):
         if n >= 2:

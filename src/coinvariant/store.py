@@ -1,11 +1,12 @@
 """Persistent caches for expensive tables and report emission.
 
-One JSON document per (kind, n) with a schema version, the canonical
-partition order embedded, and exact decimal integers.  A manifest records
-a sha256 digest per entry; a digest mismatch or version mismatch triggers
-a rebuild, never a partial read.  Writes go through write-then-rename, so
-concurrent writers can at worst drop a manifest entry, which costs one
-rebuild on the next access.
+One file ``{kind}-{n}.json`` per table: a one-line JSON header holding the
+sha256 of the table document, then the document itself (schema version,
+canonical partition order, exact decimal integers).  A digest mismatch, a
+version mismatch or a file without the header triggers a rebuild, never a
+partial read.  Every write goes to a unique temp file in the same directory
+and is renamed into place, and no file is shared between tables, so
+concurrent runs on one directory never see a half-written file.
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -20,11 +21,12 @@ import io
 import json
 import logging
 import os
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, characters, graded, kronecker
+from . import __version__, characters, kronecker, memo
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, parse_partition
 from .errors import LimitExceeded
@@ -54,9 +56,14 @@ def default_cache_dir() -> Path:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _digest(data: bytes) -> str:
@@ -126,18 +133,18 @@ def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
     )
 
 
-_KINDS: dict[str, tuple[Callable, Callable, Callable, Callable]] = {
-    "char": (build_character_table, _char_doc, _char_from_doc, characters.install),
-    "kron": (build_kronecker_table, _kron_doc, _kron_from_doc, kronecker.install),
-    "graded": (build_graded_table, _graded_doc, _graded_from_doc, graded.install),
+_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "char": (build_character_table, _char_doc, _char_from_doc),
+    "kron": (build_kronecker_table, _kron_doc, _kron_from_doc),
+    "graded": (build_graded_table, _graded_doc, _graded_from_doc),
 }
 
-_DEFAULT_CAPS = {"char": characters.DEFAULT_MAX_N, "kron": kronecker.DEFAULT_MAX_N}
+DEFAULT_CAPS = {"char": characters.DEFAULT_MAX_N, "kron": kronecker.DEFAULT_MAX_N}
 
 
 def _check_cap(kind: str, n: int, build_kwargs: dict) -> None:
     """Size caps hold whether the table is built or read back warm."""
-    cap = build_kwargs.get("max_n", _DEFAULT_CAPS.get(kind))
+    cap = build_kwargs.get("max_n", DEFAULT_CAPS.get(kind))
     if cap is not None and not 1 <= n <= cap:
         raise LimitExceeded(f"{kind} table size {n} outside [1, {cap}]")
     if cap is None and n < 1:
@@ -149,83 +156,59 @@ class CacheStore:
 
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        # warm handles so repeated gets in one process share table objects
-        # (and their lazily computed pair vectors)
-        self._live: dict[tuple[str, int], object] = {}
-
-    # manifest ---------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
-    def _read_manifest(self) -> dict:
-        try:
-            doc = json.loads(self.manifest_path.read_text())
-            if doc.get("schema_version") != SCHEMA_VERSION:
-                return {"schema_version": SCHEMA_VERSION, "entries": []}
-            return doc
-        except (OSError, ValueError):
-            return {"schema_version": SCHEMA_VERSION, "entries": []}
-
-    def _manifest_entry(self, kind: str, n: int) -> dict | None:
-        for entry in self._read_manifest()["entries"]:
-            if entry["kind"] == kind and entry["n"] == n:
-                return entry
-        return None
-
-    def _update_manifest(self, kind: str, n: int, filename: str, digest: str) -> None:
-        doc = self._read_manifest()
-        doc["entries"] = [
-            e for e in doc["entries"] if not (e["kind"] == kind and e["n"] == n)
-        ]
-        doc["entries"].append(
-            {"kind": kind, "n": n, "file": filename, "sha256": digest}
-        )
-        doc["entries"].sort(key=lambda e: (e["kind"], e["n"]))
-        _atomic_write(self.manifest_path, _json_bytes(doc))
+        # digests of the table files this store read or wrote
+        self._digests: dict[tuple[str, int], str] = {}
 
     def digests(self) -> dict[str, str]:
         """kind-n -> digest map for report provenance."""
-        return {
-            f"{e['kind']}-{e['n']}": e["sha256"]
-            for e in self._read_manifest()["entries"]
-        }
-
-    # tables -----------------------------------------------------------
+        return {f"{kind}-{n}": d for (kind, n), d in sorted(self._digests.items())}
 
     def get_or_build(self, kind: str, n: int, **build_kwargs):
-        """Digest-valid cached table, else build + validate + persist."""
+        """Digest-valid cached table, else build + validate + persist.
+
+        Either way the table is adopted into the process memo, which never
+        stands in for a missing or invalid file in this directory.
+        """
         if kind not in _KINDS:
             raise ValueError(f"unknown cache kind {kind!r}")
         _check_cap(kind, n, build_kwargs)
-        live = self._live.get((kind, n))
-        if live is not None:
-            return live
-        builder, to_doc, from_doc, install = _KINDS[kind]
+        builder, to_doc, from_doc = _KINDS[kind]
         path = self.root / f"{kind}-{n}.json"
-        entry = self._manifest_entry(kind, n)
-        if entry is not None and path.exists():
+        table = self._read(kind, n, path, from_doc)
+        if table is None:
+            table = builder(n, **build_kwargs)
+            body = _json_bytes(to_doc(table))
+            digest = _digest(body)
+            self.root.mkdir(parents=True, exist_ok=True)
+            header = (json.dumps({"sha256": digest}) + "\n").encode()
+            _atomic_write(path, header + body)
+            self._digests[(kind, n)] = digest
+        return memo.adopt(kind, n, table)
+
+    def _read(self, kind: str, n: int, path: Path, from_doc: Callable):
+        """The table in ``path`` if its header digest and schema hold, else None."""
+        try:
             data = path.read_bytes()
-            if _digest(data) == entry["sha256"]:
-                try:
-                    doc = json.loads(data)
-                except ValueError:
-                    doc = None
-                if doc is not None and doc.get("schema_version") == SCHEMA_VERSION:
-                    table = install(from_doc(doc))
-                    self._live[(kind, n)] = table
-                    return table
-                log.warning("cache %s-%s has a stale schema; rebuilding", kind, n)
-            else:
-                log.warning("cache %s-%s failed its digest; rebuilding", kind, n)
-        table = install(builder(n, **build_kwargs))
-        self.root.mkdir(parents=True, exist_ok=True)
-        data = _json_bytes(to_doc(table))
-        _atomic_write(path, data)
-        self._update_manifest(kind, n, path.name, _digest(data))
-        self._live[(kind, n)] = table
-        return table
+        except FileNotFoundError:
+            return None
+        header, _, body = data.partition(b"\n")
+        try:
+            digest = json.loads(header)["sha256"]
+        except (ValueError, KeyError, TypeError):
+            log.warning("cache %s-%s has no digest header; rebuilding", kind, n)
+            return None
+        if _digest(body) != digest:
+            log.warning("cache %s-%s failed its digest; rebuilding", kind, n)
+            return None
+        try:
+            doc = json.loads(body)
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+            log.warning("cache %s-%s has a stale schema; rebuilding", kind, n)
+            return None
+        self._digests[(kind, n)] = digest
+        return from_doc(doc)
 
 
 # -- report documents --------------------------------------------------------

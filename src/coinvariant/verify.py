@@ -166,19 +166,22 @@ def report_from_d_matrix(
 def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
     """Accepts "all", "low:M" (degrees 1..M and co-degrees), or "i1,i2,...".
 
-    Returns interior degrees, sorted and deduplicated.
+    Returns interior degrees, sorted and deduplicated; a filter that selects
+    none is an error, since the scan would check nothing.
     """
     interior = range(1, top)
     if text == "all":
-        return tuple(interior)
-    if text.startswith("low:"):
+        chosen = set(interior)
+    elif text.startswith("low:"):
         m = int(text[4:])
         chosen = {i for i in interior if i <= m or i >= top - m}
-        return tuple(sorted(chosen))
-    chosen = {int(piece) for piece in text.split(",")}
-    bad = chosen.difference(interior)
-    if bad:
-        raise ValueError(f"degrees {sorted(bad)} outside interior range [1, {top - 1}]")
+    else:
+        chosen = {int(piece) for piece in text.split(",")}
+        bad = chosen.difference(interior)
+        if bad:
+            raise ValueError(f"degrees {sorted(bad)} outside interior range [1, {top - 1}]")
+    if not chosen:
+        raise ValueError(f"degree filter {text!r} selects no interior degree of [1, {top - 1}]")
     return tuple(sorted(chosen))
 
 

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coinvariant
 from coinvariant import cli
 from coinvariant.store import (
     CacheStore,
@@ -16,14 +22,29 @@ def store(tmp_path):
     return CacheStore(tmp_path / "cache")
 
 
+def sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def digest_and_body(path: Path) -> tuple[str, bytes]:
+    """A table file is a one-line JSON header with the body's digest, then the body."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header)["sha256"], body
+
+
+def write_table_file(path: Path, digest: str, body: bytes) -> None:
+    path.write_bytes(json.dumps({"sha256": digest}).encode() + b"\n" + body)
+
+
 class TestCacheStore:
     def test_cold_build_persists(self, store):
         table = store.get_or_build("char", 4)
         assert table.n == 4
-        assert (store.root / "char-4.json").exists()
-        manifest = json.loads((store.root / "manifest.json").read_text())
-        entry = manifest["entries"][0]
-        assert (entry["kind"], entry["n"], entry["file"]) == ("char", 4, "char-4.json")
+        digest, body = digest_and_body(store.root / "char-4.json")
+        assert digest == sha256(body)
+        assert json.loads(body)["kind"] == "char"
+        assert store.digests() == {"char-4": digest}
+        assert not (store.root / "manifest.json").exists()
 
     def test_warm_load_skips_rebuild(self, tmp_path):
         first = CacheStore(tmp_path)
@@ -41,37 +62,56 @@ class TestCacheStore:
         first = CacheStore(tmp_path)
         built = first.get_or_build("char", 4)
         path = tmp_path / "char-4.json"
-        doc = json.loads(path.read_text())
+        digest, body = digest_and_body(path)
+        doc = json.loads(body)
         doc["values"][0][0] = 999
-        path.write_text(json.dumps(doc))
+        write_table_file(path, digest, json.dumps(doc).encode())
         fresh = CacheStore(tmp_path)
         reloaded = fresh.get_or_build("char", 4)
         assert reloaded.values == built.values
-        # rebuild restored a digest-valid file
-        again = CacheStore(tmp_path).get_or_build("char", 4)
-        assert again.values == built.values
+        # the rebuild restored a digest-valid file with the true values
+        digest, body = digest_and_body(path)
+        assert digest == sha256(body)
+        assert json.loads(body)["values"] == [list(row) for row in built.values]
+        assert fresh.digests() == {"char-4": digest}
 
     def test_schema_version_mismatch_rebuilds(self, tmp_path):
         first = CacheStore(tmp_path)
         first.get_or_build("graded", 4)
         path = tmp_path / "graded-4.json"
-        doc = json.loads(path.read_text())
+        _, body = digest_and_body(path)
+        doc = json.loads(body)
         doc["schema_version"] = 0
-        data = json.dumps(doc, indent=2) + "\n"
-        path.write_text(data)
+        stale = (json.dumps(doc, indent=2) + "\n").encode()
         # keep the digest consistent so only the version check can reject
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        import hashlib
-
-        for entry in manifest["entries"]:
-            if entry["kind"] == "graded":
-                entry["sha256"] = (
-                    "sha256:" + hashlib.sha256(data.encode()).hexdigest()
-                )
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        write_table_file(path, sha256(stale), stale)
         table = CacheStore(tmp_path).get_or_build("graded", 4)
         assert table.n == 4
-        assert json.loads(path.read_text())["schema_version"] == 1
+        digest, body = digest_and_body(path)
+        assert digest == sha256(body)
+        assert json.loads(body)["schema_version"] == 1
+
+    def test_manifest_era_file_rebuilds_with_warning(self, tmp_path, caplog):
+        # before per-file digests a table file was the bare JSON document,
+        # its digest kept in a shared manifest.json
+        built = CacheStore(tmp_path / "fresh").get_or_build("char", 4)
+        path = tmp_path / "char-4.json"
+        _, body = digest_and_body(tmp_path / "fresh" / "char-4.json")
+        doc = json.loads(body)
+        doc["values"][0][0] = 999
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "schema_version": 1,
+            "entries": [{"kind": "char", "n": 4, "file": path.name,
+                         "sha256": sha256(path.read_bytes())}],
+        }))
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            table = CacheStore(tmp_path).get_or_build("char", 4)
+        assert table.values == built.values
+        assert "char-4 has no digest header" in caplog.text
+        digest, body = digest_and_body(path)
+        assert digest == sha256(body)
+        assert json.loads(body)["values"][0][0] == built.values[0][0]
 
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
@@ -204,7 +244,49 @@ class TestCli:
         b = json.loads(out2.read_text())
         assert payload_bytes(a) == payload_bytes(b)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-flag", "--n", "6", "--degrees", "low:0"],
+            ["verify-flag", "--n", "6", "--degrees", "low:-5"],
+            ["springer-scan", "--n-max", "0"],
+            ["selftest", "--n-max", "0"],
+            ["selftest", "--n-max", "-1"],
+            ["verify-flag", "--n", "5", "--jobs", "0"],
+            ["verify-flag", "--n", "5", "--jobs", "-3"],
+        ],
+    )
+    def test_scan_that_checks_nothing_is_rejected(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 1
+        captured = capsys.readouterr()
+        assert "status=pass" not in captured.out
+        assert captured.err.startswith("error") and captured.err.count("\n") == 1
+
     def test_env_cache_dir_used_when_flag_absent(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "envcache"))
         assert cli.run(["kronecker", "--n", "2", "--lambda", "2", "--mu", "2", "--nu", "2"]) == 0
         assert (tmp_path / "envcache" / "char-2.json").exists()
+
+
+class TestConcurrentRuns:
+    def test_cold_runs_share_one_cache_dir(self, tmp_path):
+        """Several cold processes fill one cache directory at once."""
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        for round_ in range(4):
+            cache = tmp_path / f"cache-{round_}"
+            outs = [tmp_path / f"flag-{round_}-{k}.json" for k in range(3)]
+            commands = [["verify-flag", "--n", "7", "--out", str(out)] for out in outs]
+            commands += [["selftest", "--n-max", "7"]] * 2
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "coinvariant", *command,
+                     "--jobs", "1", "--cache-dir", str(cache)],
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                )
+                for command in commands
+            ]
+            errors = [proc.communicate(timeout=120)[1].decode() for proc in procs]
+            assert [proc.returncode for proc in procs] == [0] * len(procs), errors
+            payloads = {payload_bytes(json.loads(out.read_bytes())) for out in outs}
+            assert len(payloads) == 1
+            assert list(tmp_path.rglob("*.tmp")) == []

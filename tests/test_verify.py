@@ -135,6 +135,9 @@ class TestDegreeFilter:
     def test_low(self):
         assert parse_degree_filter("low:2", 10) == (1, 2, 8, 9)
         assert parse_degree_filter("low:3", 4) == (1, 2, 3)
+        for empty in ("low:0", "low:-5"):
+            with pytest.raises(ValueError, match="selects no interior degree"):
+                parse_degree_filter(empty, 10)
 
     def test_explicit(self):
         assert parse_degree_filter("3,1,2", 10) == (1, 2, 3)
