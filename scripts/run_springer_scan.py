@@ -26,7 +26,6 @@ def main() -> int:
     for n in range(2, args.n_max + 1):
         store.get_or_build("char", n)
         store.get_or_build("graded", n)
-        store.get_or_build("kron", n)
 
     report = springer_counterexample_search(args.n_max, jobs=args.jobs)
     print(f"scanned all nilpotent types with n <= {args.n_max}")

@@ -174,9 +174,7 @@ def cmd_verify_flag(args) -> int:
     _seed(store, args, "char", [n])
     _seed(store, args, "graded", [n])
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
-    if args.degrees == "all":
-        _seed(store, args, "kron", [n])
-    report = verify.verify_flag_log_concavity(n, degrees, jobs=args.jobs)
+    report = verify.verify_flag_log_concavity(n, degrees)
     _emit(args, "verify-flag", {"n": n, "degrees": args.degrees}, report.payload(), store)
     print(
         f"verify-flag n={n} degrees={len(report.degrees)} "
@@ -192,8 +190,7 @@ def cmd_unimodal(args) -> int:
     store = _store(args)
     _seed(store, args, "char", [n])
     _seed(store, args, "graded", [n])
-    _seed(store, args, "kron", [n])
-    report = verify.verify_d_unimodality(n, jobs=args.jobs)
+    report = verify.verify_d_unimodality(n)
     _emit(args, "unimodal", {"n": n}, report.payload(), store)
     print(
         f"unimodal n={n} sequences={len(report.sequences)} "
@@ -230,7 +227,6 @@ def cmd_springer_scan(args) -> int:
         cap = max(cap, args.max_n_override)
     _seed(store, args, "char", range(2, n_max + 1))
     _seed(store, args, "graded", range(2, n_max + 1))
-    _seed(store, args, "kron", range(2, n_max + 1))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
     _emit(args, "springer-scan", {"n_max": n_max}, report.payload(), store)
     print(

@@ -151,11 +151,10 @@ def kronecker_table(n: int) -> KroneckerTable:
 
 @dataclass
 class OnDemandKronecker:
-    """Class-sum backend with the same lookup surface as KroneckerTable.
+    """Class-sum backend with KroneckerTable's coefficient and pair_vector.
 
-    Computes pair vectors lazily instead of building the full g table;
-    the cheap choice when a scan only touches a few degree supports, e.g.
-    the low-degree harness at n = 12.
+    Computes pair vectors lazily instead of building the full g table, so
+    the Kronecker audit route reaches sizes where a full table is too big.
     """
 
     table: CharacterTable
@@ -166,13 +165,6 @@ class OnDemandKronecker:
     @property
     def n(self) -> int:
         return self.table.n
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        return self.table.partitions
-
-    def index(self, lam: Partition) -> int:
-        return partition_index(self.n)[lam]
 
     def coefficient(self, lam: Partition, mu: Partition, nu: Partition) -> int:
         return kronecker_coefficient(lam, mu, nu, self.table)
@@ -197,7 +189,3 @@ class OnDemandKronecker:
             cached = tuple(out)
             self._pair_cache[key] = cached
         return cached
-
-
-def ondemand_kronecker(n: int) -> OnDemandKronecker:
-    return memo.lookup("ondemand", n, lambda m: OnDemandKronecker(character_table(m)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
+from .characters import character_table
 from .combinatorics import (
     Partition,
     charge,
@@ -28,7 +29,6 @@ from .combinatorics import (
     reading_word,
 )
 from .graded import GradedMultiplicityTable, graded_table
-from .kronecker import kronecker_table
 from .parallel import parallel_map
 from .polynomials import IntPoly
 from .verify import SCHEMA_VERSION, LogConcavityReport, d_matrix, report_from_d_matrix
@@ -135,7 +135,7 @@ def coinvariant_calibration_matches(n: int) -> bool:
     return springer.m == coinv.b
 
 
-def verify_springer_log_concavity(mu: Partition, jobs: int = 1) -> LogConcavityReport:
+def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
     """d-scan of the Springer table of type mu; vacuous pass below two
     interior degrees."""
     n = sum(mu)
@@ -144,9 +144,7 @@ def verify_springer_log_concavity(mu: Partition, jobs: int = 1) -> LogConcavityR
         return LogConcavityReport(
             n=n, degrees=(), entries=(), violations=(), min_d=None
         )
-    kron = kronecker_table(n)
-    matrix = d_matrix(table, kron)
-    return report_from_d_matrix(n, table.partitions, matrix)
+    return report_from_d_matrix(n, table.partitions, d_matrix(table))
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def springer_counterexample_search(
     counterexamples = []
     for n in range(n_min, n_max + 1):
         if n >= 2:
-            kronecker_table(n)  # warm before forking workers
+            character_table(n)  # warm before forking workers
         results = parallel_map(_scan_one_type, list(partitions_of(n)), jobs)
         for mu, violations in results:
             if violations:

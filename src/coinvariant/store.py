@@ -248,7 +248,8 @@ def report_document(
 
 
 def write_report(path: Path, document: dict) -> None:
-    """JSON by default; entries-only CSV when the suffix is .csv."""
+    """JSON by default; entries-only CSV when the suffix is .csv, which
+    needs a payload with entry rows."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         _atomic_write(path, _csv_bytes(document["payload"]))
@@ -257,7 +258,9 @@ def write_report(path: Path, document: dict) -> None:
 
 
 def _csv_bytes(payload: dict) -> bytes:
-    entries = payload.get("entries", [])
+    if "entries" not in payload:
+        raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
+    entries = payload["entries"]
     columns: list[str] = []
     for entry in entries:
         for key in entry:

@@ -1,26 +1,34 @@
 """Equivariant log-concavity and unimodality checks.
 
 For a graded multiplicity table (coinvariant ring or a Springer fiber) with
-rows m[lam][i], the degree-(i,j) tensor multiplicities are
+rows m[lam][i] and degree-i graded character chi_i = sum over lam of
+m[lam][i] * chi_lam, the log-concavity statistic
+d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
 
-    t(i, j)[nu] = sum over lam, mu of m[lam][i] * m[mu][j] * g(lam, mu, nu)
+    (1/n!) sum over classes rho of |C_rho| * chi_nu(rho)
+           * (chi_i(rho)^2 - chi_(i-1)(rho) * chi_(i+1)(rho))
 
-and the log-concavity statistic is d[nu][i] = t(i,i)[nu] - t(i-1,i+1)[nu]
-for interior degrees 1 <= i <= top-1.  Negative d values are findings, so
-reports always carry the full d table, never just a flag.
+for interior degrees 1 <= i <= top-1, each class sum divided by n! once
+with an exactness check.  Negative d values are findings, so reports always
+carry the full d table, never just a flag.  ``tensor_multiplicity_vector``
+(sums over Kronecker coefficients) is the independent audit route.
 
-Any object with ``partitions``, ``top_degree`` and ``support(i)`` works as
-the graded table here; degrees outside [0, top] contribute zero.
+Any object with ``n``, ``partitions``, ``top_degree`` and ``support(i)``
+works as the graded table here; degrees outside [0, top] contribute zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import factorial
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .combinatorics import Partition, dimension, format_partition
+from .characters import CharacterTable, character_table
+from .combinatorics import Partition, check_partition, dimension, format_partition
+from .errors import NonIntegral
 from .graded import graded_table, poincare_polynomial
-from .kronecker import kronecker_table, ondemand_kronecker
+from .kronecker import KroneckerTable, OnDemandKronecker
 from .parallel import parallel_map
 from .polynomials import is_log_concave, is_unimodal, symmetric_about
 
@@ -28,6 +36,7 @@ SCHEMA_VERSION = 1
 
 
 class GradedTableLike(Protocol):
+    n: int
     partitions: tuple[Partition, ...]
 
     @property
@@ -36,18 +45,42 @@ class GradedTableLike(Protocol):
     def support(self, i: int) -> tuple[tuple[int, int], ...]: ...
 
 
-class KroneckerLike(Protocol):
-    partitions: tuple[Partition, ...]
+def _graded_character(
+    table: GradedTableLike, chars: CharacterTable, i: int
+) -> list[int]:
+    """chi_i(rho) for every class rho, in canonical order."""
+    acc = [0] * len(chars.partitions)
+    for r, mult in table.support(i):
+        for k, value in enumerate(chars.values[r]):
+            acc[k] += mult * value
+    return acc
 
-    def index(self, lam: Partition) -> int: ...
 
-    def pair_vector(self, a: int, b: int) -> tuple[int, ...]: ...
+def _multiplicity(chars: CharacterTable, weighted: Sequence[int], row: int) -> int:
+    """(1/n!) sum over rho of weighted(rho) * chi_row(rho); ``weighted``
+    already carries the class sizes."""
+    total = sum(w * v for w, v in zip(weighted, chars.values[row]) if w)
+    mult, rem = divmod(total, factorial(chars.n))
+    if rem:
+        raise NonIntegral(f"class sum for row {row} is not divisible by {chars.n}!")
+    return mult
+
+
+def _row_of(n: int, nu: Partition) -> int:
+    check_partition(nu)
+    if sum(nu) != n:
+        raise ValueError(f"{nu} is not a partition of {n}")
+    return character_table(n).index(nu)
 
 
 def tensor_multiplicity_vector(
-    table: GradedTableLike, kron: KroneckerLike, i: int, j: int
+    table: GradedTableLike,
+    kron: KroneckerTable | OnDemandKronecker,
+    i: int,
+    j: int,
 ) -> tuple[int, ...]:
-    """Multiplicity of every V(nu) in (degree-i piece) (x) (degree-j piece)."""
+    """Multiplicity of every V(nu) in (degree-i piece) (x) (degree-j piece),
+    summed over Kronecker coefficients (the audit route)."""
     acc = [0] * len(table.partitions)
     for a, ma in table.support(i):
         for b, mb in table.support(j):
@@ -61,49 +94,46 @@ def tensor_multiplicity_vector(
 
 def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     """Multiplicity of V(nu) in H^i (x) H^j of the coinvariant ring."""
+    row = _row_of(n, nu)
     table = graded_table(n)
-    kron = ondemand_kronecker(n)
-    vec = tensor_multiplicity_vector(table, kron, i, j)
-    return vec[kron.index(nu)]
+    chars = character_table(n)
+    chi_i, chi_j = (_graded_character(table, chars, k) for k in (i, j))
+    weighted = [size * a * b for size, a, b in zip(chars.class_sizes, chi_i, chi_j)]
+    return _multiplicity(chars, weighted, row)
 
 
 def d_matrix(
     table: GradedTableLike,
-    kron: KroneckerLike,
-    degrees: Sequence[int] | None = None,
+    degrees: Iterable[int] | None = None,
 ) -> dict[int, tuple[int, ...]]:
     """d vectors over nu, keyed by interior degree i."""
     top = table.top_degree
     if degrees is None:
         degrees = range(1, top)
-    cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def tensor(i: int, j: int) -> tuple[int, ...]:
-        key = (i, j) if i <= j else (j, i)
-        if key not in cache:
-            cache[key] = tensor_multiplicity_vector(table, kron, *key)
-        return cache[key]
-
+    chars = character_table(table.n)
+    character = cache(lambda i: _graded_character(table, chars, i))
     result: dict[int, tuple[int, ...]] = {}
     for i in degrees:
         if not 1 <= i <= top - 1:
             raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-        square = tensor(i, i)
-        cross = tensor(i - 1, i + 1)
-        result[i] = tuple(s - x for s, x in zip(square, cross))
+        weighted = [
+            size * (x * x - lo * hi)
+            for size, x, lo, hi in zip(
+                chars.class_sizes, character(i), character(i - 1), character(i + 1)
+            )
+        ]
+        result[i] = tuple(
+            _multiplicity(chars, weighted, row) for row in range(len(table.partitions))
+        )
     return result
 
 
 def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
-    if sum(nu) != n:
-        raise ValueError(f"{nu} is not a partition of {n}")
+    row = _row_of(n, nu)
     table = graded_table(n)
-    kron = ondemand_kronecker(n)
-    k = kron.index(nu)
-    c = table.top_degree
-    matrix = d_matrix(table, kron)
-    return [matrix[i][k] for i in range(1, c)]
+    matrix = d_matrix(table)
+    return [matrix[i][row] for i in range(1, table.top_degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +216,13 @@ def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
 
 
 def verify_flag_log_concavity(
-    n: int,
-    degree_filter: Iterable[int] | None = None,
-    jobs: int = 1,
+    n: int, degree_filter: Iterable[int] | None = None
 ) -> LogConcavityReport:
     """Scan d[nu][i] over the coinvariant ring of S_n; pass iff all >= 0."""
     if n < 2:
         raise ValueError("n must be at least 2")
     table = graded_table(n)
-    degrees = (
-        tuple(range(1, table.top_degree))
-        if degree_filter is None
-        else tuple(sorted(set(degree_filter)))
-    )
-    # full sweeps amortize the bulk g table; restricted filters only touch a
-    # few supports, where per-pair class sums are far cheaper
-    full_sweep = degrees == tuple(range(1, table.top_degree))
-    kron = kronecker_table(n) if full_sweep else ondemand_kronecker(n)
-    chunks = parallel_map(
-        _d_matrix_chunk,
-        [(table, kron, piece) for piece in _split(degrees, jobs)],
-        jobs,
-    )
-    matrix: dict[int, tuple[int, ...]] = {}
-    for chunk in chunks:
-        matrix.update(chunk)
-    return report_from_d_matrix(n, table.partitions, matrix)
-
-
-def _d_matrix_chunk(args) -> dict[int, tuple[int, ...]]:
-    table, kron, degrees = args
-    return d_matrix(table, kron, degrees)
-
-
-def _split(items: Sequence, jobs: int) -> list[Sequence]:
-    if jobs <= 1 or len(items) <= 1:
-        return [items]
-    size = max(1, -(-len(items) // jobs))
-    return [items[k : k + size] for k in range(0, len(items), size)]
+    return report_from_d_matrix(n, table.partitions, d_matrix(table, degree_filter))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +267,12 @@ class LowDegreeReport:
 def _low_degree_one_n(args) -> tuple:
     n, max_m = args
     table = graded_table(n)
-    kron = ondemand_kronecker(n)
     c = table.top_degree
     degrees = sorted(
         {m for m in range(1, max_m + 1) if m <= c - 1}
         | {c - m for m in range(1, max_m + 1) if c - m >= 1}
     )
-    matrix = d_matrix(table, kron, degrees)
+    matrix = d_matrix(table, degrees)
     entries = []
     mismatches = []
     for i in degrees:
@@ -363,10 +361,10 @@ class UnimodalityReport:
         }
 
 
-def verify_d_unimodality(n: int, jobs: int = 1) -> UnimodalityReport:
+def verify_d_unimodality(n: int) -> UnimodalityReport:
     if n < 3:
         raise ValueError("n must be at least 3")
-    report = verify_flag_log_concavity(n, jobs=jobs)
+    report = verify_flag_log_concavity(n)
     table = graded_table(n)
     c = table.top_degree
     by_nu: dict[Partition, list[int]] = {nu: [] for nu in table.partitions}
@@ -396,9 +394,8 @@ def betti_log_concavity(n: int) -> bool:
     if n < 2:
         return True
     table = graded_table(n)
-    kron = kronecker_table(n)
     dims = [dimension(nu) for nu in table.partitions]
-    matrix = d_matrix(table, kron)
+    matrix = d_matrix(table)
     c = table.top_degree
     padded = list(betti) + [0] * (c + 1 - len(betti))
     for i in range(1, c):

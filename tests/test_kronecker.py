@@ -12,10 +12,10 @@ from coinvariant.combinatorics import (
 from coinvariant.errors import LimitExceeded
 from coinvariant.kronecker import (
     KroneckerTable,
+    OnDemandKronecker,
     build_kronecker_table,
     kronecker_coefficient,
     kronecker_table,
-    ondemand_kronecker,
     verify_kronecker_identities,
 )
 
@@ -138,12 +138,12 @@ class TestOnDemandBackend:
     def test_matches_full_table(self):
         for n in (3, 5, 6):
             full = kronecker_table(n)
-            lazy = ondemand_kronecker(n)
+            lazy = OnDemandKronecker(character_table(n))
             count = len(full.partitions)
             for a in range(count):
                 for b in range(a, count):
                     assert full.pair_vector(a, b) == lazy.pair_vector(a, b)
 
     def test_coefficient_delegates(self):
-        lazy = ondemand_kronecker(4)
+        lazy = OnDemandKronecker(character_table(4))
         assert lazy.coefficient((2, 2), (2, 2), (4,)) == 1

@@ -196,6 +196,32 @@ class TestCli:
         # five partitions of 4, five interior degrees
         assert len(lines) == 1 + 5 * 5
 
+    def test_csv_export_without_entries_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unimodal_above_kronecker_cap(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "unimodal", "--n", "13") == 0
+        assert "status=pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-flag", "--n", "6"],
+            ["unimodal", "--n", "5"],
+            ["low-degree-harness", "--n-max", "6"],
+            ["springer-scan", "--n-max", "7"],
+        ],
+    )
+    def test_scans_build_no_kronecker_table(self, tmp_path, argv):
+        assert run_cli(tmp_path, *argv) in (0, 2)
+        cache = tmp_path / "cache"
+        assert list(cache.glob("char-*.json"))
+        assert list(cache.glob("kron-*.json")) == []
+
     def test_unknown_flag_is_operational_error(self, tmp_path):
         assert cli.run(["verify-flag", "--n", "5", "--bogus"]) == 1
 

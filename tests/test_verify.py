@@ -5,13 +5,15 @@ import pytest
 from coinvariant.characters import character_table
 from coinvariant.combinatorics import centralizer_size, dimension, partitions_of
 from coinvariant.graded import graded_character_poly, graded_table, top_degree
-from coinvariant.kronecker import kronecker_table
+from coinvariant.kronecker import OnDemandKronecker, kronecker_table
+from coinvariant.springer import springer_graded_table
 from coinvariant.verify import (
     betti_log_concavity,
     d_matrix,
     d_vector,
     low_degree_harness,
     parse_degree_filter,
+    tensor_multiplicity_vector,
     tensor_pair_multiplicity,
     verify_d_unimodality,
     verify_flag_log_concavity,
@@ -72,6 +74,11 @@ class TestTensorPairMultiplicity:
                             tensor_multiplicity_by_characters(n, i, j, nu)
                         )
 
+    def test_rejects_non_partition(self):
+        for nu in ((1, 2), (2, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                tensor_pair_multiplicity(3, 1, 1, nu)
+
 
 class TestDVector:
     def test_n3_trivial(self):
@@ -82,6 +89,11 @@ class TestDVector:
 
     def test_n2_empty_interior(self):
         assert d_vector(2, (2,)) == []
+
+    def test_rejects_non_partition(self):
+        for nu in ((1, 2), (2, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                d_vector(3, nu)
 
     def test_symmetry_theorem(self):
         for n in range(3, 8):
@@ -111,11 +123,6 @@ class TestFlagLogConcavity:
         report = verify_flag_log_concavity(6, degree_filter=(1, 2, 3))
         assert report.degrees == (1, 2, 3)
         assert report.status == "pass"
-
-    def test_jobs_give_identical_reports(self):
-        serial = verify_flag_log_concavity(5, jobs=1)
-        forked = verify_flag_log_concavity(5, jobs=2)
-        assert serial.payload() == forked.payload()
 
     def test_payload_shape(self):
         payload = verify_flag_log_concavity(4).payload()
@@ -203,8 +210,7 @@ class TestBettiLogConcavity:
     def test_dimension_identity_directly(self):
         for n in range(2, 7):
             table = graded_table(n)
-            kron = kronecker_table(n)
-            matrix = d_matrix(table, kron)
+            matrix = d_matrix(table)
             betti = [
                 sum(dimension(lam) * table.row(lam)[i] for lam in table.partitions)
                 for i in range(table.top_degree + 1)
@@ -213,3 +219,50 @@ class TestBettiLogConcavity:
             for i in range(1, table.top_degree):
                 weighted = sum(d * v for d, v in zip(dims, matrix[i]))
                 assert weighted == betti[i] ** 2 - betti[i - 1] * betti[i + 1]
+
+
+def d_by_kronecker(table, kron, degrees):
+    """The audit route: d from tensor multiplicities over Kronecker
+    coefficients."""
+    return {
+        i: tuple(
+            square - cross
+            for square, cross in zip(
+                tensor_multiplicity_vector(table, kron, i, i),
+                tensor_multiplicity_vector(table, kron, i - 1, i + 1),
+            )
+        )
+        for i in degrees
+    }
+
+
+class TestCharacterRouteMatchesKronecker:
+    def test_coinvariant_every_degree(self):
+        for n in range(2, 10):
+            table = graded_table(n)
+            degrees = range(1, table.top_degree)
+            assert d_matrix(table) == d_by_kronecker(
+                table, kronecker_table(n), degrees
+            ), n
+
+    def test_springer_types(self):
+        checked = 0
+        for n in range(3, 9):
+            for mu in partitions_of(n):
+                table = springer_graded_table(mu)
+                if table.top_degree < 3:
+                    continue
+                degrees = range(1, table.top_degree)
+                assert d_matrix(table) == d_by_kronecker(
+                    table, kronecker_table(n), degrees
+                ), mu
+                checked += 1
+        assert checked > 0
+
+    def test_low_degree_harness_degrees_on_demand(self):
+        for n in range(10, 13):
+            table = graded_table(n)
+            c = table.top_degree
+            degrees = (1, 2, 3, c - 3, c - 2, c - 1)
+            kron = OnDemandKronecker(character_table(n))
+            assert d_matrix(table, degrees) == d_by_kronecker(table, kron, degrees), n
