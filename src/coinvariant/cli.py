@@ -140,12 +140,17 @@ def _seed(store: CacheStore, args, kind: str, ns) -> None:
         store.get_or_build(kind, n, **caps)
 
 
-def _emit(args, command: str, parameters: dict, payload: dict, store: CacheStore) -> None:
+def _finish(args, store: CacheStore, command: str, parameters: dict, report, lines) -> int:
+    """Write the report to ``--out`` if given, print ``lines``, and map the
+    report status to the exit code."""
     if args.out:
         document = report_document(
-            command, parameters, payload, store, {"jobs": args.jobs}
+            command, parameters, report.payload(), store, {"jobs": args.jobs}
         )
         write_report(Path(args.out), document)
+    for line in lines:
+        print(line)
+    return 0 if report.status == "pass" else 2
 
 
 def cmd_fake_degrees(args) -> int:
@@ -175,14 +180,11 @@ def cmd_verify_flag(args) -> int:
     _seed(store, args, "graded", [n])
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
     report = verify.verify_flag_log_concavity(n, degrees)
-    _emit(args, "verify-flag", {"n": n, "degrees": args.degrees}, report.payload(), store)
-    print(
+    return _finish(args, store, "verify-flag", {"n": n, "degrees": args.degrees}, report, [
         f"verify-flag n={n} degrees={len(report.degrees)} "
-        f"entries={len(report.entries)} min_d={report.min_d} status={report.status}"
-    )
-    for nu, i, d in report.violations:
-        print(f"  violation: nu={format_partition(nu)} i={i} d={d}")
-    return 0 if report.status == "pass" else 2
+        f"entries={len(report.entries)} min_d={report.min_d} status={report.status}",
+        *(f"  violation: nu={format_partition(nu)} i={i} d={d}" for nu, i, d in report.violations),
+    ])
 
 
 def cmd_unimodal(args) -> int:
@@ -191,17 +193,13 @@ def cmd_unimodal(args) -> int:
     _seed(store, args, "char", [n])
     _seed(store, args, "graded", [n])
     report = verify.verify_d_unimodality(n)
-    _emit(args, "unimodal", {"n": n}, report.payload(), store)
-    print(
+    return _finish(args, store, "unimodal", {"n": n}, report, [
         f"unimodal n={n} sequences={len(report.sequences)} "
         f"symmetric_failures={len(report.symmetric_failures)} "
-        f"unimodal_failures={len(report.unimodal_failures)} status={report.status}"
-    )
-    for nu in report.symmetric_failures:
-        print(f"  not symmetric: nu={format_partition(nu)}")
-    for nu in report.unimodal_failures:
-        print(f"  not unimodal: nu={format_partition(nu)}")
-    return 0 if report.status == "pass" else 2
+        f"unimodal_failures={len(report.unimodal_failures)} status={report.status}",
+        *(f"  not symmetric: nu={format_partition(nu)}" for nu in report.symmetric_failures),
+        *(f"  not unimodal: nu={format_partition(nu)}" for nu in report.unimodal_failures),
+    ])
 
 
 def cmd_low_degree(args) -> int:
@@ -210,13 +208,11 @@ def cmd_low_degree(args) -> int:
     _seed(store, args, "char", range(2, n_max + 1))
     _seed(store, args, "graded", range(2, n_max + 1))
     report = verify.low_degree_harness(n_max, jobs=args.jobs)
-    _emit(args, "low-degree-harness", {"n_max": n_max}, report.payload(), store)
-    print(
+    return _finish(args, store, "low-degree-harness", {"n_max": n_max}, report, [
         f"low-degree-harness n_max={n_max} entries={len(report.entries)} "
         f"violations={len(report.violations)} "
-        f"mirror_mismatches={len(report.mirror_mismatches)} status={report.status}"
-    )
-    return 0 if report.status == "pass" else 2
+        f"mirror_mismatches={len(report.mirror_mismatches)} status={report.status}",
+    ])
 
 
 def cmd_springer_scan(args) -> int:
@@ -228,18 +224,14 @@ def cmd_springer_scan(args) -> int:
     _seed(store, args, "char", range(2, n_max + 1))
     _seed(store, args, "graded", range(2, n_max + 1))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
-    _emit(args, "springer-scan", {"n_max": n_max}, report.payload(), store)
-    print(
+    lines = [
         f"springer-scan n_max={n_max} "
         f"counterexamples={len(report.counterexamples)} status={report.status}"
-    )
+    ]
     for mu, witnesses in report.counterexamples:
-        nu, i, d = witnesses[0]
-        print(
-            f"  mu={format_partition(mu)} (n={sum(mu)}) first witness: "
-            f"nu={format_partition(nu)} i={i} d={d}"
-        )
-    return 0 if report.status == "pass" else 2
+        lines.append(f"  mu={format_partition(mu)} (n={sum(mu)}) witnesses={len(witnesses)}")
+        lines += (f"    nu={format_partition(nu)} i={i} d={d}" for nu, i, d in witnesses)
+    return _finish(args, store, "springer-scan", {"n_max": n_max}, report, lines)
 
 
 def cmd_selftest(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from typing import Iterable, Sequence
 
 from . import memo
 from .characters import CharacterTable, character_table
@@ -98,16 +99,28 @@ def fake_degree_projection(lam: Partition, n: int, table: CharacterTable | None 
 
 @dataclass(frozen=True)
 class GradedMultiplicityTable:
-    """b[lam][i] = multiplicity of V(lam) in the degree-i graded piece."""
+    """b[lam][i] = multiplicity of V(lam) in the degree-i piece of a graded
+    S_n-representation: the coinvariant ring, or a Springer fiber."""
 
     n: int
     partitions: tuple[Partition, ...]
     b: tuple[tuple[int, ...], ...]
     supports: tuple[tuple[tuple[int, int], ...], ...]  # per degree: (row, mult)
 
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[Sequence[int]]) -> GradedMultiplicityTable:
+        """Table of S_n with one row per partition in canonical order, each
+        row running over degrees 0 .. top."""
+        rows = tuple(tuple(row) for row in rows)
+        supports = tuple(
+            tuple((r, row[i]) for r, row in enumerate(rows) if row[i])
+            for i in range(len(rows[0]))
+        )
+        return cls(n=n, partitions=partitions_of(n), b=rows, supports=supports)
+
     @property
     def top_degree(self) -> int:
-        return top_degree(self.n)
+        return len(self.supports) - 1
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -116,7 +129,7 @@ class GradedMultiplicityTable:
         return self.b[self.index(lam)]
 
     def multiplicity(self, lam: Partition, i: int) -> int:
-        """b[lam][i]; degrees outside [0, c] hold the zero representation."""
+        """b[lam][i]; degrees outside [0, top] hold the zero representation."""
         if not 0 <= i <= self.top_degree:
             return 0
         return self.b[self.index(lam)][i]
@@ -128,37 +141,38 @@ class GradedMultiplicityTable:
         return self.supports[i]
 
 
-def _supports(rows: tuple[tuple[int, ...], ...], degrees: int) -> tuple:
-    return tuple(
-        tuple((r, row[i]) for r, row in enumerate(rows) if row[i])
-        for i in range(degrees)
-    )
-
-
 def build_graded_table(n: int) -> GradedMultiplicityTable:
     """Hook-formula route, validated against the structural identities."""
     if n < 1:
         raise ValueError("n must be positive")
     c = top_degree(n)
-    parts = partitions_of(n)
-    rows = tuple(fake_degree_hook(lam).padded(c + 1) for lam in parts)
-    table = GradedMultiplicityTable(
-        n=n, partitions=parts, b=rows, supports=_supports(rows, c + 1)
+    table = GradedMultiplicityTable.from_rows(
+        n, (fake_degree_hook(lam).padded(c + 1) for lam in partitions_of(n))
     )
     _validate(table)
     return table
 
 
+def _duality_failure(table: GradedMultiplicityTable) -> Partition | None:
+    """First row lam with b[lam][c-i] != b[conjugate(lam)][i] for some i."""
+    c = table.top_degree
+    idx = partition_index(table.n)
+    for r, lam in enumerate(table.partitions):
+        conj_row = table.b[idx[conjugate(lam)]]
+        if any(table.b[r][c - i] != conj_row[i] for i in range(c + 1)):
+            return lam
+    return None
+
+
 def _validate(table: GradedMultiplicityTable) -> None:
     n, c = table.n, table.top_degree
-    idx = partition_index(n)
     dims = [dimension(lam) for lam in table.partitions]
     for r, lam in enumerate(table.partitions):
         if sum(table.b[r]) != dims[r]:
             raise AssertionError(f"row sum != dim V({lam})")
-        conj_row = table.b[idx[conjugate(lam)]]
-        if any(table.b[r][c - i] != conj_row[i] for i in range(c + 1)):
-            raise AssertionError(f"duality fails on row {lam}")
+    lam = _duality_failure(table)
+    if lam is not None:
+        raise AssertionError(f"duality fails on row {lam}")
     betti = poincare_polynomial(n).padded(c + 1)
     for i in range(c + 1):
         if sum(d * row[i] for d, row in zip(dims, table.b)) != betti[i]:
@@ -181,13 +195,7 @@ def check_duality(n: int) -> bool:
         poly = graded_character_poly(n, rho)
         if poly.mirror(c) != poly.scale(class_sign(rho)):
             return False
-    table = graded_table(n)
-    idx = partition_index(n)
-    for r, lam in enumerate(table.partitions):
-        conj_row = table.b[idx[conjugate(lam)]]
-        if any(table.b[r][c - i] != conj_row[i] for i in range(c + 1)):
-            return False
-    return True
+    return _duality_failure(graded_table(n)) is None
 
 
 # ---------------------------------------------------------------------------

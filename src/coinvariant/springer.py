@@ -13,7 +13,7 @@ never auto-flipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .characters import character_table
@@ -31,7 +31,13 @@ from .combinatorics import (
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import IntPoly
-from .verify import SCHEMA_VERSION, LogConcavityReport, d_matrix, report_from_d_matrix
+from .verify import (
+    LogConcavityReport,
+    ScanReport,
+    d_matrix,
+    d_row,
+    report_from_d_matrix,
+)
 
 DEFAULT_MAX_N = 10
 
@@ -50,70 +56,32 @@ def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class SpringerGradedTable:
-    """m[lam][i] = multiplicity of V(lam) in the degree-i piece for type mu."""
-
-    mu: Partition
-    n: int
-    partitions: tuple[Partition, ...]
-    m: tuple[tuple[int, ...], ...]
-    supports: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def top_degree(self) -> int:
-        return n_stat(self.mu)
-
-    def index(self, lam: Partition) -> int:
-        return partition_index(self.n)[lam]
-
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.m[self.index(lam)]
-
-    def multiplicity(self, lam: Partition, i: int) -> int:
-        if not 0 <= i <= self.top_degree:
-            return 0
-        return self.m[self.index(lam)][i]
-
-    def support(self, i: int) -> tuple[tuple[int, int], ...]:
-        if not 0 <= i < len(self.supports):
-            return ()
-        return self.supports[i]
-
-
-def springer_graded_table(mu: Partition) -> SpringerGradedTable:
-    """Degree-reversed Kostka-Foulkes multiplicities for nilpotent type mu."""
+def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:
+    """Degree-reversed Kostka-Foulkes multiplicities for nilpotent type mu;
+    the top degree is n(mu)."""
     n = sum(mu)
     top = n_stat(mu)
-    parts = partitions_of(n)
     rows = []
-    for lam in parts:
+    for lam in partitions_of(n):
         poly = kostka_foulkes_poly(lam, mu)
         if poly.is_zero:
             rows.append((0,) * (top + 1))
         else:
             rows.append(poly.mirror(top).padded(top + 1))
-    rows = tuple(rows)
-    supports = tuple(
-        tuple((r, row[i]) for r, row in enumerate(rows) if row[i])
-        for i in range(top + 1)
-    )
-    table = SpringerGradedTable(
-        mu=mu, n=n, partitions=parts, m=rows, supports=supports
-    )
-    _calibrate(table)
+    table = GradedMultiplicityTable.from_rows(n, rows)
+    _calibrate(table, mu)
     return table
 
 
-def _calibrate(table: SpringerGradedTable) -> None:
+def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
     idx = partition_index(table.n)
-    if table.mu == (table.n,):
+    if mu == (table.n,):
         trivial = idx[(table.n,)]
-        for r, row in enumerate(table.m):
+        for r, row in enumerate(table.b):
             expected = (1,) if r == trivial else (0,)
             if row != expected:
                 raise AssertionError("type (n) table is not the trivial rep")
-    if table.mu == (1,) * table.n and table.m != graded_table(table.n).b:
+    if mu == (1,) * table.n and table.b != graded_table(table.n).b:
         raise AssertionError(
             "type (1^n) table does not match the coinvariant ring; "
             "grading convention is broken"
@@ -121,64 +89,50 @@ def _calibrate(table: SpringerGradedTable) -> None:
     # K(lam, mu)(0) = delta: exactly one multiplicity in the top degree,
     # namely V(mu) itself
     top_support = table.support(table.top_degree)
-    if top_support != ((idx[table.mu], 1),):
+    if top_support != ((idx[mu], 1),):
         raise AssertionError(
-            f"grading calibration fails for mu={table.mu}: "
+            f"grading calibration fails for mu={mu}: "
             f"top degree support {top_support}"
         )
 
 
 def coinvariant_calibration_matches(n: int) -> bool:
     """Type (1^n) Springer table equals the coinvariant-ring table."""
-    springer = springer_graded_table((1,) * n)
-    coinv: GradedMultiplicityTable = graded_table(n)
-    return springer.m == coinv.b
+    return springer_graded_table((1,) * n).b == graded_table(n).b
 
 
 def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
     """d-scan of the Springer table of type mu; vacuous pass below two
     interior degrees."""
-    n = sum(mu)
     table = springer_graded_table(mu)
-    if table.top_degree < 2:
-        return LogConcavityReport(
-            n=n, degrees=(), entries=(), violations=(), min_d=None
-        )
-    return report_from_d_matrix(n, table.partitions, d_matrix(table))
+    matrix = d_matrix(table) if table.top_degree >= 2 else {}
+    return report_from_d_matrix(table.n, table.partitions, matrix)
 
 
 @dataclass(frozen=True)
-class SpringerScanReport:
+class SpringerScanReport(ScanReport):
     """Counterexample sweep over all nilpotent types up to n_max."""
 
     n_min: int
     n_max: int
     counterexamples: tuple[tuple[Partition, tuple[tuple[Partition, int, int], ...]], ...]
-    provenance: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def status(self) -> str:
-        return "pass" if not self.counterexamples else "fail"
+    failures = ("counterexamples",)
 
     def types(self) -> list[Partition]:
         return [mu for mu, _ in self.counterexamples]
 
-    def payload(self) -> dict:
+    def body(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
             "n_range": [self.n_min, self.n_max],
             "counterexamples": [
                 {
                     "n": sum(mu),
                     "mu": format_partition(mu),
-                    "witnesses": [
-                        {"nu": format_partition(nu), "i": i, "d": d}
-                        for nu, i, d in witnesses
-                    ],
+                    "witnesses": [d_row(*witness) for witness in witnesses],
                 }
                 for mu, witnesses in self.counterexamples
             ],
-            "status": self.status,
         }
 
 

@@ -30,7 +30,7 @@ from . import __version__, characters, kronecker, memo
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, parse_partition
 from .errors import LimitExceeded
-from .graded import GradedMultiplicityTable, build_graded_table, _supports
+from .graded import GradedMultiplicityTable, build_graded_table
 from .kronecker import KroneckerTable, build_kronecker_table
 
 log = logging.getLogger("coinvariant.store")
@@ -56,13 +56,19 @@ def default_cache_dir() -> Path:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write a unique temp file beside ``path``, then rename it into place;
+    an OS error names ``path``, never the temp file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -123,14 +129,7 @@ def _graded_doc(table: GradedMultiplicityTable) -> dict:
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
-    rows = tuple(tuple(row) for row in doc["b"])
-    degrees = len(rows[0]) if rows else 0
-    return GradedMultiplicityTable(
-        n=doc["n"],
-        partitions=tuple(parse_partition(p) for p in doc["partitions"]),
-        b=rows,
-        supports=_supports(rows, degrees),
-    )
+    return GradedMultiplicityTable.from_rows(doc["n"], doc["b"])
 
 
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {

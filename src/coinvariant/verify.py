@@ -13,21 +13,20 @@ with an exactness check.  Negative d values are findings, so reports always
 carry the full d table, never just a flag.  ``tensor_multiplicity_vector``
 (sums over Kronecker coefficients) is the independent audit route.
 
-Any object with ``n``, ``partitions``, ``top_degree`` and ``support(i)``
-works as the graded table here; degrees outside [0, top] contribute zero.
+Degrees outside [0, top] of a graded table contribute zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .characters import CharacterTable, character_table
 from .combinatorics import Partition, check_partition, dimension, format_partition
 from .errors import NonIntegral
-from .graded import graded_table, poincare_polynomial
+from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial
 from .kronecker import KroneckerTable, OnDemandKronecker
 from .parallel import parallel_map
 from .polynomials import is_log_concave, is_unimodal, symmetric_about
@@ -35,18 +34,8 @@ from .polynomials import is_log_concave, is_unimodal, symmetric_about
 SCHEMA_VERSION = 1
 
 
-class GradedTableLike(Protocol):
-    n: int
-    partitions: tuple[Partition, ...]
-
-    @property
-    def top_degree(self) -> int: ...
-
-    def support(self, i: int) -> tuple[tuple[int, int], ...]: ...
-
-
 def _graded_character(
-    table: GradedTableLike, chars: CharacterTable, i: int
+    table: GradedMultiplicityTable, chars: CharacterTable, i: int
 ) -> list[int]:
     """chi_i(rho) for every class rho, in canonical order."""
     acc = [0] * len(chars.partitions)
@@ -74,7 +63,7 @@ def _row_of(n: int, nu: Partition) -> int:
 
 
 def tensor_multiplicity_vector(
-    table: GradedTableLike,
+    table: GradedMultiplicityTable,
     kron: KroneckerTable | OnDemandKronecker,
     i: int,
     j: int,
@@ -103,7 +92,7 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
 
 
 def d_matrix(
-    table: GradedTableLike,
+    table: GradedMultiplicityTable,
     degrees: Iterable[int] | None = None,
 ) -> dict[int, tuple[int, ...]]:
     """d vectors over nu, keyed by interior degree i."""
@@ -140,8 +129,28 @@ def d_vector(n: int, nu: Partition) -> list[int]:
 # Reports
 
 
+class ScanReport:
+    """Shared report shape: a scan fails exactly when one of the fields
+    named in ``failures`` is non-empty, and ``payload()`` wraps ``body()``
+    between the schema version and the status."""
+
+    failures: ClassVar[tuple[str, ...]] = ()
+
+    @property
+    def status(self) -> str:
+        return "fail" if any(getattr(self, name) for name in self.failures) else "pass"
+
+    def payload(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, **self.body(), "status": self.status}
+
+
+def d_row(nu: Partition, i: int, d: int) -> dict:
+    """One d value as a payload row."""
+    return {"nu": format_partition(nu), "i": i, "d": d}
+
+
 @dataclass(frozen=True)
-class LogConcavityReport:
+class LogConcavityReport(ScanReport):
     """Full d table of one scan; violations are exactly the d < 0 entries."""
 
     n: int
@@ -149,26 +158,15 @@ class LogConcavityReport:
     entries: tuple[tuple[Partition, int, int], ...]  # (nu, i, d)
     violations: tuple[tuple[Partition, int, int], ...]
     min_d: int | None
-    provenance: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def status(self) -> str:
-        return "pass" if not self.violations else "fail"
+    failures = ("violations",)
 
-    def payload(self, kind: str = "flag-lc") -> dict:
+    def body(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
             "n": self.n,
-            "kind": kind,
-            "entries": [
-                {"nu": format_partition(nu), "i": i, "d": d}
-                for nu, i, d in self.entries
-            ],
-            "violations": [
-                {"nu": format_partition(nu), "i": i, "d": d}
-                for nu, i, d in self.violations
-            ],
-            "status": self.status,
+            "kind": "flag-lc",
+            "entries": [d_row(*entry) for entry in self.entries],
+            "violations": [d_row(*entry) for entry in self.violations],
         }
 
 
@@ -200,16 +198,19 @@ def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
     none is an error, since the scan would check nothing.
     """
     interior = range(1, top)
-    if text == "all":
-        chosen = set(interior)
-    elif text.startswith("low:"):
-        m = int(text[4:])
-        chosen = {i for i in interior if i <= m or i >= top - m}
-    else:
-        chosen = {int(piece) for piece in text.split(",")}
-        bad = chosen.difference(interior)
-        if bad:
-            raise ValueError(f"degrees {sorted(bad)} outside interior range [1, {top - 1}]")
+    try:
+        if text == "all":
+            chosen = set(interior)
+        elif text.startswith("low:"):
+            m = int(text[4:])
+            chosen = {i for i in interior if i <= m or i >= top - m}
+        else:
+            chosen = {int(piece) for piece in text.split(",")}
+    except ValueError:
+        raise ValueError(f"degree filter {text!r} is not all, low:M or i1,i2,...") from None
+    bad = chosen.difference(interior)
+    if bad:
+        raise ValueError(f"degrees {sorted(bad)} outside interior range [1, {top - 1}]")
     if not chosen:
         raise ValueError(f"degree filter {text!r} selects no interior degree of [1, {top - 1}]")
     return tuple(sorted(chosen))
@@ -230,37 +231,28 @@ def verify_flag_log_concavity(
 
 
 @dataclass(frozen=True)
-class LowDegreeReport:
+class LowDegreeReport(ScanReport):
     """d checks at degrees m and co-degrees c-m, m <= 3, for every n <= n_max."""
 
     n_max: int
     entries: tuple[tuple[int, Partition, int, int], ...]  # (n, nu, i, d)
     violations: tuple[tuple[int, Partition, int, int], ...]
     mirror_mismatches: tuple[tuple[int, Partition, int], ...]  # (n, nu, m)
-    provenance: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def status(self) -> str:
-        return "pass" if not (self.violations or self.mirror_mismatches) else "fail"
+    failures = ("violations", "mirror_mismatches")
 
-    def payload(self) -> dict:
+    def body(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
             "n": self.n_max,
             "kind": "low-degree",
-            "entries": [
-                {"n": n, "nu": format_partition(nu), "i": i, "d": d}
-                for n, nu, i, d in self.entries
-            ],
+            "entries": [{"n": n, **d_row(nu, i, d)} for n, nu, i, d in self.entries],
             "violations": [
-                {"n": n, "nu": format_partition(nu), "i": i, "d": d}
-                for n, nu, i, d in self.violations
+                {"n": n, **d_row(nu, i, d)} for n, nu, i, d in self.violations
             ],
             "mirror_mismatches": [
                 {"n": n, "nu": format_partition(nu), "m": m}
                 for n, nu, m in self.mirror_mismatches
             ],
-            "status": self.status,
         }
 
 
@@ -318,7 +310,7 @@ def low_degree_harness(n_max: int, max_m: int = 3, jobs: int = 1) -> LowDegreeRe
 
 
 @dataclass(frozen=True)
-class UnimodalityReport:
+class UnimodalityReport(ScanReport):
     """Per-nu d sequences over interior degrees with symmetry/unimodality flags.
 
     Symmetry (about the midpoint of [1, c-1]) is a theorem and must hold;
@@ -329,25 +321,15 @@ class UnimodalityReport:
     sequences: tuple[tuple[Partition, tuple[int, ...]], ...]
     symmetric_failures: tuple[Partition, ...]
     unimodal_failures: tuple[Partition, ...]
-    provenance: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def status(self) -> str:
-        return (
-            "pass"
-            if not (self.symmetric_failures or self.unimodal_failures)
-            else "fail"
-        )
+    failures = ("symmetric_failures", "unimodal_failures")
 
-    def payload(self) -> dict:
+    def body(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "kind": "unimodal",
             "entries": [
-                {"nu": format_partition(nu), "i": i + 1, "d": d}
-                for nu, seq in self.sequences
-                for i, d in enumerate(seq)
+                d_row(nu, i + 1, d) for nu, seq in self.sequences for i, d in enumerate(seq)
             ],
             "violations": [
                 {"nu": format_partition(nu), "reason": "not-symmetric"}
@@ -357,7 +339,6 @@ class UnimodalityReport:
                 {"nu": format_partition(nu), "reason": "not-unimodal"}
                 for nu in self.unimodal_failures
             ],
-            "status": self.status,
         }
 
 

@@ -266,7 +266,7 @@ def test_criterion_09_kostka_foulkes_calibration(capsys):
                 assert poly(1) == kostka_number(lam, mu), (lam, mu)
                 assert poly.is_zero == (not dominates(lam, mu)), (lam, mu)
         springer = springer_graded_table((1,) * n)
-        assert springer.m == graded_table(n).b, n
+        assert springer.b == graded_table(n).b, n
     elapsed = time.monotonic() - started
     with capsys.disabled():
         announce(9, elapsed, "K(0)=delta, K(1)=Kostka, dominance, type (1^n), n <= 8")

@@ -101,11 +101,13 @@ class TestFakeDegrees:
 class TestGradedTable:
     def test_n2(self):
         table = build_graded_table(2)
+        assert table.top_degree == 1
         assert table.row((2,)) == (1, 0)
         assert table.row((1, 1)) == (0, 1)
 
     def test_n3(self):
         table = build_graded_table(3)
+        assert table.top_degree == 3
         assert table.row((3,)) == (1, 0, 0, 0)
         assert table.row((2, 1)) == (0, 1, 1, 0)
         assert table.row((1, 1, 1)) == (0, 0, 0, 1)
@@ -138,6 +140,7 @@ class TestGradedTable:
         assert table.support(0) == ((0, 1),)
         assert table.support(1) == ((1, 1),)
         assert table.support(-2) == ()
+        assert table.support(table.top_degree + 1) == ()
 
 
 class TestDuality:

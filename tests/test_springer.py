@@ -101,10 +101,13 @@ class TestSpringerTable:
 
     def test_column_dimension_sums_match_kostka_at_one(self):
         # ungraded, the Springer fiber of type mu carries the permutation
-        # module of mu: total dimension n! / prod(mu_i!)
-        for mu in [(2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]:
+        # module of mu: total dimension n! / prod(mu_i!), spread over
+        # degrees 0 .. n(mu)
+        for mu in (mu for n in range(1, 8) for mu in partitions_of(n)):
             n = sum(mu)
             table = springer_graded_table(mu)
+            assert table.top_degree == n_stat(mu)
+            assert table.support(-1) == table.support(n_stat(mu) + 1) == ()
             total = sum(
                 dimension(lam) * sum(table.row(lam)) for lam in partitions_of(n)
             )

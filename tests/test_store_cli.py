@@ -54,6 +54,9 @@ class TestCacheStore:
         loaded = second.get_or_build("graded", 5)
         assert (tmp_path / "graded-5.json").stat().st_mtime_ns == stamp
         assert loaded.b == built.b
+        assert loaded.supports == built.supports
+        assert loaded.top_degree == built.top_degree == 10
+        assert loaded.support(11) == loaded.support(-1) == ()
 
     def test_live_handle_is_shared(self, store):
         assert store.get_or_build("kron", 4) is store.get_or_build("kron", 4)
@@ -187,6 +190,29 @@ class TestCli:
         assert code == 2
         payload = json.loads(out.read_text())["payload"]
         assert [c["mu"] for c in payload["counterexamples"]] == ["4,1,1,1"]
+
+    def test_springer_scan_prints_every_witness(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "8", "--out", str(out)) == 2
+        witnesses = [
+            f"    nu={w['nu']} i={w['i']} d={w['d']}"
+            for c in json.loads(out.read_text())["payload"]["counterexamples"]
+            for w in c["witnesses"]
+        ]
+        printed = [line for line in capsys.readouterr().out.splitlines() if "nu=" in line]
+        assert len(witnesses) > 2
+        assert printed == witnesses
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "a-directory"])
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys, target):
+        # a missing parent directory, or a directory in the way of the file
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / target
+        assert run_cli(tmp_path, "verify-flag", "--n", "4", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(str(out)) in err
+        assert ".tmp" not in err
 
     def test_csv_export(self, tmp_path):
         out = tmp_path / "report.csv"

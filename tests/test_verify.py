@@ -145,6 +145,8 @@ class TestDegreeFilter:
         for empty in ("low:0", "low:-5"):
             with pytest.raises(ValueError, match="selects no interior degree"):
                 parse_degree_filter(empty, 10)
+        with pytest.raises(ValueError, match="degree filter 'low:x'"):
+            parse_degree_filter("low:x", 10)
 
     def test_explicit(self):
         assert parse_degree_filter("3,1,2", 10) == (1, 2, 3)
@@ -152,6 +154,8 @@ class TestDegreeFilter:
             parse_degree_filter("0,1", 10)
         with pytest.raises(ValueError):
             parse_degree_filter("9,10", 10)
+        with pytest.raises(ValueError, match="degree filter '1,,2'"):
+            parse_degree_filter("1,,2", 10)
 
 
 class TestLowDegreeHarness:
