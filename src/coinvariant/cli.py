@@ -221,8 +221,9 @@ def cmd_springer_scan(args) -> int:
     cap = springer.DEFAULT_MAX_N
     if args.max_n_override is not None:
         cap = max(cap, args.max_n_override)
-    _seed(store, args, "char", range(2, n_max + 1))
-    _seed(store, args, "graded", range(2, n_max + 1))
+    # seed no further than the cap: the search refuses an n_max above it
+    _seed(store, args, "char", range(2, min(n_max, cap) + 1))
+    _seed(store, args, "graded", range(2, min(n_max, cap) + 1))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
     lines = [
         f"springer-scan n_max={n_max} "
@@ -282,7 +283,7 @@ def cmd_selftest(args) -> int:
     )
     check("Kronecker identities", ok)
 
-    ok = True
+    ok = agree = True
     for n in range(1, n_max + 1):
         if not springer.coinvariant_calibration_matches(n):
             ok = False
@@ -293,7 +294,10 @@ def cmd_selftest(args) -> int:
                     ok = False
                 if poly(1) != sum(1 for _ in enumerate_ssyt(lam, mu)):
                     ok = False
+                if poly != springer.kostka_foulkes_poly_by_charge(lam, mu):
+                    agree = False
     check("Kostka-Foulkes calibration", ok)
+    check("Kostka-Foulkes two-route agreement", agree)
 
     print(f"selftest: {'all suites pass' if not failures else f'{failures} suite(s) FAILED'}")
     return 0 if failures == 0 else 2

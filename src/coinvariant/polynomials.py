@@ -199,6 +199,17 @@ def q_factorial(n: int) -> IntPoly:
     return poly
 
 
+@cache
+def q_binomial(n: int, k: int) -> IntPoly:
+    """Gaussian binomial [n choose k]_q by the Pascal recurrence
+    [n, k] = [n-1, k-1] + q^k [n-1, k]; zero for k outside [0, n]."""
+    if not 0 <= k <= n:
+        return ZERO
+    if k in (0, n):
+        return ONE
+    return q_binomial(n - 1, k - 1) + monomial(k) * q_binomial(n - 1, k)
+
+
 def q_integer_factorial_hooks(lam: Partition) -> IntPoly:
     """[n]_q! / prod over cells of [hook]_q; exact by the hook theorem."""
     num = q_factorial(sum(lam))

@@ -1,25 +1,32 @@
 """Graded Springer representations via Kostka-Foulkes polynomials.
 
-K(lam, mu)(q) is the charge generating polynomial over semistandard
-tableaux of shape lam and content mu.  The degree-i multiplicity of V(lam)
-in the Springer fiber of nilpotent type mu is the coefficient of q^i in
-the reversed polynomial q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
+K(lam, mu)(q) is defined as the charge generating polynomial over
+semistandard tableaux of shape lam and content mu, and computed by the
+Kirillov-Reshetikhin fermionic (rigged-configuration) formula, which
+enumerates no tableaux; the charge route ``kostka_foulkes_poly_by_charge``
+is the audit that tests and ``selftest`` compare it with.  The degree-i
+multiplicity of V(lam) in the Springer fiber of nilpotent type mu is the
+coefficient of q^i in q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
 
-Two calibration constraints pin this grading convention: the type (1^n)
-table must equal the coinvariant-ring table, and K(lam, mu)(0) must be
-delta(lam, mu).  If either ever fails the build stops; conventions are
-never auto-flipped.
+Three calibration constraints pin this grading convention: the type (n)
+table must be the trivial representation, the type (1^n) table must equal
+the coinvariant-ring table, and K(lam, mu)(0) must be delta(lam, mu).  If
+any ever fails the build stops; conventions are never auto-flipped.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from itertools import accumulate, zip_longest
 
 from .characters import character_table
 from .combinatorics import (
     Partition,
     charge,
+    check_partition,
+    conjugate,
     dominates,
     enumerate_ssyt,
     format_partition,
@@ -30,7 +37,7 @@ from .combinatorics import (
 )
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
-from .polynomials import IntPoly
+from .polynomials import ONE, IntPoly, monomial, q_binomial
 from .verify import (
     LogConcavityReport,
     ScanReport,
@@ -39,21 +46,82 @@ from .verify import (
     report_from_d_matrix,
 )
 
-DEFAULT_MAX_N = 10
+DEFAULT_MAX_N = 12
 
 
 @cache
 def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
-    """Charge generating polynomial over SSYT(lam, mu); zero unless lam
-    dominates mu."""
-    if sum(lam) != sum(mu):
-        raise ValueError("shape and content must have equal size")
+    """K(lam, mu)(q) by the fermionic formula, summed over configurations
+    nu^(k) of lam_{k+1} + lam_{k+2} + ... for k >= 1 with nu^(0) = mu (see
+    ``_tail``); zero unless lam dominates mu."""
+    _check_pair(lam, mu)
+    if not dominates(lam, mu):
+        return IntPoly()
+    sizes = tuple(sum(lam[k:]) for k in range(1, len(lam))) + (0,)
+    return sum((_tail(sizes[1:], mu, b) for b in partitions_of(sizes[0])), IntPoly())
+
+
+def kostka_foulkes_poly_by_charge(lam: Partition, mu: Partition) -> IntPoly:
+    """Audit route: charge generating polynomial over SSYT(lam, mu)."""
+    _check_pair(lam, mu)
     if not dominates(lam, mu):
         return IntPoly()
     coeffs = [0] * (n_stat(mu) - n_stat(lam) + 1)
     for tableau in enumerate_ssyt(lam, mu):
         coeffs[charge(reading_word(tableau))] += 1
     return IntPoly(coeffs)
+
+
+def _check_pair(lam: Partition, mu: Partition) -> None:
+    if sum(check_partition(lam)) != sum(check_partition(mu)):
+        raise ValueError("shape and content must have equal size")
+
+
+@cache
+def _shape(rho: Partition) -> tuple[Partition, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Columns, Q_p = sum_j min(p, rho_j) for p <= rho_1, and (part, count) pairs."""
+    columns = conjugate(rho)
+    return columns, tuple(accumulate(columns, initial=0)), tuple(Counter(rho).items())
+
+
+@cache
+def _tail(sizes: tuple[int, ...], a: Partition, b: Partition) -> IntPoly:
+    """Sum over the levels below nu^(k) = b given nu^(k-1) = a; ``sizes``
+    are |nu^(k+1)|, |nu^(k+2)|, ..., ending with the first empty level.
+
+    Level k contributes q^binom(alpha_j(a) - alpha_j(b), 2) for every
+    column j of the wider of a and b, with binom(x, 2) = x(x-1)/2 (so
+    binom(-1, 2) = 1), and [P + m choose m]_q for each part p of b of
+    multiplicity m, where the vacancy P = Q_p(a) - 2 Q_p(b) + Q_p(c) must
+    be >= 0 and c = nu^(k+1).
+    """
+    cols_a, sums_a, _ = _shape(a)
+    cols_b, sums_b, parts_b = _shape(b)
+    step = sum((x - y) * (x - y - 1) // 2 for x, y in zip_longest(cols_a, cols_b, fillvalue=0))
+    if not b:
+        return monomial(step)
+    # each vacancy but its Q_p(c) term, which is all that depends on c
+    base = [(sums_a[min(p, len(sums_a) - 1)] - 2 * sums_b[p], p, m) for p, m in parts_b]
+    total = IntPoly()
+    for c in partitions_of(sizes[0]):
+        sums_c = _shape(c)[1]
+        last = len(sums_c) - 1
+        binomials = []
+        for partial, p, m in base:
+            vacancy = partial + sums_c[p if p < last else last]
+            if vacancy < 0:
+                break
+            binomials.append((vacancy + m, m))
+        else:
+            below = _tail(sizes[1:], b, c)
+            if below:
+                total = total + _binomial_product(tuple(binomials)) * below
+    return monomial(step) * total
+
+
+@cache
+def _binomial_product(binomials: tuple[tuple[int, int], ...]) -> IntPoly:
+    return reduce(IntPoly.__mul__, (q_binomial(n, k) for n, k in binomials), ONE)
 
 
 def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:

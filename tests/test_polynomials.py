@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from coinvariant.polynomials import (
     is_unimodal,
     monomial,
     one_minus_q_power,
+    q_binomial,
     q_factorial,
     q_int,
     q_integer_factorial_hooks,
@@ -114,6 +117,20 @@ class TestQAnalogs:
             assert q_integer_factorial_hooks((n,)) == ONE
         assert q_integer_factorial_hooks((1, 1)) == ONE
         assert q_integer_factorial_hooks((2, 2)) == IntPoly([1, 0, 1])
+
+    def test_q_binomial_is_factorial_quotient(self):
+        for n in range(13):
+            for k in range(n + 1):
+                poly = q_binomial(n, k)
+                assert poly == q_factorial(n).divide_exact(
+                    q_factorial(k) * q_factorial(n - k)
+                )
+                assert poly(1) == math.comb(n, k)
+
+    def test_q_binomial_vanishes_outside_range(self):
+        assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
+        for n, k in ((3, -1), (3, 4), (0, 1), (-1, 0), (-2, -1)):
+            assert q_binomial(n, k) == ZERO
 
 
 class TestPredicates:

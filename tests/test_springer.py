@@ -11,8 +11,10 @@ from coinvariant.combinatorics import (
 )
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
+    DEFAULT_MAX_N,
     coinvariant_calibration_matches,
     kostka_foulkes_poly,
+    kostka_foulkes_poly_by_charge,
     springer_counterexample_search,
     springer_graded_table,
     verify_springer_log_concavity,
@@ -47,6 +49,23 @@ class TestKostkaFoulkes:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             kostka_foulkes_poly((2, 1), (2, 2))
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [((1, 2), (2, 1)), ((3, 0), (2, 1)), ((3, 2), (1, 2, 2)), ((2, 1), (2, 0, 1))],
+    )
+    def test_rejects_non_partition(self, lam, mu):
+        for route in (kostka_foulkes_poly, kostka_foulkes_poly_by_charge):
+            with pytest.raises(ValueError, match="not a partition: "):
+                route(lam, mu)
+
+    def test_fermionic_route_matches_charge_route(self):
+        for n in range(10):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert kostka_foulkes_poly(lam, mu) == kostka_foulkes_poly_by_charge(
+                        lam, mu
+                    ), (lam, mu)
 
     def test_constant_term_is_delta(self):
         for n in range(1, 8):
@@ -91,6 +110,10 @@ class TestSpringerTable:
             for lam in partitions_of(n):
                 if lam != (n,):
                     assert table.row(lam) == (0,)
+
+    def test_rejects_non_partition(self):
+        with pytest.raises(ValueError, match="not a partition: "):
+            springer_graded_table((1, 2))
 
     def test_subregular_n3(self):
         table = springer_graded_table((2, 1))
@@ -151,8 +174,9 @@ class TestCounterexampleSearch:
         assert serial.payload() == forked.payload()
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            springer_counterexample_search(11)
+        assert DEFAULT_MAX_N == 12
+        with pytest.raises(ValueError, match="above cap 12"):
+            springer_counterexample_search(13)
 
     def test_payload_shape(self):
         payload = springer_counterexample_search(7).payload()

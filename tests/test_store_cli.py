@@ -229,6 +229,12 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_max", ["13", "20"])
+    def test_springer_scan_above_cap(self, tmp_path, capsys, n_max):
+        assert run_cli(tmp_path, "springer-scan", "--n-max", n_max) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: n_max {n_max} above cap 12; raise the cap explicitly to go higher\n"
+
     def test_unimodal_above_kronecker_cap(self, tmp_path, capsys):
         assert run_cli(tmp_path, "unimodal", "--n", "13") == 0
         assert "status=pass" in capsys.readouterr().out
@@ -264,6 +270,7 @@ class TestCli:
     def test_selftest(self, tmp_path, capsys):
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 0
         out = capsys.readouterr().out
+        assert "selftest Kostka-Foulkes two-route agreement: pass" in out.splitlines()
         assert "all suites pass" in out
 
     def test_warm_and_cold_payloads_identical(self, tmp_path):
