@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from operator import mul
 
 from . import memo
 from .combinatorics import (
@@ -27,7 +28,8 @@ from .errors import LimitExceeded
 DEFAULT_MAX_N = 14
 
 
-def _border_strip_removals(lam: Partition, k: int) -> list[tuple[int, Partition]]:
+@cache
+def _border_strip_removals(lam: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
     """All ways to remove a border strip of size k: (sign, smaller shape).
 
     Works on the beta-set (first-column hook lengths): removing a strip of
@@ -48,7 +50,7 @@ def _border_strip_removals(lam: Partition, k: int) -> list[tuple[int, Partition]
         while shape and shape[-1] == 0:
             shape = shape[:-1]
         removals.append((-1 if height % 2 else 1, shape))
-    return removals
+    return tuple(removals)
 
 
 @cache
@@ -118,37 +120,32 @@ def _validate(table: CharacterTable) -> None:
         if table.values[i][identity] != dimension(lam):
             raise AssertionError(f"dimension column wrong at {lam}")
     idx = partition_index(n)
-    for i, lam in enumerate(parts):
-        conj_row = table.values[idx[conjugate(lam)]]
-        for j, rho in enumerate(parts):
-            if conj_row[j] != class_sign(rho) * table.values[i][j]:
-                raise AssertionError(f"conjugation twist fails at ({lam}, {rho})")
+    signs = [class_sign(rho) for rho in parts]
+    for row, lam in zip(table.values, parts):
+        twisted = table.values[idx[conjugate(lam)]]
+        if twisted != tuple(map(mul, signs, row)):
+            j = next(j for j, s in enumerate(signs) if twisted[j] != s * row[j])
+            raise AssertionError(f"conjugation twist fails at ({lam}, {parts[j]})")
     if not verify_orthogonality(table):
         raise AssertionError(f"orthogonality fails for n={n}")
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:
     """Exact row and column orthogonality for the whole table."""
-    n = table.n
-    parts = table.partitions
-    count = len(parts)
-    nfact = factorial(n)
-    for i in range(count):
-        row_i = table.values[i]
-        for j in range(i, count):
-            row_j = table.values[j]
-            total = sum(
-                size * a * b
-                for size, a, b in zip(table.class_sizes, row_i, row_j)
-            )
-            if total != (nfact if i == j else 0):
-                return False
-    for j in range(count):
-        for k in range(j, count):
-            total = sum(row[j] * row[k] for row in table.values)
-            expected = centralizer_size(parts[j]) if j == k else 0
-            if total != expected:
-                return False
+    values = table.values
+    nfact = factorial(table.n)
+    for i, row in enumerate(values):
+        weighted = tuple(map(mul, table.class_sizes, row))
+        if sum(map(mul, weighted, row)) != nfact:
+            return False
+        if any(sum(map(mul, weighted, other)) for other in values[i + 1 :]):
+            return False
+    columns = tuple(zip(*values))
+    for j, (rho, column) in enumerate(zip(table.partitions, columns)):
+        if sum(map(mul, column, column)) != centralizer_size(rho):
+            return False
+        if any(sum(map(mul, column, other)) for other in columns[j + 1 :]):
+            return False
     return True
 
 

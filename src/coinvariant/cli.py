@@ -20,7 +20,7 @@ from .combinatorics import (
 )
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
-from .store import DEFAULT_CAPS, CacheStore, report_document, write_report
+from .store import DEFAULT_CAPS, CacheStore, check_cap, report_document, write_report
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -130,13 +130,19 @@ def _store(args) -> CacheStore:
     return CacheStore(Path(args.cache_dir)) if args.cache_dir else CacheStore()
 
 
-def _seed(store: CacheStore, args, kind: str, ns) -> None:
-    """Load or build the ``kind`` tables for every n in ``ns``, honouring
-    ``--max-n-override`` for kinds with a size cap."""
-    caps = {}
-    if kind in DEFAULT_CAPS and args.max_n_override is not None:
-        caps = {"max_n": max(DEFAULT_CAPS[kind], args.max_n_override)}
-    for n in ns:
+def _seed(store: CacheStore, args, *requests) -> None:
+    """Load or build the tables of every ``(kind, ns)`` request, honouring
+    ``--max-n-override`` for kinds with a size cap.  Every size is checked
+    against its cap first, so a refused run touches no table file."""
+    plan = []
+    for kind, ns in requests:
+        caps = {}
+        if kind in DEFAULT_CAPS and args.max_n_override is not None:
+            caps = {"max_n": max(DEFAULT_CAPS[kind], args.max_n_override)}
+        for n in ns:
+            check_cap(kind, n, caps)
+            plan.append((kind, n, caps))
+    for kind, n, caps in plan:
         store.get_or_build(kind, n, **caps)
 
 
@@ -168,17 +174,16 @@ def cmd_kronecker(args) -> int:
         if sum(p) != n:
             raise ValueError(f"{format_partition(p)} is not a partition of {n}")
     store = _store(args)
-    _seed(store, args, "char", [n])
+    _seed(store, args, ("char", [n]))
     print(kronecker.kronecker_coefficient(lam, mu, nu))
     return 0
 
 
 def cmd_verify_flag(args) -> int:
     n = args.n
-    store = _store(args)
-    _seed(store, args, "char", [n])
-    _seed(store, args, "graded", [n])
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
+    store = _store(args)
+    _seed(store, args, ("char", [n]), ("graded", [n]))
     report = verify.verify_flag_log_concavity(n, degrees)
     return _finish(args, store, "verify-flag", {"n": n, "degrees": args.degrees}, report, [
         f"verify-flag n={n} degrees={len(report.degrees)} "
@@ -190,8 +195,7 @@ def cmd_verify_flag(args) -> int:
 def cmd_unimodal(args) -> int:
     n = args.n
     store = _store(args)
-    _seed(store, args, "char", [n])
-    _seed(store, args, "graded", [n])
+    _seed(store, args, ("char", [n]), ("graded", [n]))
     report = verify.verify_d_unimodality(n)
     return _finish(args, store, "unimodal", {"n": n}, report, [
         f"unimodal n={n} sequences={len(report.sequences)} "
@@ -205,8 +209,8 @@ def cmd_unimodal(args) -> int:
 def cmd_low_degree(args) -> int:
     n_max = args.n_max
     store = _store(args)
-    _seed(store, args, "char", range(2, n_max + 1))
-    _seed(store, args, "graded", range(2, n_max + 1))
+    ns = range(2, n_max + 1)
+    _seed(store, args, ("char", ns), ("graded", ns))
     report = verify.low_degree_harness(n_max, jobs=args.jobs)
     return _finish(args, store, "low-degree-harness", {"n_max": n_max}, report, [
         f"low-degree-harness n_max={n_max} entries={len(report.entries)} "
@@ -221,9 +225,9 @@ def cmd_springer_scan(args) -> int:
     cap = springer.DEFAULT_MAX_N
     if args.max_n_override is not None:
         cap = max(cap, args.max_n_override)
-    # seed no further than the cap: the search refuses an n_max above it
-    _seed(store, args, "char", range(2, min(n_max, cap) + 1))
-    _seed(store, args, "graded", range(2, min(n_max, cap) + 1))
+    springer.check_scan_range(n_max, max_n=cap)
+    ns = range(2, n_max + 1)
+    _seed(store, args, ("char", ns), ("graded", ns))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
     lines = [
         f"springer-scan n_max={n_max} "
@@ -248,9 +252,8 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    _seed(store, args, "char", range(1, n_max + 1))
-    _seed(store, args, "graded", range(1, n_max + 1))
-    _seed(store, args, "kron", range(2, n_max + 1))
+    ns = range(1, n_max + 1)
+    _seed(store, args, ("char", ns), ("graded", ns), ("kron", ns[1:]))
 
     ok = all(
         conjugate(conjugate(lam)) == lam

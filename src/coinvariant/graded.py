@@ -32,7 +32,13 @@ from .combinatorics import (
     partition_index,
     partitions_of,
 )
-from .polynomials import IntPoly, is_unimodal, one_minus_q_power, q_hook_fake_degree
+from .polynomials import (
+    IntPoly,
+    is_unimodal,
+    one_minus_q_power,
+    one_minus_q_product,
+    q_hook_fake_degree,
+)
 
 
 def top_degree(n: int) -> int:
@@ -48,20 +54,12 @@ def poincare_polynomial(n: int) -> IntPoly:
     return poly
 
 
-@cache
-def _numerator(n: int) -> IntPoly:
-    poly = IntPoly((1,))
-    for i in range(1, n + 1):
-        poly = poly * one_minus_q_power(i)
-    return poly
-
-
 def graded_character_poly(n: int, rho: Partition) -> IntPoly:
     """Graded character at a class of cycle type rho:
     prod_{i<=n} (1 - q^i) / prod_j (1 - q^{rho_j}).  Exact by construction."""
     if sum(rho) != n:
         raise ValueError(f"{rho} is not a partition of {n}")
-    poly = _numerator(n)
+    poly = one_minus_q_product(n)
     for part in rho:
         poly = poly.divide_exact(one_minus_q_power(part))
     return poly

@@ -93,7 +93,11 @@ class IntPoly:
         return IntPoly(k * c for c in self.coeffs)
 
     def divide_exact(self, den: "IntPoly") -> "IntPoly":
-        """Quotient q with q*den == self exactly; NonExactDivision otherwise."""
+        """Quotient q with q*den == self exactly; NonExactDivision otherwise.
+
+        Long division over the divisor's nonzero terms only; a unit leading
+        coefficient needs no divmod.
+        """
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
@@ -104,17 +108,24 @@ class IntPoly:
         lead = dc[-1]
         if len(rem) - 1 < dd:
             raise NonExactDivision(f"degree {len(rem)-1} < divisor degree {dd}")
+        lower = [(j, c) for j, c in enumerate(dc[:-1]) if c]
         out = [0] * (len(rem) - dd)
         for k in range(len(out) - 1, -1, -1):
             top = rem[k + dd]
-            q, r = divmod(top, lead)
-            if r:
-                raise NonExactDivision("leading coefficient does not divide")
-            out[k] = q
+            if lead == 1:
+                q = top
+            elif lead == -1:
+                q = -top
+            else:
+                q, r = divmod(top, lead)
+                if r:
+                    raise NonExactDivision("leading coefficient does not divide")
             if q:
-                for j, c in enumerate(dc):
+                out[k] = q
+                for j, c in lower:
                     rem[k + j] -= q * c
-        if any(rem):
+        # rem[dd:] is cancelled by the leading terms; the remainder is below
+        if any(rem[:dd]):
             raise NonExactDivision("nonzero remainder")
         return IntPoly(out)
 
@@ -210,11 +221,22 @@ def q_binomial(n: int, k: int) -> IntPoly:
     return q_binomial(n - 1, k - 1) + monomial(k) * q_binomial(n - 1, k)
 
 
+@cache
+def one_minus_q_product(n: int) -> IntPoly:
+    """prod_{i=1}^{n} (1 - q^i)."""
+    poly = ONE
+    for i in range(1, n + 1):
+        poly = poly * one_minus_q_power(i)
+    return poly
+
+
 def q_integer_factorial_hooks(lam: Partition) -> IntPoly:
-    """[n]_q! / prod over cells of [hook]_q; exact by the hook theorem."""
-    num = q_factorial(sum(lam))
+    """[n]_q! / prod over cells of [hook]_q, computed as
+    prod_{i<=n} (1 - q^i) / prod over cells of (1 - q^hook): both quotients
+    carry n factors of (1 - q).  Exact by the hook theorem."""
+    num = one_minus_q_product(sum(lam))
     for h in sorted(hook_lengths(lam), reverse=True):
-        num = num.divide_exact(q_int(h))
+        num = num.divide_exact(one_minus_q_power(h))
     return num
 
 

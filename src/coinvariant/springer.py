@@ -209,11 +209,8 @@ def _scan_one_type(mu: Partition) -> tuple[Partition, tuple]:
     return mu, report.violations
 
 
-def springer_counterexample_search(
-    n_max: int, n_min: int = 1, jobs: int = 1, max_n: int = DEFAULT_MAX_N
-) -> SpringerScanReport:
-    """All types mu with n_min <= |mu| <= n_max whose Springer representation
-    fails equivariant log-concavity, grouped by n in canonical order."""
+def check_scan_range(n_max: int, n_min: int = 1, max_n: int = DEFAULT_MAX_N) -> None:
+    """ValueError unless [n_min, n_max] is a range the search can scan."""
     if n_max > max_n:
         raise ValueError(
             f"n_max {n_max} above cap {max_n}; raise the cap explicitly to go higher"
@@ -223,6 +220,14 @@ def springer_counterexample_search(
             f"n range [{n_min}, {n_max}] has no type with an interior degree; "
             "n_max must be at least 3"
         )
+
+
+def springer_counterexample_search(
+    n_max: int, n_min: int = 1, jobs: int = 1, max_n: int = DEFAULT_MAX_N
+) -> SpringerScanReport:
+    """All types mu with n_min <= |mu| <= n_max whose Springer representation
+    fails equivariant log-concavity, grouped by n in canonical order."""
+    check_scan_range(n_max, n_min, max_n)
     counterexamples = []
     for n in range(n_min, n_max + 1):
         if n >= 2:

@@ -1,8 +1,10 @@
 """Persistent caches for expensive tables and report emission.
 
 One file ``{kind}-{n}.json`` per table: a one-line JSON header holding the
-sha256 of the table document, then the document itself (schema version,
-canonical partition order, exact decimal integers).  A digest mismatch, a
+sha256 of the table document, then the document itself as one line of
+compact JSON (schema version, canonical partition order, exact decimal
+integers).  The digest covers the stored body bytes, so a body written
+indented by an older version still reads as it is.  A digest mismatch, a
 version mismatch or a file without the header triggers a rebuild, never a
 partial read.  Every write goes to a unique temp file in the same directory
 and is renamed into place, and no file is shared between tables, so
@@ -141,7 +143,7 @@ _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
 DEFAULT_CAPS = {"char": characters.DEFAULT_MAX_N, "kron": kronecker.DEFAULT_MAX_N}
 
 
-def _check_cap(kind: str, n: int, build_kwargs: dict) -> None:
+def check_cap(kind: str, n: int, build_kwargs: dict) -> None:
     """Size caps hold whether the table is built or read back warm."""
     cap = build_kwargs.get("max_n", DEFAULT_CAPS.get(kind))
     if cap is not None and not 1 <= n <= cap:
@@ -170,13 +172,13 @@ class CacheStore:
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown cache kind {kind!r}")
-        _check_cap(kind, n, build_kwargs)
+        check_cap(kind, n, build_kwargs)
         builder, to_doc, from_doc = _KINDS[kind]
         path = self.root / f"{kind}-{n}.json"
         table = self._read(kind, n, path, from_doc)
         if table is None:
             table = builder(n, **build_kwargs)
-            body = _json_bytes(to_doc(table))
+            body = json.dumps(to_doc(table), separators=(",", ":")).encode()
             digest = _digest(body)
             self.root.mkdir(parents=True, exist_ok=True)
             header = (json.dumps({"sha256": digest}) + "\n").encode()

@@ -4,6 +4,7 @@ import pytest
 
 from coinvariant.characters import (
     CharacterTable,
+    _validate,
     build_character_table,
     character_table,
     character_value,
@@ -105,3 +106,52 @@ class TestOrthogonality:
             class_sizes=table.class_sizes,
         )
         assert not verify_orthogonality(broken)
+
+
+def with_values(table: CharacterTable, values) -> CharacterTable:
+    return CharacterTable(
+        n=table.n,
+        partitions=table.partitions,
+        values=tuple(tuple(row) for row in values),
+        class_sizes=table.class_sizes,
+    )
+
+
+class TestBuildGuards:
+    """Each defect below breaks exactly one guard of ``_validate``."""
+
+    def test_orthogonality_only_defect(self):
+        table = character_table(6)
+        lam, rho = (4, 2), (3, 2, 1)
+        assert conjugate(lam) != lam and rho != (1,) * 6
+        values = [list(row) for row in table.values]
+        j = table.index(rho)
+        values[table.index(lam)][j] += 1
+        values[table.index(conjugate(lam))][j] += class_sign(rho)
+        broken = with_values(table, values)
+        assert not verify_orthogonality(broken)
+        with pytest.raises(AssertionError, match="orthogonality fails for n=6"):
+            _validate(broken)
+
+    def test_twist_only_defect(self):
+        # (5,1) and (3,3) both have dimension 5 and are not conjugate, so
+        # swapping their rows keeps the dimension column and orthogonality
+        table = character_table(6)
+        values = list(table.values)
+        a, b = table.index((5, 1)), table.index((3, 3))
+        values[a], values[b] = values[b], values[a]
+        broken = with_values(table, values)
+        assert verify_orthogonality(broken)
+        with pytest.raises(AssertionError, match=r"conjugation twist fails at \(\(5, 1\), "):
+            _validate(broken)
+
+    def test_dimension_column_only_defect(self):
+        # negating a conjugate pair of rows keeps the twist and orthogonality
+        table = character_table(6)
+        values = [list(row) for row in table.values]
+        for lam in ((4, 2), (2, 2, 1, 1)):
+            values[table.index(lam)] = [-v for v in values[table.index(lam)]]
+        broken = with_values(table, values)
+        assert verify_orthogonality(broken)
+        with pytest.raises(AssertionError, match=r"dimension column wrong at \(4, 2\)"):
+            _validate(broken)

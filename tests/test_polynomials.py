@@ -12,6 +12,7 @@ from coinvariant.polynomials import (
     is_unimodal,
     monomial,
     one_minus_q_power,
+    one_minus_q_product,
     q_binomial,
     q_factorial,
     q_int,
@@ -79,6 +80,29 @@ class TestDivideExact:
     def test_multiply_then_divide_roundtrips(self, a, b):
         assert (a * b).divide_exact(b) == a
 
+    @given(nonzero_polys, st.integers(1, 12))
+    def test_divides_one_minus_q_power(self, p, k):
+        den = one_minus_q_power(k)
+        assert (p * den).divide_exact(den) == p
+
+    def test_off_by_one_numerator_raises(self):
+        p = IntPoly([2, -1, 0, 3, 1])
+        for k in range(1, 13):
+            den = one_minus_q_power(k)
+            num = (p * den).coeffs
+            for j in range(len(num)):
+                bumped = IntPoly(c + (i == j) for i, c in enumerate(num))
+                with pytest.raises(NonExactDivision):
+                    bumped.divide_exact(den)
+
+    def test_non_unit_lead(self):
+        den = IntPoly([1, 2])
+        assert (IntPoly([3, -1, 1]) * den).divide_exact(den) == IntPoly([3, -1, 1])
+        with pytest.raises(NonExactDivision, match="leading coefficient"):
+            IntPoly([1, 3]).divide_exact(den)
+        with pytest.raises(NonExactDivision, match="leading coefficient"):
+            IntPoly([1, 0, 1]).divide_exact(IntPoly([1, 0, -3]))
+
     def test_scalar_division(self):
         assert IntPoly([2, 4]).scalar_divide_exact(2) == IntPoly([1, 2])
         with pytest.raises(NonExactDivision):
@@ -117,6 +141,14 @@ class TestQAnalogs:
             assert q_integer_factorial_hooks((n,)) == ONE
         assert q_integer_factorial_hooks((1, 1)) == ONE
         assert q_integer_factorial_hooks((2, 2)) == IntPoly([1, 0, 1])
+
+    def test_one_minus_q_product(self):
+        assert one_minus_q_product(0) == ONE
+        assert one_minus_q_product(2) == IntPoly([1, -1, -1, 1])
+        poly = ONE
+        for n in range(1, 10):
+            poly = poly * IntPoly([1, -1])
+            assert one_minus_q_product(n) == q_factorial(n) * poly
 
     def test_q_binomial_is_factorial_quotient(self):
         for n in range(13):

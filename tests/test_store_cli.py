@@ -11,6 +11,8 @@ import coinvariant
 from coinvariant import cli
 from coinvariant.store import (
     CacheStore,
+    _char_doc,
+    _graded_doc,
     default_cache_dir,
     payload_bytes,
     report_document,
@@ -115,6 +117,30 @@ class TestCacheStore:
         digest, body = digest_and_body(path)
         assert digest == sha256(body)
         assert json.loads(body)["values"][0][0] == built.values[0][0]
+
+    @pytest.mark.parametrize("kind, to_doc", [("char", _char_doc), ("graded", _graded_doc)])
+    def test_new_body_is_one_compact_line(self, store, kind, to_doc):
+        table = store.get_or_build(kind, 6)
+        digest, body = digest_and_body(store.root / f"{kind}-6.json")
+        assert digest == sha256(body)
+        assert b"\n" not in body and b" " not in body
+        assert json.loads(body) == to_doc(table)
+
+    @pytest.mark.parametrize("kind, to_doc", [("char", _char_doc), ("graded", _graded_doc)])
+    def test_indented_body_reads_warm(self, tmp_path, caplog, kind, to_doc):
+        # table files written before bodies were compact hold indent=2 JSON
+        built = CacheStore(tmp_path / "fresh").get_or_build(kind, 6)
+        body = (json.dumps(to_doc(built), indent=2) + "\n").encode()
+        path = tmp_path / f"{kind}-6.json"
+        write_table_file(path, sha256(body), body)
+        data, stamp = path.read_bytes(), path.stat().st_mtime_ns
+        store = CacheStore(tmp_path)
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            table = store.get_or_build(kind, 6)
+        assert caplog.text == ""
+        assert path.read_bytes() == data and path.stat().st_mtime_ns == stamp
+        assert store.digests() == {f"{kind}-6": sha256(body)}
+        assert to_doc(table) == to_doc(built)
 
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
@@ -234,6 +260,27 @@ class TestCli:
         assert run_cli(tmp_path, "springer-scan", "--n-max", n_max) == 1
         err = capsys.readouterr().err
         assert err == f"error: n_max {n_max} above cap 12; raise the cap explicitly to go higher\n"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["springer-scan", "--n-max", "20"],
+             "error: n_max 20 above cap 12; raise the cap explicitly to go higher"),
+            (["low-degree-harness", "--n-max", "40"],
+             "error [LimitExceeded]: char table size 15 outside [1, 14]"),
+            (["selftest", "--n-max", "13"],
+             "error [LimitExceeded]: kron table size 13 outside [1, 12]"),
+            (["verify-flag", "--n", "6", "--degrees", "low:0"],
+             "error: degree filter 'low:0' selects no interior degree of [1, 14]"),
+        ],
+        ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag"],
+    )
+    def test_refused_scan_leaves_no_table_file(self, tmp_path, capsys, argv, error):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert run_cli(tmp_path, *argv) == 1
+        assert capsys.readouterr().err == error + "\n"
+        assert list(cache.iterdir()) == []
 
     def test_unimodal_above_kronecker_cap(self, tmp_path, capsys):
         assert run_cli(tmp_path, "unimodal", "--n", "13") == 0
