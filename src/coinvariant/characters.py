@@ -11,11 +11,13 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from operator import mul
+from typing import Sequence
 
 from . import memo
 from .combinatorics import (
     Partition,
     centralizer_size,
+    check_partition,
     class_sign,
     class_size,
     conjugate,
@@ -23,7 +25,7 @@ from .combinatorics import (
     partition_index,
     partitions_of,
 )
-from .errors import LimitExceeded
+from .errors import LimitExceeded, NonIntegral
 
 DEFAULT_MAX_N = 14
 
@@ -66,8 +68,7 @@ def _mn(lam: Partition, rho: Partition) -> int:
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """chi_lam(rho) for partitions of the same n."""
-    if sum(lam) != sum(rho):
-        raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
+    check_partition(rho, sum(check_partition(lam)))
     return _mn(lam, rho)
 
 
@@ -92,6 +93,20 @@ class CharacterTable:
 
     def value(self, lam: Partition, rho: Partition) -> int:
         return self.values[self.index(lam)][self.index(rho)]
+
+    def decompose(self, values: Sequence[int]) -> tuple[int, ...]:
+        """Multiplicities, in canonical order, of the irreducibles in the
+        class function f with ``values`` per class: (1/n!) sum over rho of
+        |C_rho| f(rho) chi(rho); NonIntegral if f is not a virtual character."""
+        weighted = tuple(map(mul, self.class_sizes, values))
+        nfact = factorial(self.n)
+        out = []
+        for lam, row in zip(self.partitions, self.values):
+            mult, rem = divmod(sum(map(mul, weighted, row)), nfact)
+            if rem:
+                raise NonIntegral(f"class sum for {lam} is not divisible by {self.n}!")
+            out.append(mult)
+        return tuple(out)
 
 
 def build_character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import characters, graded, kronecker, springer, verify
 from .combinatorics import (
+    check_partition,
     conjugate,
     enumerate_ssyt,
     format_partition,
@@ -160,19 +161,14 @@ def _finish(args, store: CacheStore, command: str, parameters: dict, report, lin
 
 
 def cmd_fake_degrees(args) -> int:
-    lam = parse_partition(args.lam)
-    if sum(lam) != args.n:
-        raise ValueError(f"{args.lam} is not a partition of {args.n}")
+    lam = check_partition(parse_partition(args.lam), args.n)
     print(graded.fake_degree_hook(lam))
     return 0
 
 
 def cmd_kronecker(args) -> int:
     n = args.n
-    lam, mu, nu = (parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    for p in (lam, mu, nu):
-        if sum(p) != n:
-            raise ValueError(f"{format_partition(p)} is not a partition of {n}")
+    lam, mu, nu = (check_partition(parse_partition(t), n) for t in (args.lam, args.mu, args.nu))
     store = _store(args)
     _seed(store, args, ("char", [n]))
     print(kronecker.kronecker_coefficient(lam, mu, nu))
@@ -194,6 +190,7 @@ def cmd_verify_flag(args) -> int:
 
 def cmd_unimodal(args) -> int:
     n = args.n
+    verify.check_unimodality_size(n)
     store = _store(args)
     _seed(store, args, ("char", [n]), ("graded", [n]))
     report = verify.verify_d_unimodality(n)
@@ -208,6 +205,7 @@ def cmd_unimodal(args) -> int:
 
 def cmd_low_degree(args) -> int:
     n_max = args.n_max
+    verify.check_harness_range(n_max)
     store = _store(args)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
@@ -279,6 +277,9 @@ def cmd_selftest(args) -> int:
 
     ok = all(graded.check_duality(n) for n in range(1, n_max + 1))
     check("graded duality", ok)
+
+    ok = all(verify.betti_log_concavity(n) for n in range(1, n_max + 1))
+    check("Betti log-concavity", ok)
 
     ok = all(
         kronecker.verify_kronecker_identities(kronecker.kronecker_table(n))

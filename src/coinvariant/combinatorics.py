@@ -28,9 +28,13 @@ def is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-def check_partition(parts: tuple[int, ...]) -> Partition:
+def check_partition(parts: tuple[int, ...], n: int | None = None) -> Partition:
+    """``parts`` itself if it is a partition, of ``n`` when given;
+    ValueError otherwise."""
     if not is_partition(parts):
         raise ValueError(f"not a partition: {parts!r}")
+    if n is not None and sum(parts) != n:
+        raise ValueError(f"{format_partition(parts)} is not a partition of {n}")
     return parts
 
 

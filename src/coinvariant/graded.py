@@ -9,14 +9,16 @@ number of standard tableaux of shape lam with major index i (the fake
 degree).  Three independent routes compute the same polynomial:
 
 * ``fake_degree_syt``        -- direct major-index enumeration,
-* ``fake_degree_hook``       -- q-hook formula (production route),
+* ``fake_degree_hook``       -- q-hook formula (production route, and the
+                                only place the formula is evaluated),
 * ``fake_degree_projection`` -- character projection of the graded character.
+
+The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -24,20 +26,24 @@ from . import memo
 from .characters import CharacterTable, character_table
 from .combinatorics import (
     Partition,
+    check_partition,
     class_sign,
     conjugate,
     dimension,
     enumerate_syt,
+    hook_lengths,
     major_index,
+    n_stat,
     partition_index,
     partitions_of,
 )
 from .polynomials import (
     IntPoly,
     is_unimodal,
+    monomial,
     one_minus_q_power,
     one_minus_q_product,
-    q_hook_fake_degree,
+    q_factorial as poincare_polynomial,
 )
 
 
@@ -45,20 +51,10 @@ def top_degree(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@cache
-def poincare_polynomial(n: int) -> IntPoly:
-    """prod_{k=0}^{n-1} (1 + q + ... + q^k); the graded dimensions."""
-    poly = IntPoly((1,))
-    for k in range(n):
-        poly = poly * IntPoly((1,) * (k + 1))
-    return poly
-
-
 def graded_character_poly(n: int, rho: Partition) -> IntPoly:
     """Graded character at a class of cycle type rho:
     prod_{i<=n} (1 - q^i) / prod_j (1 - q^{rho_j}).  Exact by construction."""
-    if sum(rho) != n:
-        raise ValueError(f"{rho} is not a partition of {n}")
+    check_partition(rho, n)
     poly = one_minus_q_product(n)
     for part in rho:
         poly = poly.divide_exact(one_minus_q_power(part))
@@ -75,15 +71,19 @@ def fake_degree_syt(lam: Partition) -> IntPoly:
 
 
 def fake_degree_hook(lam: Partition) -> IntPoly:
-    """q-hook route; agrees with fake_degree_syt everywhere."""
-    return q_hook_fake_degree(lam)
+    """q^{n(lam)} [n]_q! / prod over cells [hook]_q, as q^{n(lam)}
+    prod_{i<=n} (1 - q^i) / prod over cells (1 - q^hook): both quotients
+    carry n factors of (1 - q).  Exact by the hook theorem."""
+    poly = one_minus_q_product(sum(lam))
+    for h in sorted(hook_lengths(lam), reverse=True):
+        poly = poly.divide_exact(one_minus_q_power(h))
+    return monomial(n_stat(lam)) * poly
 
 
 def fake_degree_projection(lam: Partition, n: int, table: CharacterTable | None = None) -> IntPoly:
     """Project the graded character onto V(lam): coefficient-wise
     (1/n!) sum_rho class_size(rho) chi_lam(rho) chi(rho, q)."""
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
+    check_partition(lam, n)
     if table is None:
         table = character_table(n)
     total = IntPoly()

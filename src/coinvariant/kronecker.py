@@ -3,19 +3,23 @@
 g(lam, mu, nu) = (1/n!) sum over classes rho of
 class_size(rho) * chi_lam(rho) * chi_mu(rho) * chi_nu(rho).
 
-The sum is accumulated as an integer and divided by n! once, with an
-exactness assertion: a failure means a character table bug, never data.
-Full tables store one entry per sorted index triple; lookups symmetrize.
+Single coefficients and on-demand pair vectors decompose the product
+character chi_lam * chi_mu with ``CharacterTable.decompose``, which divides
+each class sum by n! once and raises NonIntegral on a remainder: a failure
+means a character table bug, never data.  ``build_kronecker_table`` keeps
+its own bulk loop over sorted triples, with the same exactness check, as
+the independent reference; lookups symmetrize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
+from operator import mul
 
 from . import memo
 from .characters import CharacterTable, character_table
-from .combinatorics import Partition, conjugate, dimension, partition_index
+from .combinatorics import Partition, check_partition, conjugate, dimension, partition_index
 from .errors import LimitExceeded, NonIntegral
 
 DEFAULT_MAX_N = 12
@@ -28,20 +32,12 @@ def kronecker_coefficient(
     table: CharacterTable | None = None,
 ) -> int:
     """Multiplicity of V(nu) in V(lam) (x) V(mu)."""
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise ValueError("all three partitions must have the same size")
+    n = sum(check_partition(lam))
+    check_partition(mu, n)
+    check_partition(nu, n)
     if table is None:
         table = character_table(n)
-    row_l, row_m, row_n = table.row(lam), table.row(mu), table.row(nu)
-    total = sum(
-        size * a * b * c
-        for size, a, b, c in zip(table.class_sizes, row_l, row_m, row_n)
-    )
-    g, rem = divmod(total, factorial(n))
-    if rem:
-        raise NonIntegral(f"class sum for g({lam},{mu},{nu}) is not divisible by n!")
-    return g
+    return table.decompose(tuple(map(mul, table.row(lam), table.row(mu))))[table.index(nu)]
 
 
 @dataclass
@@ -174,18 +170,6 @@ class OnDemandKronecker:
         cached = self._pair_cache.get(key)
         if cached is None:
             values = self.table.values
-            nfact = factorial(self.n)
-            pair = [
-                size * x * y
-                for size, x, y in zip(self.table.class_sizes, values[a], values[b])
-            ]
-            out = []
-            for row in values:
-                total = sum(p * v for p, v in zip(pair, row) if p)
-                g, rem = divmod(total, nfact)
-                if rem:
-                    raise NonIntegral(f"pair ({a},{b}) sum not divisible by n!")
-                out.append(g)
-            cached = tuple(out)
+            cached = self.table.decompose(tuple(map(mul, values[a], values[b])))
             self._pair_cache[key] = cached
         return cached

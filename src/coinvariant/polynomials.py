@@ -1,5 +1,7 @@
 """Dense univariate polynomials over the integers, plus q-analog helpers
-and the sequence predicates (symmetric / unimodal / log-concave).
+([k]_q, [n]_q!, Gaussian binomials, products of 1 - q^k) and the sequence
+predicates (symmetric / unimodal / log-concave).  Nothing here knows about
+partitions: the q-hook fake degree lives in ``graded``.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
 exact.  The zero polynomial is the empty coefficient tuple; its degree is
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
-from .combinatorics import Partition, hook_lengths, n_stat
 from .errors import NonExactDivision
 
 
@@ -197,13 +198,16 @@ def q_int(k: int) -> IntPoly:
 
 
 def one_minus_q_power(k: int) -> IntPoly:
-    """1 - q^k."""
+    """1 - q^k for k >= 1."""
+    if k < 1:
+        raise ValueError(f"1 - q^k needs k >= 1, got {k}")
     return IntPoly((1,) + (0,) * (k - 1) + (-1,))
 
 
 @cache
 def q_factorial(n: int) -> IntPoly:
-    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q; also the Poincare polynomial of the
+    coinvariant ring of S_n (``graded.poincare_polynomial``)."""
     poly = ONE
     for k in range(1, n + 1):
         poly = poly * q_int(k)
@@ -228,21 +232,6 @@ def one_minus_q_product(n: int) -> IntPoly:
     for i in range(1, n + 1):
         poly = poly * one_minus_q_power(i)
     return poly
-
-
-def q_integer_factorial_hooks(lam: Partition) -> IntPoly:
-    """[n]_q! / prod over cells of [hook]_q, computed as
-    prod_{i<=n} (1 - q^i) / prod over cells of (1 - q^hook): both quotients
-    carry n factors of (1 - q).  Exact by the hook theorem."""
-    num = one_minus_q_product(sum(lam))
-    for h in sorted(hook_lengths(lam), reverse=True):
-        num = num.divide_exact(one_minus_q_power(h))
-    return num
-
-
-def q_hook_fake_degree(lam: Partition) -> IntPoly:
-    """q^{n(lam)} * [n]_q! / prod [hook]_q."""
-    return monomial(n_stat(lam)) * q_integer_factorial_hooks(lam)
 
 
 # ---------------------------------------------------------------------------

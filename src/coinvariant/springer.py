@@ -54,7 +54,7 @@ def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
     """K(lam, mu)(q) by the fermionic formula, summed over configurations
     nu^(k) of lam_{k+1} + lam_{k+2} + ... for k >= 1 with nu^(0) = mu (see
     ``_tail``); zero unless lam dominates mu."""
-    _check_pair(lam, mu)
+    check_partition(mu, sum(check_partition(lam)))
     if not dominates(lam, mu):
         return IntPoly()
     sizes = tuple(sum(lam[k:]) for k in range(1, len(lam))) + (0,)
@@ -63,18 +63,13 @@ def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
 
 def kostka_foulkes_poly_by_charge(lam: Partition, mu: Partition) -> IntPoly:
     """Audit route: charge generating polynomial over SSYT(lam, mu)."""
-    _check_pair(lam, mu)
+    check_partition(mu, sum(check_partition(lam)))
     if not dominates(lam, mu):
         return IntPoly()
     coeffs = [0] * (n_stat(mu) - n_stat(lam) + 1)
     for tableau in enumerate_ssyt(lam, mu):
         coeffs[charge(reading_word(tableau))] += 1
     return IntPoly(coeffs)
-
-
-def _check_pair(lam: Partition, mu: Partition) -> None:
-    if sum(check_partition(lam)) != sum(check_partition(mu)):
-        raise ValueError("shape and content must have equal size")
 
 
 @cache
@@ -181,7 +176,6 @@ def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
 class SpringerScanReport(ScanReport):
     """Counterexample sweep over all nilpotent types up to n_max."""
 
-    n_min: int
     n_max: int
     counterexamples: tuple[tuple[Partition, tuple[tuple[Partition, int, int], ...]], ...]
 
@@ -192,7 +186,7 @@ class SpringerScanReport(ScanReport):
 
     def body(self) -> dict:
         return {
-            "n_range": [self.n_min, self.n_max],
+            "n_range": [1, self.n_max],
             "counterexamples": [
                 {
                     "n": sum(mu),
@@ -209,33 +203,31 @@ def _scan_one_type(mu: Partition) -> tuple[Partition, tuple]:
     return mu, report.violations
 
 
-def check_scan_range(n_max: int, n_min: int = 1, max_n: int = DEFAULT_MAX_N) -> None:
-    """ValueError unless [n_min, n_max] is a range the search can scan."""
+def check_scan_range(n_max: int, max_n: int = DEFAULT_MAX_N) -> None:
+    """ValueError unless [1, n_max] is a range the search can scan."""
     if n_max > max_n:
         raise ValueError(
             f"n_max {n_max} above cap {max_n}; raise the cap explicitly to go higher"
         )
-    if n_max < max(n_min, 3):
+    if n_max < 3:
         raise ValueError(
-            f"n range [{n_min}, {n_max}] has no type with an interior degree; "
+            f"n range [1, {n_max}] has no type with an interior degree; "
             "n_max must be at least 3"
         )
 
 
 def springer_counterexample_search(
-    n_max: int, n_min: int = 1, jobs: int = 1, max_n: int = DEFAULT_MAX_N
+    n_max: int, jobs: int = 1, max_n: int = DEFAULT_MAX_N
 ) -> SpringerScanReport:
-    """All types mu with n_min <= |mu| <= n_max whose Springer representation
-    fails equivariant log-concavity, grouped by n in canonical order."""
-    check_scan_range(n_max, n_min, max_n)
+    """All types mu with |mu| <= n_max whose Springer representation fails
+    equivariant log-concavity, grouped by n in canonical order."""
+    check_scan_range(n_max, max_n)
     counterexamples = []
-    for n in range(n_min, n_max + 1):
+    for n in range(1, n_max + 1):
         if n >= 2:
             character_table(n)  # warm before forking workers
         results = parallel_map(_scan_one_type, list(partitions_of(n)), jobs)
         for mu, violations in results:
             if violations:
                 counterexamples.append((mu, violations))
-    return SpringerScanReport(
-        n_min=n_min, n_max=n_max, counterexamples=tuple(counterexamples)
-    )
+    return SpringerScanReport(n_max=n_max, counterexamples=tuple(counterexamples))

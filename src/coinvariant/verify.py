@@ -8,10 +8,12 @@ d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
     (1/n!) sum over classes rho of |C_rho| * chi_nu(rho)
            * (chi_i(rho)^2 - chi_(i-1)(rho) * chi_(i+1)(rho))
 
-for interior degrees 1 <= i <= top-1, each class sum divided by n! once
-with an exactness check.  Negative d values are findings, so reports always
-carry the full d table, never just a flag.  ``tensor_multiplicity_vector``
-(sums over Kronecker coefficients) is the independent audit route.
+for interior degrees 1 <= i <= top-1: ``CharacterTable.decompose`` of the
+class function chi_i^2 - chi_(i-1) chi_(i+1), which divides each class sum
+by n! once with an exactness check.  Negative d values are findings, so
+reports always carry the full d table, never just a flag.
+``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
+independent audit route.
 
 Degrees outside [0, top] of a graded table contribute zero.
 """
@@ -20,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
-from typing import ClassVar, Iterable, Mapping, Sequence
+from operator import mul
+from typing import ClassVar, Iterable, Mapping
 
 from .characters import CharacterTable, character_table
 from .combinatorics import Partition, check_partition, dimension, format_partition
-from .errors import NonIntegral
 from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial
 from .kronecker import KroneckerTable, OnDemandKronecker
 from .parallel import parallel_map
@@ -45,21 +46,8 @@ def _graded_character(
     return acc
 
 
-def _multiplicity(chars: CharacterTable, weighted: Sequence[int], row: int) -> int:
-    """(1/n!) sum over rho of weighted(rho) * chi_row(rho); ``weighted``
-    already carries the class sizes."""
-    total = sum(w * v for w, v in zip(weighted, chars.values[row]) if w)
-    mult, rem = divmod(total, factorial(chars.n))
-    if rem:
-        raise NonIntegral(f"class sum for row {row} is not divisible by {chars.n}!")
-    return mult
-
-
 def _row_of(n: int, nu: Partition) -> int:
-    check_partition(nu)
-    if sum(nu) != n:
-        raise ValueError(f"{nu} is not a partition of {n}")
-    return character_table(n).index(nu)
+    return character_table(n).index(check_partition(nu, n))
 
 
 def tensor_multiplicity_vector(
@@ -87,8 +75,7 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     table = graded_table(n)
     chars = character_table(n)
     chi_i, chi_j = (_graded_character(table, chars, k) for k in (i, j))
-    weighted = [size * a * b for size, a, b in zip(chars.class_sizes, chi_i, chi_j)]
-    return _multiplicity(chars, weighted, row)
+    return chars.decompose(tuple(map(mul, chi_i, chi_j)))[row]
 
 
 def d_matrix(
@@ -105,14 +92,11 @@ def d_matrix(
     for i in degrees:
         if not 1 <= i <= top - 1:
             raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-        weighted = [
-            size * (x * x - lo * hi)
-            for size, x, lo, hi in zip(
-                chars.class_sizes, character(i), character(i - 1), character(i + 1)
-            )
-        ]
-        result[i] = tuple(
-            _multiplicity(chars, weighted, row) for row in range(len(table.partitions))
+        result[i] = chars.decompose(
+            [
+                x * x - lo * hi
+                for x, lo, hi in zip(character(i), character(i - 1), character(i + 1))
+            ]
         )
     return result
 
@@ -191,6 +175,11 @@ def report_from_d_matrix(
     )
 
 
+def low_degree_window(m: int, top: int) -> tuple[int, ...]:
+    """Interior degrees i of [1, top - 1] with i <= m or i >= top - m."""
+    return tuple(i for i in range(1, top) if i <= m or i >= top - m)
+
+
 def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
     """Accepts "all", "low:M" (degrees 1..M and co-degrees), or "i1,i2,...".
 
@@ -202,8 +191,7 @@ def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
         if text == "all":
             chosen = set(interior)
         elif text.startswith("low:"):
-            m = int(text[4:])
-            chosen = {i for i in interior if i <= m or i >= top - m}
+            chosen = set(low_degree_window(int(text[4:]), top))
         else:
             chosen = {int(piece) for piece in text.split(",")}
     except ValueError:
@@ -260,10 +248,7 @@ def _low_degree_one_n(args) -> tuple:
     n, max_m = args
     table = graded_table(n)
     c = table.top_degree
-    degrees = sorted(
-        {m for m in range(1, max_m + 1) if m <= c - 1}
-        | {c - m for m in range(1, max_m + 1) if c - m >= 1}
-    )
+    degrees = low_degree_window(max_m, c)
     matrix = d_matrix(table, degrees)
     entries = []
     mismatches = []
@@ -280,14 +265,19 @@ def _low_degree_one_n(args) -> tuple:
     return entries, mismatches
 
 
+def check_harness_range(n_max: int) -> None:
+    """ValueError unless the harness can scan every n up to n_max."""
+    if n_max < 4:
+        raise ValueError("n_max must be at least 4")
+
+
 def low_degree_harness(n_max: int, max_m: int = 3, jobs: int = 1) -> LowDegreeReport:
     """d >= 0 at degrees m in 1..max_m and co-degrees, for all n up to n_max.
 
     Stability makes n <= 4m sufficient for degree m at every n; the scan
     still runs all n <= n_max as direct evidence.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
+    check_harness_range(n_max)
     results = parallel_map(
         _low_degree_one_n, [(n, max_m) for n in range(2, n_max + 1)], jobs
     )
@@ -342,9 +332,14 @@ class UnimodalityReport(ScanReport):
         }
 
 
-def verify_d_unimodality(n: int) -> UnimodalityReport:
+def check_unimodality_size(n: int) -> None:
+    """ValueError unless S_n has d sequences worth checking."""
     if n < 3:
         raise ValueError("n must be at least 3")
+
+
+def verify_d_unimodality(n: int) -> UnimodalityReport:
+    check_unimodality_size(n)
     report = verify_flag_log_concavity(n)
     table = graded_table(n)
     c = table.top_degree

@@ -16,7 +16,7 @@ from coinvariant.combinatorics import (
     dimension,
     partitions_of,
 )
-from coinvariant.errors import LimitExceeded
+from coinvariant.errors import LimitExceeded, NonIntegral
 
 
 class TestCharacterValue:
@@ -106,6 +106,30 @@ class TestOrthogonality:
             class_sizes=table.class_sizes,
         )
         assert not verify_orthogonality(broken)
+
+
+class TestDecompose:
+    def test_irreducible_is_unit_vector(self):
+        for n in range(1, 9):
+            table = character_table(n)
+            for k, row in enumerate(table.values):
+                unit = tuple(int(j == k) for j in range(len(table.partitions)))
+                assert table.decompose(row) == unit, table.partitions[k]
+
+    def test_tensor_products_have_product_dimension(self):
+        table = character_table(6)
+        dims = [dimension(lam) for lam in table.partitions]
+        for a, row_a in enumerate(table.values):
+            for b, row_b in enumerate(table.values):
+                mults = table.decompose([x * y for x, y in zip(row_a, row_b)])
+                assert sum(map(math.prod, zip(dims, mults))) == dims[a] * dims[b]
+
+    def test_identity_class_indicator_is_not_a_character(self):
+        for n in range(2, 9):
+            table = character_table(n)
+            indicator = [int(rho == (1,) * n) for rho in table.partitions]
+            with pytest.raises(NonIntegral, match=f"not divisible by {n}!"):
+                table.decompose(indicator)
 
 
 def with_values(table: CharacterTable, values) -> CharacterTable:

@@ -4,9 +4,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from coinvariant.characters import character_value
 from coinvariant.combinatorics import (
     charge,
     centralizer_size,
+    check_partition,
     class_sign,
     class_size,
     conjugate,
@@ -25,6 +27,8 @@ from coinvariant.combinatorics import (
     partitions_of,
     reading_word,
 )
+from coinvariant.graded import fake_degree_projection, graded_character_poly
+from coinvariant.kronecker import kronecker_coefficient
 
 
 def euler_partition_count(n: int) -> int:
@@ -96,6 +100,30 @@ class TestPartitions:
             parse_partition("2,0")
         with pytest.raises(ValueError):
             parse_partition("a,b")
+
+
+class TestCheckPartition:
+    def test_partition_of_n(self):
+        assert check_partition((2, 1)) == (2, 1)
+        assert check_partition((2, 1), 3) == (2, 1)
+        with pytest.raises(ValueError, match="^2,1 is not a partition of 4$"):
+            check_partition((2, 1), 4)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: graded_character_poly(3, (3, 0)),
+            lambda: character_value((1, 2), (3,)),
+            lambda: character_value((2, 1), (0, 3)),
+            lambda: kronecker_coefficient((1, 2), (2, 1), (3,)),
+            lambda: fake_degree_projection((1, 2), 3),
+        ],
+        ids=["graded_character_poly", "character_value-lam", "character_value-rho",
+             "kronecker_coefficient", "fake_degree_projection"],
+    )
+    def test_entry_points_reject_non_partitions(self, call):
+        with pytest.raises(ValueError, match="not a partition"):
+            call()
 
 
 class TestConjugate:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from coinvariant.combinatorics import dimension, partitions_of
+from coinvariant.combinatorics import dimension, n_stat, partitions_of
 from coinvariant.graded import (
     build_graded_table,
     check_duality,
@@ -17,7 +17,7 @@ from coinvariant.graded import (
     stabilization_check,
     top_degree,
 )
-from coinvariant.polynomials import IntPoly, is_unimodal, sequence_predicates
+from coinvariant.polynomials import ONE, IntPoly, is_unimodal, monomial, sequence_predicates
 
 
 class TestGradedCharacter:
@@ -82,6 +82,14 @@ class TestFakeDegrees:
         # golden value frozen from the tableau enumeration route
         assert fake_degree_syt((2, 2)) == IntPoly([0, 0, 1, 0, 1])
         assert fake_degree_hook((2, 2)) == IntPoly([0, 0, 1, 0, 1])
+
+    def test_hook_quotients(self):
+        # q^{n(lam)} times the quotient [n]_q! / prod over cells [hook]_q
+        quotients = [((2, 1), IntPoly([1, 1]))]
+        quotients += [((n,), ONE) for n in (1, 2, 5)]
+        quotients += [((1, 1), ONE), ((2, 2), IntPoly([1, 0, 1]))]
+        for lam, quotient in quotients:
+            assert fake_degree_hook(lam) == monomial(n_stat(lam)) * quotient
 
     def test_projection_n2(self):
         assert fake_degree_projection((2,), 2) == IntPoly([1])

@@ -16,7 +16,6 @@ from coinvariant.polynomials import (
     q_binomial,
     q_factorial,
     q_int,
-    q_integer_factorial_hooks,
     sequence_predicates,
     symmetric_about,
 )
@@ -135,12 +134,10 @@ class TestQAnalogs:
         assert q_factorial(3) == IntPoly([1, 1]) * IntPoly([1, 1, 1])
         assert one_minus_q_power(2) == IntPoly([1, 0, -1])
 
-    def test_hook_quotients(self):
-        assert q_integer_factorial_hooks((2, 1)) == IntPoly([1, 1])
-        for n in (1, 2, 5):
-            assert q_integer_factorial_hooks((n,)) == ONE
-        assert q_integer_factorial_hooks((1, 1)) == ONE
-        assert q_integer_factorial_hooks((2, 2)) == IntPoly([1, 0, 1])
+    def test_one_minus_q_power_needs_positive_exponent(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="needs k >= 1"):
+                one_minus_q_power(k)
 
     def test_one_minus_q_product(self):
         assert one_minus_q_product(0) == ONE

@@ -184,6 +184,21 @@ class TestCli:
     def test_fake_degrees_rejects_wrong_size(self, tmp_path, capsys):
         assert run_cli(tmp_path, "fake-degrees", "--n", "4", "--lambda", "2,1") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fake-degrees", "--n", "3", "--lambda", "3,0"],
+            ["fake-degrees", "--n", "4", "--lambda", "2,1"],
+            ["kronecker", "--n", "3", "--lambda", "1,2", "--mu", "2,1", "--nu", "3"],
+            ["kronecker", "--n", "3", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,2"],
+        ],
+    )
+    def test_non_partition_is_one_error_line(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a partition" in err
+
     def test_kronecker_prints_integer(self, tmp_path, capsys):
         code = run_cli(
             tmp_path,
@@ -272,8 +287,11 @@ class TestCli:
              "error [LimitExceeded]: kron table size 13 outside [1, 12]"),
             (["verify-flag", "--n", "6", "--degrees", "low:0"],
              "error: degree filter 'low:0' selects no interior degree of [1, 14]"),
+            (["low-degree-harness", "--n-max", "3"], "error: n_max must be at least 4"),
+            (["unimodal", "--n", "2"], "error: n must be at least 3"),
         ],
-        ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag"],
+        ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
+             "low-degree-harness-range", "unimodal-range"],
     )
     def test_refused_scan_leaves_no_table_file(self, tmp_path, capsys, argv, error):
         cache = tmp_path / "cache"
@@ -318,6 +336,7 @@ class TestCli:
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 0
         out = capsys.readouterr().out
         assert "selftest Kostka-Foulkes two-route agreement: pass" in out.splitlines()
+        assert "selftest Betti log-concavity: pass" in out.splitlines()
         assert "all suites pass" in out
 
     def test_warm_and_cold_payloads_identical(self, tmp_path):
