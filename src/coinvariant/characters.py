@@ -99,14 +99,18 @@ class CharacterTable:
         class function f with ``values`` per class: (1/n!) sum over rho of
         |C_rho| f(rho) chi(rho); NonIntegral if f is not a virtual character."""
         weighted = tuple(map(mul, self.class_sizes, values))
-        nfact = factorial(self.n)
-        out = []
-        for lam, row in zip(self.partitions, self.values):
-            mult, rem = divmod(sum(map(mul, weighted, row)), nfact)
-            if rem:
-                raise NonIntegral(f"class sum for {lam} is not divisible by {self.n}!")
-            out.append(mult)
-        return tuple(out)
+        return tuple(self._class_sum(weighted, k) for k in range(len(self.values)))
+
+    def multiplicity(self, values: Sequence[int], lam: Partition) -> int:
+        """The entry of ``decompose(values)`` at lam, from its one class sum."""
+        return self._class_sum(tuple(map(mul, self.class_sizes, values)), self.index(lam))
+
+    def _class_sum(self, weighted: Sequence[int], k: int) -> int:
+        """(1/n!) sum over rho of weighted(rho) chi_k(rho), exactly."""
+        mult, rem = divmod(sum(map(mul, weighted, self.values[k])), factorial(self.n))
+        if rem:
+            raise NonIntegral(f"class sum for {self.partitions[k]} is not divisible by {self.n}!")
+        return mult
 
 
 def build_character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:

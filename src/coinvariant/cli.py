@@ -37,7 +37,7 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=default_jobs(),
-        help="worker processes; output is identical for any N",
+        help="worker processes (springer-scan only); output is identical for any N",
     )
     common.add_argument(
         "--max-n-override",
@@ -131,15 +131,18 @@ def _store(args) -> CacheStore:
     return CacheStore(Path(args.cache_dir)) if args.cache_dir else CacheStore()
 
 
+def _cap(args, default: int) -> int:
+    """A built-in size cap, raised (never lowered) by ``--max-n-override``."""
+    return default if args.max_n_override is None else max(default, args.max_n_override)
+
+
 def _seed(store: CacheStore, args, *requests) -> None:
     """Load or build the tables of every ``(kind, ns)`` request, honouring
     ``--max-n-override`` for kinds with a size cap.  Every size is checked
     against its cap first, so a refused run touches no table file."""
     plan = []
     for kind, ns in requests:
-        caps = {}
-        if kind in DEFAULT_CAPS and args.max_n_override is not None:
-            caps = {"max_n": max(DEFAULT_CAPS[kind], args.max_n_override)}
+        caps = {"max_n": _cap(args, DEFAULT_CAPS[kind])} if kind in DEFAULT_CAPS else {}
         for n in ns:
             check_cap(kind, n, caps)
             plan.append((kind, n, caps))
@@ -209,7 +212,7 @@ def cmd_low_degree(args) -> int:
     store = _store(args)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
-    report = verify.low_degree_harness(n_max, jobs=args.jobs)
+    report = verify.low_degree_harness(n_max)
     return _finish(args, store, "low-degree-harness", {"n_max": n_max}, report, [
         f"low-degree-harness n_max={n_max} entries={len(report.entries)} "
         f"violations={len(report.violations)} "
@@ -220,9 +223,7 @@ def cmd_low_degree(args) -> int:
 def cmd_springer_scan(args) -> int:
     n_max = args.n_max
     store = _store(args)
-    cap = springer.DEFAULT_MAX_N
-    if args.max_n_override is not None:
-        cap = max(cap, args.max_n_override)
+    cap = _cap(args, springer.DEFAULT_MAX_N)
     springer.check_scan_range(n_max, max_n=cap)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))

@@ -86,7 +86,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def hook_lengths(lam: Partition) -> tuple[int, ...]:
     """Hook length of every cell, in row-major order (arm + leg + 1)."""
-    conj = conjugate(lam)
+    conj = conjugate(check_partition(lam))
     return tuple(
         lam[r] - c + conj[c] - r - 1
         for r in range(len(lam))
@@ -159,7 +159,7 @@ def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
     Entries are 1..n, rows and columns strictly increasing.  The count
     equals n!/hook_product(shape).
     """
-    n = sum(shape)
+    n = sum(check_partition(shape))
     rows = len(shape)
     filled = [0] * rows
     tab: list[list[int]] = [[] for _ in range(rows)]

@@ -3,9 +3,10 @@
 g(lam, mu, nu) = (1/n!) sum over classes rho of
 class_size(rho) * chi_lam(rho) * chi_mu(rho) * chi_nu(rho).
 
-Single coefficients and on-demand pair vectors decompose the product
-character chi_lam * chi_mu with ``CharacterTable.decompose``, which divides
-each class sum by n! once and raises NonIntegral on a remainder: a failure
+On-demand pair vectors decompose the product character chi_lam * chi_mu
+with ``CharacterTable.decompose`` and single coefficients take its one
+class sum at nu with ``CharacterTable.multiplicity``; both divide each
+class sum by n! once and raise NonIntegral on a remainder: a failure
 means a character table bug, never data.  ``build_kronecker_table`` keeps
 its own bulk loop over sorted triples, with the same exactness check, as
 the independent reference; lookups symmetrize.
@@ -37,7 +38,7 @@ def kronecker_coefficient(
     check_partition(nu, n)
     if table is None:
         table = character_table(n)
-    return table.decompose(tuple(map(mul, table.row(lam), table.row(mu))))[table.index(nu)]
+    return table.multiplicity(tuple(map(mul, table.row(lam), table.row(mu))), nu)
 
 
 @dataclass

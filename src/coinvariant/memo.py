@@ -2,7 +2,8 @@
 
 Library lookups build a missing table on first use; a cache store adopts
 every table it reads or builds, so a table seeded above a default size cap
-reaches later library calls.  Forked workers inherit the memo.
+reaches later library calls.  Only the Springer sweep forks a worker
+pool, and its workers inherit the memo.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Deterministic work-pool helper.
 
 Results always come back in submission order, so output never depends on
-the scheduling of workers; ``jobs=1`` runs inline.  Workers are forked, so
-process-wide memo caches that are already warm carry over for free.
+the scheduling of workers; ``jobs=1`` or a single item runs inline.
+``multiprocessing`` and the process pool are imported only on the fork
+path, so a run that never forks does not load them.  Workers are forked,
+so process-wide memo caches that are already warm carry over for free.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -24,6 +24,10 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     """Order-preserving map; inline when jobs <= 1 or there is one item."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here so that runs which never fork skip their import cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:

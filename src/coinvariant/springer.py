@@ -220,14 +220,14 @@ def springer_counterexample_search(
     n_max: int, jobs: int = 1, max_n: int = DEFAULT_MAX_N
 ) -> SpringerScanReport:
     """All types mu with |mu| <= n_max whose Springer representation fails
-    equivariant log-concavity, grouped by n in canonical order."""
+    equivariant log-concavity, grouped by n in canonical order.  The
+    character tables are warmed first, so forked workers inherit them; then
+    one pool scans every type, and each worker keeps its Kostka-Foulkes
+    memo across n.
+    """
     check_scan_range(n_max, max_n)
-    counterexamples = []
-    for n in range(1, n_max + 1):
-        if n >= 2:
-            character_table(n)  # warm before forking workers
-        results = parallel_map(_scan_one_type, list(partitions_of(n)), jobs)
-        for mu, violations in results:
-            if violations:
-                counterexamples.append((mu, violations))
-    return SpringerScanReport(n_max=n_max, counterexamples=tuple(counterexamples))
+    for n in range(2, n_max + 1):
+        character_table(n)
+    types = [mu for n in range(1, n_max + 1) for mu in partitions_of(n)]
+    results = parallel_map(_scan_one_type, types, jobs)
+    return SpringerScanReport(n_max, tuple((mu, bad) for mu, bad in results if bad))

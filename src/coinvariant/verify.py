@@ -29,7 +29,9 @@ from .characters import CharacterTable, character_table
 from .combinatorics import Partition, check_partition, dimension, format_partition
 from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial
 from .kronecker import KroneckerTable, OnDemandKronecker
-from .parallel import parallel_map
+# unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
+# when the bench reads in-tree spans (ROADMAP item 1)
+from .parallel import parallel_map  # noqa: F401
 from .polynomials import is_log_concave, is_unimodal, symmetric_about
 
 SCHEMA_VERSION = 1
@@ -244,53 +246,41 @@ class LowDegreeReport(ScanReport):
         }
 
 
-def _low_degree_one_n(args) -> tuple:
-    n, max_m = args
-    table = graded_table(n)
-    c = table.top_degree
-    degrees = low_degree_window(max_m, c)
-    matrix = d_matrix(table, degrees)
-    entries = []
-    mismatches = []
-    for i in degrees:
-        for k, nu in enumerate(table.partitions):
-            entries.append((n, nu, i, matrix[i][k]))
-    for m in range(1, max_m + 1):
-        if 1 <= m <= c - 1 and 1 <= c - m <= c - 1:
-            # co-degree values are rechecked directly, then compared with
-            # the duality prediction d[nu][m] == d[nu][c-m]
-            for k, nu in enumerate(table.partitions):
-                if matrix[m][k] != matrix[c - m][k]:
-                    mismatches.append((n, nu, m))
-    return entries, mismatches
-
-
 def check_harness_range(n_max: int) -> None:
     """ValueError unless the harness can scan every n up to n_max."""
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
 
 
-def low_degree_harness(n_max: int, max_m: int = 3, jobs: int = 1) -> LowDegreeReport:
+def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     """d >= 0 at degrees m in 1..max_m and co-degrees, for all n up to n_max.
 
     Stability makes n <= 4m sufficient for degree m at every n; the scan
-    still runs all n <= n_max as direct evidence.
+    still runs all n <= n_max as direct evidence, in this process: the
+    whole scan is too little work for a worker pool to pay for itself.
     """
     check_harness_range(n_max)
-    results = parallel_map(
-        _low_degree_one_n, [(n, max_m) for n in range(2, n_max + 1)], jobs
-    )
     entries = []
     mismatches = []
-    for chunk_entries, chunk_mismatches in results:
-        entries.extend(chunk_entries)
-        mismatches.extend(chunk_mismatches)
-    violations = tuple(e for e in entries if e[3] < 0)
+    for n in range(2, n_max + 1):
+        table = graded_table(n)
+        c = table.top_degree
+        degrees = low_degree_window(max_m, c)
+        matrix = d_matrix(table, degrees)
+        for i in degrees:
+            entries.extend((n, nu, i, d) for nu, d in zip(table.partitions, matrix[i]))
+        # co-degree values are rechecked directly, then compared with the
+        # duality prediction d[nu][m] == d[nu][c-m]
+        for m in range(1, min(max_m, c - 1) + 1):
+            mismatches.extend(
+                (n, nu, m)
+                for nu, low, high in zip(table.partitions, matrix[m], matrix[c - m])
+                if low != high
+            )
     return LowDegreeReport(
         n_max=n_max,
         entries=tuple(entries),
-        violations=violations,
+        violations=tuple(e for e in entries if e[3] < 0),
         mirror_mismatches=tuple(mismatches),
     )
 

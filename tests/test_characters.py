@@ -130,6 +130,18 @@ class TestDecompose:
             indicator = [int(rho == (1,) * n) for rho in table.partitions]
             with pytest.raises(NonIntegral, match=f"not divisible by {n}!"):
                 table.decompose(indicator)
+            with pytest.raises(NonIntegral, match=f"not divisible by {n}!"):
+                table.multiplicity(indicator, (n,))
+
+    def test_multiplicity_is_one_entry_of_decompose(self):
+        for n in range(1, 8):
+            table = character_table(n)
+            for row_a in table.values:
+                for row_b in table.values:
+                    product = [x * y for x, y in zip(row_a, row_b)]
+                    assert tuple(
+                        table.multiplicity(product, nu) for nu in table.partitions
+                    ) == table.decompose(product)
 
 
 def with_values(table: CharacterTable, values) -> CharacterTable:

@@ -27,7 +27,12 @@ from coinvariant.combinatorics import (
     partitions_of,
     reading_word,
 )
-from coinvariant.graded import fake_degree_projection, graded_character_poly
+from coinvariant.graded import (
+    fake_degree_hook,
+    fake_degree_projection,
+    fake_degree_syt,
+    graded_character_poly,
+)
 from coinvariant.kronecker import kronecker_coefficient
 
 
@@ -117,9 +122,17 @@ class TestCheckPartition:
             lambda: character_value((2, 1), (0, 3)),
             lambda: kronecker_coefficient((1, 2), (2, 1), (3,)),
             lambda: fake_degree_projection((1, 2), 3),
+            lambda: hook_lengths((1, 2)),
+            lambda: dimension((1, 2)),
+            lambda: hook_product((1, 2)),
+            lambda: fake_degree_hook((1, 2)),
+            lambda: fake_degree_syt((1, 2)),
+            lambda: list(enumerate_syt((2, 0))),
         ],
         ids=["graded_character_poly", "character_value-lam", "character_value-rho",
-             "kronecker_coefficient", "fake_degree_projection"],
+             "kronecker_coefficient", "fake_degree_projection", "hook_lengths",
+             "dimension", "hook_product", "fake_degree_hook", "fake_degree_syt",
+             "enumerate_syt"],
     )
     def test_entry_points_reject_non_partitions(self, call):
         with pytest.raises(ValueError, match="not a partition"):

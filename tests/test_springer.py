@@ -173,6 +173,12 @@ class TestCounterexampleSearch:
         forked = springer_counterexample_search(7, jobs=2)
         assert serial.payload() == forked.payload()
 
+    def test_one_pool_per_scan(self, pool_builds):
+        forked = springer_counterexample_search(8, jobs=2)
+        assert len(pool_builds) == 1
+        assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
+        assert len(pool_builds) == 1
+
     def test_cap(self):
         assert DEFAULT_MAX_N == 12
         with pytest.raises(ValueError, match="above cap 12"):

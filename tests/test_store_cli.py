@@ -369,6 +369,31 @@ class TestCli:
         b = json.loads(out2.read_text())
         assert payload_bytes(a) == payload_bytes(b)
 
+    def test_low_degree_harness_runs_in_one_process(self, tmp_path, pool_builds):
+        out = tmp_path / "lowdeg.json"
+        argv = ["low-degree-harness", "--n-max", "8", "--jobs", "2", "--out", str(out)]
+        assert run_cli(tmp_path, *argv) == 0
+        assert pool_builds == []
+        document = json.loads(out.read_text())
+        assert document["provenance"]["jobs"] == 2
+        assert document["payload"]["status"] == "pass"
+
+    def test_runs_that_never_fork_never_load_the_pool(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        script = (
+            "import sys\n"
+            "import coinvariant.cli\n"
+            "status = coinvariant.cli.run(sys.argv[1:])\n"
+            "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+            "print(status, sorted(loaded))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "verify-flag", "--n", "6", "--jobs", "2",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
