@@ -8,7 +8,7 @@ type consumed largest part first.  Everything is an exact Python int.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 from operator import mul
 from typing import Sequence
@@ -77,13 +77,20 @@ class CharacterTable:
     """Full character table of S_n in canonical partition order.
 
     ``values[i][j]`` is chi of the i-th partition (irreducible) at the j-th
-    partition (conjugacy class).
+    partition (conjugacy class).  The table holds only n and ``values``;
+    ``partitions`` and ``class_sizes`` are derived from n.
     """
 
     n: int
-    partitions: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
-    class_sizes: tuple[int, ...]
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return partitions_of(self.n)
+
+    @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        return tuple(class_size(rho) for rho in self.partitions)
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -121,12 +128,7 @@ def build_character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
     values = tuple(
         tuple(_mn(lam, rho) for rho in parts) for lam in parts
     )
-    table = CharacterTable(
-        n=n,
-        partitions=parts,
-        values=values,
-        class_sizes=tuple(class_size(rho) for rho in parts),
-    )
+    table = CharacterTable(n, values)
     _validate(table)
     return table
 

@@ -17,6 +17,8 @@ from functools import cache
 from math import factorial
 from typing import Iterator
 
+from .errors import NonIntegral
+
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -105,7 +107,8 @@ def dimension(lam: Partition) -> int:
     """Number of standard tableaux of shape ``lam`` (hook length formula)."""
     n = sum(lam)
     dim, rem = divmod(factorial(n), hook_product(lam))
-    assert rem == 0
+    if rem:
+        raise NonIntegral(f"hook product of {format_partition(lam)} does not divide {n}!")
     return dim
 
 
@@ -120,7 +123,8 @@ def centralizer_size(rho: Partition) -> int:
 def class_size(rho: Partition) -> int:
     n = sum(rho)
     size, rem = divmod(factorial(n), centralizer_size(rho))
-    assert rem == 0
+    if rem:
+        raise NonIntegral(f"centralizer size of {format_partition(rho)} does not divide {n}!")
     return size
 
 

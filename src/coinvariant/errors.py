@@ -12,7 +12,9 @@ class NonExactDivision(ArithmeticError):
 
 
 class NonIntegral(ArithmeticError):
-    """A class sum that must be an integer multiple of n! was not."""
+    """A quotient involving n! that must be an integer was not: a class sum
+    that must be a multiple of n!, or n! over a hook product or a
+    centralizer size."""
 
 
 class LimitExceeded(ValueError):

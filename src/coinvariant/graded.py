@@ -19,8 +19,8 @@ The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
-from typing import Iterable, Sequence
 
 from . import memo
 from .characters import CharacterTable, character_table
@@ -98,27 +98,31 @@ def fake_degree_projection(lam: Partition, n: int, table: CharacterTable | None 
 @dataclass(frozen=True)
 class GradedMultiplicityTable:
     """b[lam][i] = multiplicity of V(lam) in the degree-i piece of a graded
-    S_n-representation: the coinvariant ring, or a Springer fiber."""
+    S_n-representation: the coinvariant ring, or a Springer fiber.
+
+    The table holds only n and ``b``, one row per partition in canonical
+    order, each running over degrees 0 .. top; ``partitions``,
+    ``top_degree`` and ``supports`` are derived from them.
+    """
 
     n: int
-    partitions: tuple[Partition, ...]
     b: tuple[tuple[int, ...], ...]
-    supports: tuple[tuple[tuple[int, int], ...], ...]  # per degree: (row, mult)
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[Sequence[int]]) -> GradedMultiplicityTable:
-        """Table of S_n with one row per partition in canonical order, each
-        row running over degrees 0 .. top."""
-        rows = tuple(tuple(row) for row in rows)
-        supports = tuple(
-            tuple((r, row[i]) for r, row in enumerate(rows) if row[i])
-            for i in range(len(rows[0]))
-        )
-        return cls(n=n, partitions=partitions_of(n), b=rows, supports=supports)
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return partitions_of(self.n)
 
     @property
     def top_degree(self) -> int:
-        return len(self.supports) - 1
+        return len(self.b[0]) - 1
+
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per degree: the nonzero (row, multiplicity) pairs."""
+        return tuple(
+            tuple((r, row[i]) for r, row in enumerate(self.b) if row[i])
+            for i in range(len(self.b[0]))
+        )
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -144,8 +148,8 @@ def build_graded_table(n: int) -> GradedMultiplicityTable:
     if n < 1:
         raise ValueError("n must be positive")
     c = top_degree(n)
-    table = GradedMultiplicityTable.from_rows(
-        n, (fake_degree_hook(lam).padded(c + 1) for lam in partitions_of(n))
+    table = GradedMultiplicityTable(
+        n, tuple(fake_degree_hook(lam).padded(c + 1) for lam in partitions_of(n))
     )
     _validate(table)
     return table

@@ -20,7 +20,9 @@ from operator import mul
 
 from . import memo
 from .characters import CharacterTable, character_table
-from .combinatorics import Partition, check_partition, conjugate, dimension, partition_index
+from .combinatorics import (
+    Partition, check_partition, conjugate, dimension, partition_index, partitions_of,
+)
 from .errors import LimitExceeded, NonIntegral
 
 DEFAULT_MAX_N = 12
@@ -43,14 +45,21 @@ def kronecker_coefficient(
 
 @dataclass
 class KroneckerTable:
-    """All g(lam, mu, nu) for one n, stored under sorted index triples."""
+    """All g(lam, mu, nu) for one n, stored under sorted index triples.
+
+    The table holds only n and ``entries`` (plus a memo of pair vectors);
+    ``partitions`` is derived from n.
+    """
 
     n: int
-    partitions: tuple[Partition, ...]
     entries: dict[tuple[int, int, int], int]
     _pair_cache: dict[tuple[int, int], tuple[int, ...]] = field(
         default_factory=dict, repr=False
     )
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return partitions_of(self.n)
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -77,8 +86,7 @@ def build_kronecker_table(n: int, max_n: int = DEFAULT_MAX_N) -> KroneckerTable:
     if not 1 <= n <= max_n:
         raise LimitExceeded(f"Kronecker table size {n} outside [1, {max_n}]")
     table = character_table(n)
-    parts = table.partitions
-    count = len(parts)
+    count = len(table.partitions)
     nfact = factorial(n)
     weighted = [
         [size * v for size, v in zip(table.class_sizes, table.values[a])]
@@ -101,7 +109,7 @@ def build_kronecker_table(n: int, max_n: int = DEFAULT_MAX_N) -> KroneckerTable:
                     raise NonIntegral(f"triple ({a},{b},{c}) sum not divisible by n!")
                 if g:
                     entries[(a, b, c)] = g
-    kron = KroneckerTable(n=n, partitions=parts, entries=entries)
+    kron = KroneckerTable(n, entries)
     if not verify_kronecker_identities(kron):
         raise AssertionError(f"Kronecker identities fail for n={n}")
     return kron

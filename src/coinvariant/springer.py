@@ -38,13 +38,7 @@ from .combinatorics import (
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import ONE, IntPoly, monomial, q_binomial
-from .verify import (
-    LogConcavityReport,
-    ScanReport,
-    d_matrix,
-    d_row,
-    report_from_d_matrix,
-)
+from .verify import LogConcavityReport, ScanReport, d_matrix, d_row
 
 DEFAULT_MAX_N = 12
 
@@ -131,7 +125,7 @@ def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:
             rows.append((0,) * (top + 1))
         else:
             rows.append(poly.mirror(top).padded(top + 1))
-    table = GradedMultiplicityTable.from_rows(n, rows)
+    table = GradedMultiplicityTable(n, tuple(rows))
     _calibrate(table, mu)
     return table
 
@@ -169,7 +163,7 @@ def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
     interior degrees."""
     table = springer_graded_table(mu)
     matrix = d_matrix(table) if table.top_degree >= 2 else {}
-    return report_from_d_matrix(table.n, table.partitions, matrix)
+    return LogConcavityReport(table.n, matrix)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,19 @@
 
 One file ``{kind}-{n}.json`` per table: a one-line JSON header holding the
 sha256 of the table document, then the document itself as one line of
-compact JSON (schema version, canonical partition order, exact decimal
-integers).  The digest covers the stored body bytes, so a body written
-indented by an older version still reads as it is.  A digest mismatch, a
-version mismatch or a file without the header triggers a rebuild, never a
-partial read.  Every write goes to a unique temp file in the same directory
-and is renamed into place, and no file is shared between tables, so
-concurrent runs on one directory never see a half-written file.
+compact JSON with exact decimal integers.  Every document opens with the
+same envelope, ``schema_version``, ``kind``, ``n`` and the canonical
+partitions of n (``_envelope``), followed by the fields of its kind.  A
+table is read back from n and the fields it holds; everything it derives
+(partitions, class sizes) is written for readers of the file only.  The
+digest covers the stored body bytes, so a body written indented by an
+older version still reads as it is.  A digest mismatch, a version
+mismatch, a file without the header or an envelope other than the one
+the file name promises (say ``graded-4`` copied over ``graded-5``)
+triggers a rebuild, never a partial read.  Every write goes to a unique
+temp file in the same directory and is renamed into place, and no file is
+shared between tables, so concurrent runs on one directory never see a
+half-written file.
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -30,7 +36,7 @@ from typing import Callable
 
 from . import __version__, characters, kronecker, memo
 from .characters import CharacterTable, build_character_table
-from .combinatorics import format_partition, parse_partition
+from .combinatorics import format_partition, partitions_of
 from .errors import LimitExceeded
 from .graded import GradedMultiplicityTable, build_graded_table
 from .kronecker import KroneckerTable, build_kronecker_table
@@ -81,57 +87,44 @@ def _digest(data: bytes) -> str:
 # -- table (de)serialization -------------------------------------------------
 
 
-def _char_doc(table: CharacterTable) -> dict:
+def _envelope(kind: str, n: int) -> dict:
+    """The four fields every table document opens with; a file whose own
+    fields differ holds another table than its name promises."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "char",
-        "n": table.n,
-        "partitions": [format_partition(p) for p in table.partitions],
+        "kind": kind,
+        "n": n,
+        "partitions": [format_partition(p) for p in partitions_of(n)],
+    }
+
+
+def _char_doc(table: CharacterTable) -> dict:
+    return {
+        **_envelope("char", table.n),
         "class_sizes": list(table.class_sizes),
         "values": [list(row) for row in table.values],
     }
 
 
 def _char_from_doc(doc: dict) -> CharacterTable:
-    return CharacterTable(
-        n=doc["n"],
-        partitions=tuple(parse_partition(p) for p in doc["partitions"]),
-        values=tuple(tuple(row) for row in doc["values"]),
-        class_sizes=tuple(doc["class_sizes"]),
-    )
+    return CharacterTable(doc["n"], tuple(tuple(row) for row in doc["values"]))
 
 
 def _kron_doc(table: KroneckerTable) -> dict:
     triples = sorted(table.entries.items())
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "kron",
-        "n": table.n,
-        "partitions": [format_partition(p) for p in table.partitions],
-        "entries": [[a, b, c, g] for (a, b, c), g in triples],
-    }
+    return {**_envelope("kron", table.n), "entries": [[a, b, c, g] for (a, b, c), g in triples]}
 
 
 def _kron_from_doc(doc: dict) -> KroneckerTable:
-    return KroneckerTable(
-        n=doc["n"],
-        partitions=tuple(parse_partition(p) for p in doc["partitions"]),
-        entries={(a, b, c): g for a, b, c, g in doc["entries"]},
-    )
+    return KroneckerTable(doc["n"], {(a, b, c): g for a, b, c, g in doc["entries"]})
 
 
 def _graded_doc(table: GradedMultiplicityTable) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "graded",
-        "n": table.n,
-        "partitions": [format_partition(p) for p in table.partitions],
-        "b": [list(row) for row in table.b],
-    }
+    return {**_envelope("graded", table.n), "b": [list(row) for row in table.b]}
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
-    return GradedMultiplicityTable.from_rows(doc["n"], doc["b"])
+    return GradedMultiplicityTable(doc["n"], tuple(tuple(row) for row in doc["b"]))
 
 
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
@@ -187,7 +180,8 @@ class CacheStore:
         return memo.adopt(kind, n, table)
 
     def _read(self, kind: str, n: int, path: Path, from_doc: Callable):
-        """The table in ``path`` if its header digest and schema hold, else None."""
+        """The table in ``path`` if its header digest, schema and envelope
+        hold, else None."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -207,6 +201,10 @@ class CacheStore:
             doc = None
         if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
             log.warning("cache %s-%s has a stale schema; rebuilding", kind, n)
+            return None
+        envelope = _envelope(kind, n)
+        if {key: doc.get(key) for key in envelope} != envelope:
+            log.warning("cache %s-%s holds another table; rebuilding", kind, n)
             return None
         self._digests[(kind, n)] = digest
         return from_doc(doc)

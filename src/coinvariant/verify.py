@@ -21,13 +21,13 @@ Degrees outside [0, top] of a graded table contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 from typing import ClassVar, Iterable, Mapping
 
 from .characters import CharacterTable, character_table
-from .combinatorics import Partition, check_partition, dimension, format_partition
-from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial
+from .combinatorics import Partition, check_partition, dimension, format_partition, partitions_of
+from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial, top_degree
 from .kronecker import KroneckerTable, OnDemandKronecker
 # unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
 # when the bench reads in-tree spans (ROADMAP item 1)
@@ -137,15 +137,39 @@ def d_row(nu: Partition, i: int, d: int) -> dict:
 
 @dataclass(frozen=True)
 class LogConcavityReport(ScanReport):
-    """Full d table of one scan; violations are exactly the d < 0 entries."""
+    """Full d table of one scan.
+
+    The report holds only n and ``matrix``, the d vector over nu in
+    canonical order for each scanned interior degree; ``degrees``,
+    ``entries`` (ordered by nu, then by degree), ``violations`` (exactly
+    the d < 0 entries) and ``min_d`` are derived from it.
+    """
 
     n: int
-    degrees: tuple[int, ...]
-    entries: tuple[tuple[Partition, int, int], ...]  # (nu, i, d)
-    violations: tuple[tuple[Partition, int, int], ...]
-    min_d: int | None
+    matrix: Mapping[int, tuple[int, ...]]
 
     failures = ("violations",)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(sorted(self.matrix))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Partition, int, int], ...]:  # (nu, i, d)
+        degrees = self.degrees
+        return tuple(
+            (nu, i, self.matrix[i][k])
+            for k, nu in enumerate(partitions_of(self.n))
+            for i in degrees
+        )
+
+    @cached_property
+    def violations(self) -> tuple[tuple[Partition, int, int], ...]:
+        return tuple(e for e in self.entries if e[2] < 0)
+
+    @property
+    def min_d(self) -> int | None:
+        return min((d for _, _, d in self.entries), default=None)
 
     def body(self) -> dict:
         return {
@@ -154,27 +178,6 @@ class LogConcavityReport(ScanReport):
             "entries": [d_row(*entry) for entry in self.entries],
             "violations": [d_row(*entry) for entry in self.violations],
         }
-
-
-def report_from_d_matrix(
-    n: int,
-    partitions: tuple[Partition, ...],
-    matrix: Mapping[int, tuple[int, ...]],
-) -> LogConcavityReport:
-    degrees = tuple(sorted(matrix))
-    entries = tuple(
-        (nu, i, matrix[i][k])
-        for k, nu in enumerate(partitions)
-        for i in degrees
-    )
-    violations = tuple(e for e in entries if e[2] < 0)
-    return LogConcavityReport(
-        n=n,
-        degrees=degrees,
-        entries=entries,
-        violations=violations,
-        min_d=min((e[2] for e in entries), default=None),
-    )
 
 
 def low_degree_window(m: int, top: int) -> tuple[int, ...]:
@@ -212,8 +215,7 @@ def verify_flag_log_concavity(
     """Scan d[nu][i] over the coinvariant ring of S_n; pass iff all >= 0."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    table = graded_table(n)
-    return report_from_d_matrix(n, table.partitions, d_matrix(table, degree_filter))
+    return LogConcavityReport(n, d_matrix(graded_table(n), degree_filter))
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +224,18 @@ def verify_flag_log_concavity(
 
 @dataclass(frozen=True)
 class LowDegreeReport(ScanReport):
-    """d checks at degrees m and co-degrees c-m, m <= 3, for every n <= n_max."""
+    """d checks at degrees m and co-degrees c-m, m <= 3, for every n <= n_max;
+    ``violations``, the d < 0 entries, are derived from ``entries``."""
 
     n_max: int
     entries: tuple[tuple[int, Partition, int, int], ...]  # (n, nu, i, d)
-    violations: tuple[tuple[int, Partition, int, int], ...]
     mirror_mismatches: tuple[tuple[int, Partition, int], ...]  # (n, nu, m)
 
     failures = ("violations", "mirror_mismatches")
+
+    @property
+    def violations(self) -> tuple[tuple[int, Partition, int, int], ...]:
+        return tuple(e for e in self.entries if e[3] < 0)
 
     def body(self) -> dict:
         return {
@@ -280,7 +286,6 @@ def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     return LowDegreeReport(
         n_max=n_max,
         entries=tuple(entries),
-        violations=tuple(e for e in entries if e[3] < 0),
         mirror_mismatches=tuple(mismatches),
     )
 
@@ -294,15 +299,24 @@ class UnimodalityReport(ScanReport):
     """Per-nu d sequences over interior degrees with symmetry/unimodality flags.
 
     Symmetry (about the midpoint of [1, c-1]) is a theorem and must hold;
-    unimodality is conjectural, so failures are findings, not errors.
+    unimodality is conjectural, so failures are findings, not errors.  The
+    report holds only n and ``sequences``; both failure tuples are derived.
     """
 
     n: int
     sequences: tuple[tuple[Partition, tuple[int, ...]], ...]
-    symmetric_failures: tuple[Partition, ...]
-    unimodal_failures: tuple[Partition, ...]
 
     failures = ("symmetric_failures", "unimodal_failures")
+
+    @property
+    def symmetric_failures(self) -> tuple[Partition, ...]:
+        # interior degrees run 1..c-1, so the symmetry center is at offset c-2
+        center = top_degree(self.n) - 2
+        return tuple(nu for nu, seq in self.sequences if not symmetric_about(seq, center))
+
+    @property
+    def unimodal_failures(self) -> tuple[Partition, ...]:
+        return tuple(nu for nu, seq in self.sequences if not is_unimodal(seq))
 
     def body(self) -> dict:
         return {
@@ -330,24 +344,8 @@ def check_unimodality_size(n: int) -> None:
 
 def verify_d_unimodality(n: int) -> UnimodalityReport:
     check_unimodality_size(n)
-    report = verify_flag_log_concavity(n)
-    table = graded_table(n)
-    c = table.top_degree
-    by_nu: dict[Partition, list[int]] = {nu: [] for nu in table.partitions}
-    for nu, i, d in report.entries:
-        by_nu[nu].append(d)
-    sequences = tuple((nu, tuple(by_nu[nu])) for nu in table.partitions)
-    # interior degrees run 1..c-1, so the symmetry center is at offset c-2
-    symmetric_failures = tuple(
-        nu for nu, seq in sequences if not symmetric_about(seq, c - 2)
-    )
-    unimodal_failures = tuple(nu for nu, seq in sequences if not is_unimodal(seq))
-    return UnimodalityReport(
-        n=n,
-        sequences=sequences,
-        symmetric_failures=symmetric_failures,
-        unimodal_failures=unimodal_failures,
-    )
+    matrix = d_matrix(graded_table(n))
+    return UnimodalityReport(n, tuple(zip(partitions_of(n), zip(*matrix.values()))))
 
 
 def betti_log_concavity(n: int) -> bool:

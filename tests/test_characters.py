@@ -101,9 +101,7 @@ class TestOrthogonality:
         values[2][3] += 1
         broken = CharacterTable(
             n=table.n,
-            partitions=table.partitions,
             values=tuple(tuple(row) for row in values),
-            class_sizes=table.class_sizes,
         )
         assert not verify_orthogonality(broken)
 
@@ -147,9 +145,7 @@ class TestDecompose:
 def with_values(table: CharacterTable, values) -> CharacterTable:
     return CharacterTable(
         n=table.n,
-        partitions=table.partitions,
         values=tuple(tuple(row) for row in values),
-        class_sizes=table.class_sizes,
     )
 
 

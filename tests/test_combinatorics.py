@@ -1,9 +1,13 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import coinvariant
+from coinvariant import combinatorics
 from coinvariant.characters import character_value
 from coinvariant.combinatorics import (
     charge,
@@ -27,6 +31,7 @@ from coinvariant.combinatorics import (
     partitions_of,
     reading_word,
 )
+from coinvariant.errors import NonIntegral
 from coinvariant.graded import (
     fake_degree_hook,
     fake_degree_projection,
@@ -195,6 +200,31 @@ class TestClassData:
         assert class_sign((1, 1, 1)) == 1
         assert class_sign((2, 1)) == -1
         assert class_sign((3,)) == 1
+
+
+class TestExactQuotients:
+    """n! over a hook product or a centralizer size must be exact, and the
+    check must not vanish under ``python -O``."""
+
+    def test_dimension_raises_on_a_remainder(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "hook_product", lambda lam: 7)
+        with pytest.raises(NonIntegral, match="hook product of 3 does not divide 3!"):
+            dimension((3,))
+
+    def test_class_size_raises_on_a_remainder(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "centralizer_size", lambda rho: 7)
+        with pytest.raises(NonIntegral, match="centralizer size of 2,1 does not divide 3!"):
+            class_size((2, 1))
+
+    def test_package_has_no_assert_statement(self):
+        package = Path(coinvariant.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestNStat:

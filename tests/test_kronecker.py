@@ -95,7 +95,7 @@ class TestTable:
         entries = dict(table.entries)
         key = next(iter(sorted(entries)))
         entries[key] += 1
-        broken = KroneckerTable(n=4, partitions=table.partitions, entries=entries)
+        broken = KroneckerTable(n=4, entries=entries)
         assert not verify_kronecker_identities(broken)
 
     def test_size_cap(self):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import coinvariant
-from coinvariant import cli
+from coinvariant import cli, memo, springer
 from coinvariant.store import (
     CacheStore,
     _char_doc,
@@ -22,6 +23,23 @@ from coinvariant.store import (
 @pytest.fixture
 def store(tmp_path):
     return CacheStore(tmp_path / "cache")
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty process memo for this test; clear it to make the next run
+    use the tables its store reads instead of ones held from earlier."""
+    tables = {}
+    monkeypatch.setattr(memo, "_TABLES", tables)
+    return tables
+
+
+# digests of the n = 4 table files; a change here changes the file format
+GOLDEN_DIGESTS = {
+    "char-4": "sha256:3cf15ab0ecd9d99a29e6164cba9f87eaf2409b37d760007d5c8fbf7bac01d0b1",
+    "graded-4": "sha256:47101346b2af8c92532a4701c00e5d44eab4b29f59c2038b6a318bdaf77ec7b8",
+    "kron-4": "sha256:d1b964f27ea1ec812a16d94e6dbdee6c4175f96ddd11653ae099cd4e4189b673",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -141,6 +159,44 @@ class TestCacheStore:
         assert path.read_bytes() == data and path.stat().st_mtime_ns == stamp
         assert store.digests() == {f"{kind}-6": sha256(body)}
         assert to_doc(table) == to_doc(built)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_table_file_format_is_pinned(self, store, name):
+        kind, n = name.split("-")
+        store.get_or_build(kind, int(n))
+        digest, body = digest_and_body(store.root / f"{name}.json")
+        assert digest == sha256(body) == GOLDEN_DIGESTS[name]
+        assert store.digests() == {name: digest}
+
+    @pytest.mark.parametrize(
+        "target, source",
+        [("graded-5", "graded-4"), ("char-5", "char-4"), ("char-5", "graded-5")],
+        ids=["graded-5-holds-graded-4", "char-5-holds-char-4", "char-5-holds-graded-5"],
+    )
+    def test_file_holding_another_table_rebuilds(
+        self, tmp_path, fresh_memo, caplog, target, source
+    ):
+        # a digest-valid file whose envelope is not the one its name promises
+        commands = [["unimodal", "--n", "5"], ["low-degree-harness", "--n-max", "5"]]
+
+        def payloads(tag):
+            found = []
+            for k, argv in enumerate(commands):
+                out = tmp_path / f"{tag}-{k}.json"
+                assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
+                found.append(payload_bytes(json.loads(out.read_bytes())))
+            return found
+
+        cold = payloads("cold")
+        cache = tmp_path / "cache"
+        true_file = (cache / f"{target}.json").read_bytes()
+        shutil.copy(cache / f"{source}.json", cache / f"{target}.json")
+        fresh_memo.clear()
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            assert payloads("misplaced") == cold
+        # rebuilt once, written back with the true table, then read warm
+        assert caplog.text.count(f"cache {target} holds another table; rebuilding") == 1
+        assert (cache / f"{target}.json").read_bytes() == true_file
 
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
@@ -339,14 +395,43 @@ class TestCli:
         assert "selftest Betti log-concavity: pass" in out.splitlines()
         assert "all suites pass" in out
 
-    def test_warm_and_cold_payloads_identical(self, tmp_path):
-        out1 = tmp_path / "cold.json"
-        out2 = tmp_path / "warm.json"
-        assert run_cli(tmp_path, "verify-flag", "--n", "5", "--out", str(out1)) == 0
-        assert run_cli(tmp_path, "verify-flag", "--n", "5", "--out", str(out2)) == 0
-        cold = json.loads(out1.read_text())
-        warm = json.loads(out2.read_text())
-        assert payload_bytes(cold) == payload_bytes(warm)
+    def test_selftest_reports_a_failing_build_guard(self, tmp_path, capsys, monkeypatch):
+        calibrate = springer._calibrate
+
+        def broken(table, mu):
+            if table.n == 3:
+                raise AssertionError(f"calibration broken for mu={mu}")
+            calibrate(table, mu)
+
+        monkeypatch.setattr(springer, "_calibrate", broken)
+        assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "selftest Kostka-Foulkes calibration: FAIL" in lines
+        assert "selftest Kostka-Foulkes two-route agreement: pass" in lines
+        assert lines[-1] == "selftest: 1 suite(s) FAILED"
+        assert captured.err == (
+            "selftest Kostka-Foulkes calibration: calibration broken for mu=(1, 1, 1)\n"
+        )
+
+    def test_warm_and_cold_payloads_identical(self, tmp_path, fresh_memo):
+        # one test over every scan command, each on its own cache directory;
+        # the warm run uses only the tables it reads back
+        for argv in (
+            ["verify-flag", "--n", "5"],
+            ["unimodal", "--n", "5"],
+            ["low-degree-harness", "--n-max", "6"],
+            ["springer-scan", "--n-max", "7"],
+        ):
+            cache = tmp_path / argv[0]
+            payloads, codes = [], []
+            for run in ("cold", "warm"):
+                fresh_memo.clear()
+                out = tmp_path / f"{argv[0]}-{run}.json"
+                codes.append(cli.run([*argv, "--cache-dir", str(cache), "--out", str(out)]))
+                payloads.append(payload_bytes(json.loads(out.read_text())))
+            assert codes[0] == codes[1] in (0, 2), argv
+            assert payloads[0] == payloads[1], argv
 
     def test_jobs_payloads_identical(self, tmp_path):
         out1 = tmp_path / "j1.json"
