@@ -22,7 +22,7 @@ from .combinatorics import (
     parse_partition,
     partitions_of,
 )
-from .polynomials import IntPoly, sequence_predicates
+from .polynomials import IntPoly
 from .characters import build_character_table, character_table, character_value
 from .graded import (
     build_graded_table,

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import factorial
 
 from . import memo
-from .characters import CharacterTable, character_table
+from .characters import character_table
 from .combinatorics import (
     Partition,
     check_partition,
@@ -80,12 +80,11 @@ def fake_degree_hook(lam: Partition) -> IntPoly:
     return monomial(n_stat(lam)) * poly
 
 
-def fake_degree_projection(lam: Partition, n: int, table: CharacterTable | None = None) -> IntPoly:
+def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
     """Project the graded character onto V(lam): coefficient-wise
     (1/n!) sum_rho class_size(rho) chi_lam(rho) chi(rho, q)."""
     check_partition(lam, n)
-    if table is None:
-        table = character_table(n)
+    table = character_table(n)
     total = IntPoly()
     row = table.row(lam)
     for j, rho in enumerate(table.partitions):

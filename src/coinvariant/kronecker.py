@@ -167,10 +167,6 @@ class OnDemandKronecker:
         default_factory=dict, repr=False
     )
 
-    @property
-    def n(self) -> int:
-        return self.table.n
-
     def coefficient(self, lam: Partition, mu: Partition, nu: Partition) -> int:
         return kronecker_coefficient(lam, mu, nu, self.table)
 

@@ -1,7 +1,7 @@
 """Dense univariate polynomials over the integers, plus q-analog helpers
 ([k]_q, [n]_q!, Gaussian binomials, products of 1 - q^k) and the sequence
-predicates (symmetric / unimodal / log-concave).  Nothing here knows about
-partitions: the q-hook fake degree lives in ``graded``.
+predicates ``symmetric_about``, ``is_unimodal`` and ``is_log_concave``.
+Nothing here knows about partitions: the q-hook fake degree is in ``graded``.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
 exact.  The zero polynomial is the empty coefficient tuple; its degree is
@@ -10,7 +10,6 @@ undefined and operations that need a degree reject it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -188,8 +187,8 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-def monomial(k: int, coeff: int = 1) -> IntPoly:
-    return IntPoly((0,) * k + (coeff,))
+def monomial(k: int) -> IntPoly:
+    return IntPoly((0,) * k + (1,))
 
 
 def q_int(k: int) -> IntPoly:
@@ -260,19 +259,4 @@ def is_log_concave(seq: Sequence[int]) -> bool:
     """a_k^2 >= a_{k-1} * a_{k+1} at every interior index, applied literally."""
     return all(
         seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
-    )
-
-
-@dataclass(frozen=True)
-class SequencePredicates:
-    symmetric: bool
-    unimodal: bool
-    log_concave: bool
-
-
-def sequence_predicates(seq: Sequence[int], center: int) -> SequencePredicates:
-    return SequencePredicates(
-        symmetric=symmetric_about(seq, center),
-        unimodal=is_unimodal(seq),
-        log_concave=is_log_concave(seq),
     )

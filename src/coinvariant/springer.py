@@ -153,17 +153,11 @@ def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
         )
 
 
-def coinvariant_calibration_matches(n: int) -> bool:
-    """Type (1^n) Springer table equals the coinvariant-ring table."""
-    return springer_graded_table((1,) * n).b == graded_table(n).b
-
-
 def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
     """d-scan of the Springer table of type mu; vacuous pass below two
     interior degrees."""
     table = springer_graded_table(mu)
-    matrix = d_matrix(table) if table.top_degree >= 2 else {}
-    return LogConcavityReport(table.n, matrix)
+    return LogConcavityReport(table.n, d_matrix(table))
 
 
 @dataclass(frozen=True)

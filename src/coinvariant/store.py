@@ -10,11 +10,13 @@ table is read back from n and the fields it holds; everything it derives
 digest covers the stored body bytes, so a body written indented by an
 older version still reads as it is.  A digest mismatch, a version
 mismatch, a file without the header or an envelope other than the one
-the file name promises (say ``graded-4`` copied over ``graded-5``)
-triggers a rebuild, never a partial read.  Every write goes to a unique
-temp file in the same directory and is renamed into place, and no file is
-shared between tables, so concurrent runs on one directory never see a
-half-written file.
+the file name promises (say ``graded-4`` copied over ``graded-5``) or a
+body of the wrong shape (a char table needs p(n) rows of p(n) values, a
+graded table p(n) rows of n(n-1)/2 + 1) triggers a rebuild, never a
+partial read.  Every write goes to a unique temp file in the same
+directory and is renamed into place, and no file is shared between
+tables, so concurrent runs on one directory never see a half-written
+file.
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -38,7 +40,7 @@ from . import __version__, characters, kronecker, memo
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, partitions_of
 from .errors import LimitExceeded
-from .graded import GradedMultiplicityTable, build_graded_table
+from .graded import GradedMultiplicityTable, build_graded_table, top_degree
 from .kronecker import KroneckerTable, build_kronecker_table
 
 log = logging.getLogger("coinvariant.store")
@@ -106,8 +108,16 @@ def _char_doc(table: CharacterTable) -> dict:
     }
 
 
+def _rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
+    """``doc[field]`` as p(n) rows of ``width`` values; ValueError otherwise."""
+    rows = tuple(tuple(row) for row in doc[field])
+    if len(rows) != len(partitions_of(doc["n"])) or any(len(row) != width for row in rows):
+        raise ValueError(f"{field} is not p(n) rows of {width} values")
+    return rows
+
+
 def _char_from_doc(doc: dict) -> CharacterTable:
-    return CharacterTable(doc["n"], tuple(tuple(row) for row in doc["values"]))
+    return CharacterTable(doc["n"], _rows(doc, "values", len(partitions_of(doc["n"]))))
 
 
 def _kron_doc(table: KroneckerTable) -> dict:
@@ -124,7 +134,7 @@ def _graded_doc(table: GradedMultiplicityTable) -> dict:
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
-    return GradedMultiplicityTable(doc["n"], tuple(tuple(row) for row in doc["b"]))
+    return GradedMultiplicityTable(doc["n"], _rows(doc, "b", top_degree(doc["n"]) + 1))
 
 
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
@@ -180,8 +190,8 @@ class CacheStore:
         return memo.adopt(kind, n, table)
 
     def _read(self, kind: str, n: int, path: Path, from_doc: Callable):
-        """The table in ``path`` if its header digest, schema and envelope
-        hold, else None."""
+        """The table in ``path`` if its header digest, schema, envelope and
+        body shape hold, else None."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -206,8 +216,13 @@ class CacheStore:
         if {key: doc.get(key) for key in envelope} != envelope:
             log.warning("cache %s-%s holds another table; rebuilding", kind, n)
             return None
+        try:
+            table = from_doc(doc)
+        except (KeyError, TypeError, ValueError):
+            log.warning("cache %s-%s is malformed; rebuilding", kind, n)
+            return None
         self._digests[(kind, n)] = digest
-        return from_doc(doc)
+        return table
 
 
 # -- report documents --------------------------------------------------------

@@ -224,18 +224,28 @@ def verify_flag_log_concavity(
 
 @dataclass(frozen=True)
 class LowDegreeReport(ScanReport):
-    """d checks at degrees m and co-degrees c-m, m <= 3, for every n <= n_max;
-    ``violations``, the d < 0 entries, are derived from ``entries``."""
+    """d checks at degrees m and co-degrees c-m, m <= max_m, for every
+    n <= n_max; ``violations`` (d < 0) and ``mirror_mismatches`` (each
+    (n, nu, m) whose d differs from d[nu][c-m]) are derived from ``entries``."""
 
     n_max: int
+    max_m: int
     entries: tuple[tuple[int, Partition, int, int], ...]  # (n, nu, i, d)
-    mirror_mismatches: tuple[tuple[int, Partition, int], ...]  # (n, nu, m)
 
     failures = ("violations", "mirror_mismatches")
 
-    @property
+    @cached_property
     def violations(self) -> tuple[tuple[int, Partition, int, int], ...]:
         return tuple(e for e in self.entries if e[3] < 0)
+
+    @cached_property
+    def mirror_mismatches(self) -> tuple[tuple[int, Partition, int], ...]:  # (n, nu, m)
+        d = {(n, nu, i): value for n, nu, i, value in self.entries}
+        return tuple(
+            (n, nu, m)
+            for n, nu, m, value in self.entries
+            if m <= self.max_m and value != d[n, nu, top_degree(n) - m]
+        )
 
     def body(self) -> dict:
         return {
@@ -264,30 +274,18 @@ def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     Stability makes n <= 4m sufficient for degree m at every n; the scan
     still runs all n <= n_max as direct evidence, in this process: the
     whole scan is too little work for a worker pool to pay for itself.
+    Co-degree values are computed directly, not mirrored, so the report's
+    check of the duality d[nu][m] == d[nu][c-m] compares two computations.
     """
     check_harness_range(n_max)
     entries = []
-    mismatches = []
     for n in range(2, n_max + 1):
         table = graded_table(n)
-        c = table.top_degree
-        degrees = low_degree_window(max_m, c)
+        degrees = low_degree_window(max_m, table.top_degree)
         matrix = d_matrix(table, degrees)
         for i in degrees:
             entries.extend((n, nu, i, d) for nu, d in zip(table.partitions, matrix[i]))
-        # co-degree values are rechecked directly, then compared with the
-        # duality prediction d[nu][m] == d[nu][c-m]
-        for m in range(1, min(max_m, c - 1) + 1):
-            mismatches.extend(
-                (n, nu, m)
-                for nu, low, high in zip(table.partitions, matrix[m], matrix[c - m])
-                if low != high
-            )
-    return LowDegreeReport(
-        n_max=n_max,
-        entries=tuple(entries),
-        mirror_mismatches=tuple(mismatches),
-    )
+    return LowDegreeReport(n_max, max_m, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from coinvariant.graded import (
 )
 from coinvariant.kronecker import kronecker_coefficient, kronecker_table
 from coinvariant.parallel import default_jobs
-from coinvariant.polynomials import sequence_predicates
+from coinvariant.polynomials import is_log_concave, is_unimodal, symmetric_about
 from coinvariant.springer import kostka_foulkes_poly, springer_graded_table
 from coinvariant.store import payload_bytes
 from coinvariant.verify import verify_flag_log_concavity
@@ -131,11 +131,10 @@ def test_criterion_02_springer_scan(cache_dir, outputs, capsys):
 def test_criterion_03_three_route_fake_degrees(capsys):
     started = time.monotonic()
     for n in range(1, 11):
-        table = character_table(n)
         for lam in partitions_of(n):
             syt = fake_degree_syt(lam)
             assert syt == fake_degree_hook(lam), lam
-            assert syt == fake_degree_projection(lam, n, table), lam
+            assert syt == fake_degree_projection(lam, n), lam
     elapsed = time.monotonic() - started
     with capsys.disabled():
         announce(3, elapsed, "SYT / hook / projection fake degrees agree, n <= 10")
@@ -246,8 +245,8 @@ def test_criterion_08_structural_identities(capsys):
         for i in range(table.top_degree + 1):
             weighted = sum(dims[lam] * table.row(lam)[i] for lam in table.partitions)
             assert weighted == betti[i], (n, i)
-        record = sequence_predicates(betti, table.top_degree)
-        assert record.symmetric and record.unimodal and record.log_concave, n
+        assert symmetric_about(betti, table.top_degree), n
+        assert is_unimodal(betti) and is_log_concave(betti), n
     # the fake-degree rows themselves are not always unimodal; the scan
     # must surface at least one such shape in this range
     assert any(find_nonunimodal_fake_degrees(n) for n in range(1, 13))

@@ -17,7 +17,14 @@ from coinvariant.graded import (
     stabilization_check,
     top_degree,
 )
-from coinvariant.polynomials import ONE, IntPoly, is_unimodal, monomial, sequence_predicates
+from coinvariant.polynomials import (
+    ONE,
+    IntPoly,
+    is_log_concave,
+    is_unimodal,
+    monomial,
+    symmetric_about,
+)
 
 
 class TestGradedCharacter:
@@ -61,8 +68,8 @@ class TestPoincare:
     def test_predicates(self):
         for n in range(1, 13):
             poly = poincare_polynomial(n)
-            record = sequence_predicates(poly.coeffs, poly.degree)
-            assert record.symmetric and record.unimodal and record.log_concave
+            seq = poly.coeffs
+            assert symmetric_about(seq, poly.degree) and is_unimodal(seq) and is_log_concave(seq)
 
 
 class TestFakeDegrees:

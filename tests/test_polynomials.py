@@ -16,7 +16,6 @@ from coinvariant.polynomials import (
     q_binomial,
     q_factorial,
     q_int,
-    sequence_predicates,
     symmetric_about,
 )
 
@@ -164,13 +163,12 @@ class TestQAnalogs:
 
 class TestPredicates:
     def test_examples(self):
-        record = sequence_predicates([1, 2, 2, 1], 3)
-        assert record.symmetric and record.unimodal and record.log_concave
+        seq = [1, 2, 2, 1]
+        assert symmetric_about(seq, 3) and is_unimodal(seq) and is_log_concave(seq)
         assert not is_unimodal([1, 0, 1])
         betti = (IntPoly([1]) * q_int(1) * q_int(2) * q_int(3) * q_int(4)).coeffs
         assert betti == (1, 3, 5, 6, 5, 3, 1)
-        record = sequence_predicates(betti, 6)
-        assert record.symmetric and record.unimodal and record.log_concave
+        assert symmetric_about(betti, 6) and is_unimodal(betti) and is_log_concave(betti)
 
     def test_symmetry_center_matters(self):
         assert symmetric_about([0, 1, 1], 3)

@@ -9,10 +9,10 @@ from coinvariant.combinatorics import (
     n_stat,
     partitions_of,
 )
+from coinvariant.graded import graded_table
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
     DEFAULT_MAX_N,
-    coinvariant_calibration_matches,
     kostka_foulkes_poly,
     kostka_foulkes_poly_by_charge,
     springer_counterexample_search,
@@ -100,7 +100,7 @@ class TestKostkaFoulkes:
 class TestSpringerTable:
     def test_regular_type_matches_coinvariant_ring(self):
         for n in range(1, 8):
-            assert coinvariant_calibration_matches(n)
+            assert springer_graded_table((1,) * n).b == graded_table(n).b
 
     def test_one_row_type_is_trivial_rep(self):
         for n in (2, 4, 6):

@@ -198,6 +198,36 @@ class TestCacheStore:
         assert caplog.text.count(f"cache {target} holds another table; rebuilding") == 1
         assert (cache / f"{target}.json").read_bytes() == true_file
 
+    @pytest.mark.parametrize(
+        "name, malform",
+        [
+            ("graded-6", lambda doc: doc.update(b=doc["b"][:3])),
+            ("char-6", lambda doc: doc.pop("values")),
+            ("char-6", lambda doc: doc.update(values=[row[:5] for row in doc["values"]])),
+        ],
+        ids=["graded-6-short-of-rows", "char-6-without-values", "char-6-short-rows"],
+    )
+    def test_malformed_body_rebuilds(self, tmp_path, fresh_memo, caplog, name, malform):
+        # a digest-valid file with the right envelope but a body of the wrong shape
+        def run(tag):
+            out = tmp_path / f"{tag}.json"
+            assert run_cli(tmp_path, "verify-flag", "--n", "6", "--out", str(out)) == 0
+            return payload_bytes(json.loads(out.read_bytes()))
+
+        cold = run("cold")
+        path = tmp_path / "cache" / f"{name}.json"
+        true_file = path.read_bytes()
+        _, body = digest_and_body(path)
+        doc = json.loads(body)
+        malform(doc)
+        body = json.dumps(doc, separators=(",", ":")).encode()
+        write_table_file(path, sha256(body), body)
+        fresh_memo.clear()
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            assert run("malformed") == cold
+        assert [r.getMessage() for r in caplog.records] == [f"cache {name} is malformed; rebuilding"]
+        assert path.read_bytes() == true_file
+
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
             store.get_or_build("bogus", 3)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinvariant import verify
 from coinvariant.characters import character_table
 from coinvariant.combinatorics import centralizer_size, dimension, partitions_of
 from coinvariant.graded import graded_character_poly, graded_table, top_degree
@@ -179,6 +180,25 @@ class TestLowDegreeHarness:
 
     def test_payload_kind(self):
         assert low_degree_harness(5).payload()["kind"] == "low-degree"
+
+    def test_codegree_mismatch_fails_the_mirror_check(self, monkeypatch):
+        # at n = 5 (c = 10) raise d[(4,1)][9] by one, so it no longer
+        # mirrors d[(4,1)][1] but stays nonnegative
+        compute = verify.d_matrix
+
+        def skewed(table, degrees=None):
+            matrix = compute(table, degrees)
+            if table.n == 5:
+                row = table.index((4, 1))
+                matrix[9] = tuple(d + (k == row) for k, d in enumerate(matrix[9]))
+            return matrix
+
+        monkeypatch.setattr(verify, "d_matrix", skewed)
+        report = low_degree_harness(6)
+        assert report.mirror_mismatches == ((5, (4, 1), 1),)
+        assert report.violations == ()
+        assert report.status == "fail"
+        assert report.payload()["mirror_mismatches"] == [{"n": 5, "nu": "4,1", "m": 1}]
 
 
 class TestUnimodality:
