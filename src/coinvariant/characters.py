@@ -25,9 +25,7 @@ from .combinatorics import (
     partition_index,
     partitions_of,
 )
-from .errors import LimitExceeded, NonIntegral
-
-DEFAULT_MAX_N = 14
+from .errors import NonIntegral
 
 
 @cache
@@ -120,10 +118,10 @@ class CharacterTable:
         return mult
 
 
-def build_character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
+def build_character_table(n: int) -> CharacterTable:
     """Compute, validate, and return the character table of S_n."""
-    if not 1 <= n <= max_n:
-        raise LimitExceeded(f"character table size {n} outside [1, {max_n}]")
+    if n < 1:
+        raise ValueError("n must be positive")
     parts = partitions_of(n)
     values = tuple(
         tuple(_mn(lam, rho) for rho in parts) for lam in parts

@@ -21,7 +21,11 @@ from .combinatorics import (
 )
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
-from .store import DEFAULT_CAPS, CacheStore, check_cap, report_document, write_report
+from .store import CacheStore, report_document, write_report
+
+# every size cap, here only: the library builds any table and runs any sweep
+# it is asked for.  Table sizes must lie in [1, cap]; "springer" caps n_max.
+CAPS = {"char": 14, "kron": 12, "springer": 12}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -44,7 +48,8 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=None,
-        help="raise the built-in table size caps to N",
+        help="raise the built-in size caps (character and Kronecker tables, "
+        "the springer-scan sweep) to N; never lowers them",
     )
     return common
 
@@ -131,23 +136,24 @@ def _store(args) -> CacheStore:
     return CacheStore(Path(args.cache_dir)) if args.cache_dir else CacheStore()
 
 
-def _cap(args, default: int) -> int:
-    """A built-in size cap, raised (never lowered) by ``--max-n-override``."""
-    return default if args.max_n_override is None else max(default, args.max_n_override)
+def _cap(args, kind: str) -> int:
+    """The size cap of ``kind``, raised (never lowered) by ``--max-n-override``."""
+    return max(CAPS[kind], args.max_n_override or 0)
 
 
 def _seed(store: CacheStore, args, *requests) -> None:
-    """Load or build the tables of every ``(kind, ns)`` request, honouring
-    ``--max-n-override`` for kinds with a size cap.  Every size is checked
-    against its cap first, so a refused run touches no table file."""
-    plan = []
+    """Load or build the tables of every ``(kind, ns)`` request.  Every size
+    of a capped kind is checked first, whether or not its file is cached, so
+    a refused run touches no table file; graded tables have no cap and are
+    always requested with char tables of the same sizes."""
     for kind, ns in requests:
-        caps = {"max_n": _cap(args, DEFAULT_CAPS[kind])} if kind in DEFAULT_CAPS else {}
+        cap = _cap(args, kind) if kind in CAPS else None
         for n in ns:
-            check_cap(kind, n, caps)
-            plan.append((kind, n, caps))
-    for kind, n, caps in plan:
-        store.get_or_build(kind, n, **caps)
+            if cap is not None and not 1 <= n <= cap:
+                raise LimitExceeded(f"{kind} table size {n} outside [1, {cap}]")
+    for kind, ns in requests:
+        for n in ns:
+            store.get_or_build(kind, n)
 
 
 def _finish(args, store: CacheStore, command: str, parameters: dict, report, lines) -> int:
@@ -223,11 +229,13 @@ def cmd_low_degree(args) -> int:
 def cmd_springer_scan(args) -> int:
     n_max = args.n_max
     store = _store(args)
-    cap = _cap(args, springer.DEFAULT_MAX_N)
-    springer.check_scan_range(n_max, max_n=cap)
+    cap = _cap(args, "springer")
+    if n_max > cap:
+        raise ValueError(f"n_max {n_max} above cap {cap}; raise the cap explicitly to go higher")
+    springer.check_scan_range(n_max)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
-    report = springer.springer_counterexample_search(n_max, jobs=args.jobs, max_n=cap)
+    report = springer.springer_counterexample_search(n_max, jobs=args.jobs)
     lines = [
         f"springer-scan n_max={n_max} "
         f"counterexamples={len(report.counterexamples)} status={report.status}"

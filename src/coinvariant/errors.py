@@ -18,4 +18,5 @@ class NonIntegral(ArithmeticError):
 
 
 class LimitExceeded(ValueError):
-    """A table was requested above its configured size cap."""
+    """The command line was asked for a table above its size cap; the
+    library itself has no caps."""

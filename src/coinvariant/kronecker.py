@@ -23,9 +23,7 @@ from .characters import CharacterTable, character_table
 from .combinatorics import (
     Partition, check_partition, conjugate, dimension, partition_index, partitions_of,
 )
-from .errors import LimitExceeded, NonIntegral
-
-DEFAULT_MAX_N = 12
+from .errors import NonIntegral
 
 
 def kronecker_coefficient(
@@ -81,10 +79,10 @@ class KroneckerTable:
         return cached
 
 
-def build_kronecker_table(n: int, max_n: int = DEFAULT_MAX_N) -> KroneckerTable:
+def build_kronecker_table(n: int) -> KroneckerTable:
     """Bulk class sums over sorted triples; zero entries are not stored."""
-    if not 1 <= n <= max_n:
-        raise LimitExceeded(f"Kronecker table size {n} outside [1, {max_n}]")
+    if n < 1:
+        raise ValueError("n must be positive")
     table = character_table(n)
     count = len(table.partitions)
     nfact = factorial(n)

@@ -1,9 +1,9 @@
 """The one process-wide memo of exact tables, keyed by (kind, n).
 
-Library lookups build a missing table on first use; a cache store adopts
-every table it reads or builds, so a table seeded above a default size cap
-reaches later library calls.  Only the Springer sweep forks a worker
-pool, and its workers inherit the memo.
+Library lookups build a missing table on first use, at any n; a cache
+store adopts every table it reads or builds, so later library calls use
+the table the store holds.  Only the Springer sweep forks a worker pool,
+and its workers inherit the memo.
 """
 
 from __future__ import annotations

@@ -40,8 +40,6 @@ from .parallel import parallel_map
 from .polynomials import ONE, IntPoly, monomial, q_binomial
 from .verify import LogConcavityReport, ScanReport, d_matrix, d_row
 
-DEFAULT_MAX_N = 12
-
 
 @cache
 def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
@@ -191,12 +189,8 @@ def _scan_one_type(mu: Partition) -> tuple[Partition, tuple]:
     return mu, report.violations
 
 
-def check_scan_range(n_max: int, max_n: int = DEFAULT_MAX_N) -> None:
+def check_scan_range(n_max: int) -> None:
     """ValueError unless [1, n_max] is a range the search can scan."""
-    if n_max > max_n:
-        raise ValueError(
-            f"n_max {n_max} above cap {max_n}; raise the cap explicitly to go higher"
-        )
     if n_max < 3:
         raise ValueError(
             f"n range [1, {n_max}] has no type with an interior degree; "
@@ -204,16 +198,15 @@ def check_scan_range(n_max: int, max_n: int = DEFAULT_MAX_N) -> None:
         )
 
 
-def springer_counterexample_search(
-    n_max: int, jobs: int = 1, max_n: int = DEFAULT_MAX_N
-) -> SpringerScanReport:
+def springer_counterexample_search(n_max: int, jobs: int = 1) -> SpringerScanReport:
     """All types mu with |mu| <= n_max whose Springer representation fails
-    equivariant log-concavity, grouped by n in canonical order.  The
-    character tables are warmed first, so forked workers inherit them; then
-    one pool scans every type, and each worker keeps its Kostka-Foulkes
-    memo across n.
+    equivariant log-concavity, grouped by n in canonical order.  Any
+    n_max >= 3 is scanned; the cost grows about 4x per step in n, and the
+    command line caps it.  The character tables are warmed first, so forked
+    workers inherit them; then one pool scans every type, and each worker
+    keeps its Kostka-Foulkes memo across n.
     """
-    check_scan_range(n_max, max_n)
+    check_scan_range(n_max)
     for n in range(2, n_max + 1):
         character_table(n)
     types = [mu for n in range(1, n_max + 1) for mu in partitions_of(n)]

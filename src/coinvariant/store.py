@@ -11,12 +11,13 @@ digest covers the stored body bytes, so a body written indented by an
 older version still reads as it is.  A digest mismatch, a version
 mismatch, a file without the header or an envelope other than the one
 the file name promises (say ``graded-4`` copied over ``graded-5``) or a
-body of the wrong shape (a char table needs p(n) rows of p(n) values, a
-graded table p(n) rows of n(n-1)/2 + 1) triggers a rebuild, never a
-partial read.  Every write goes to a unique temp file in the same
-directory and is renamed into place, and no file is shared between
-tables, so concurrent runs on one directory never see a half-written
-file.
+body of the wrong shape (a char table needs p(n) rows of p(n) ints, a
+graded table p(n) rows of n(n-1)/2 + 1 ints, a kron table distinct
+entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and g > 0)
+triggers a rebuild, never a partial read.  Every write goes to a unique
+temp file in the same directory and is renamed into place, and no file
+is shared between tables, so concurrent runs on one directory never see
+a half-written file.  Any n >= 1 is stored; size caps belong to the CLI.
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -33,13 +34,13 @@ import logging
 import os
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, characters, kronecker, memo
+from . import __version__, memo
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, partitions_of
-from .errors import LimitExceeded
 from .graded import GradedMultiplicityTable, build_graded_table, top_degree
 from .kronecker import KroneckerTable, build_kronecker_table
 
@@ -109,10 +110,12 @@ def _char_doc(table: CharacterTable) -> dict:
 
 
 def _rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
-    """``doc[field]`` as p(n) rows of ``width`` values; ValueError otherwise."""
+    """``doc[field]`` as p(n) rows of ``width`` ints; ValueError otherwise."""
     rows = tuple(tuple(row) for row in doc[field])
     if len(rows) != len(partitions_of(doc["n"])) or any(len(row) != width for row in rows):
         raise ValueError(f"{field} is not p(n) rows of {width} values")
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        raise ValueError(f"{field} holds a value that is not an int")
     return rows
 
 
@@ -126,7 +129,17 @@ def _kron_doc(table: KroneckerTable) -> dict:
 
 
 def _kron_from_doc(doc: dict) -> KroneckerTable:
-    return KroneckerTable(doc["n"], {(a, b, c): g for a, b, c, g in doc["entries"]})
+    """Distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n)
+    and g > 0; ValueError otherwise."""
+    count = len(partitions_of(doc["n"]))
+    entries = {(a, b, c): g for a, b, c, g in doc["entries"]}
+    if (
+        len(entries) != len(doc["entries"])
+        or set(map(type, chain(*entries, entries.values()))) != {int}
+        or not all(0 <= a <= b <= c < count and g > 0 for (a, b, c), g in entries.items())
+    ):
+        raise ValueError(f"entries are not distinct [a, b, c, g] ints in [0, {count}), g > 0")
+    return KroneckerTable(doc["n"], entries)
 
 
 def _graded_doc(table: GradedMultiplicityTable) -> dict:
@@ -143,17 +156,6 @@ _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "graded": (build_graded_table, _graded_doc, _graded_from_doc),
 }
 
-DEFAULT_CAPS = {"char": characters.DEFAULT_MAX_N, "kron": kronecker.DEFAULT_MAX_N}
-
-
-def check_cap(kind: str, n: int, build_kwargs: dict) -> None:
-    """Size caps hold whether the table is built or read back warm."""
-    cap = build_kwargs.get("max_n", DEFAULT_CAPS.get(kind))
-    if cap is not None and not 1 <= n <= cap:
-        raise LimitExceeded(f"{kind} table size {n} outside [1, {cap}]")
-    if cap is None and n < 1:
-        raise LimitExceeded(f"{kind} table size {n} must be positive")
-
 
 class CacheStore:
     """Digest-checked table cache rooted at one directory."""
@@ -167,7 +169,7 @@ class CacheStore:
         """kind-n -> digest map for report provenance."""
         return {f"{kind}-{n}": d for (kind, n), d in sorted(self._digests.items())}
 
-    def get_or_build(self, kind: str, n: int, **build_kwargs):
+    def get_or_build(self, kind: str, n: int):
         """Digest-valid cached table, else build + validate + persist.
 
         Either way the table is adopted into the process memo, which never
@@ -175,12 +177,11 @@ class CacheStore:
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown cache kind {kind!r}")
-        check_cap(kind, n, build_kwargs)
         builder, to_doc, from_doc = _KINDS[kind]
         path = self.root / f"{kind}-{n}.json"
         table = self._read(kind, n, path, from_doc)
         if table is None:
-            table = builder(n, **build_kwargs)
+            table = builder(n)
             body = json.dumps(to_doc(table), separators=(",", ":")).encode()
             digest = _digest(body)
             self.root.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from coinvariant.combinatorics import (
     dimension,
     partitions_of,
 )
-from coinvariant.errors import LimitExceeded, NonIntegral
+from coinvariant.errors import NonIntegral
 
 
 class TestCharacterValue:
@@ -78,12 +78,11 @@ class TestBuildTable:
         assert len(table.values) == 77
         assert all(len(row) == 77 for row in table.values)
 
-    def test_size_cap(self):
-        with pytest.raises(LimitExceeded):
-            build_character_table(15)
-        with pytest.raises(LimitExceeded):
-            build_character_table(5, max_n=4)
-        assert build_character_table(5, max_n=5).n == 5
+    def test_size_must_be_positive(self):
+        # the builder has no size cap; the command line holds the caps
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                build_character_table(n)
 
 
 class TestOrthogonality:

@@ -9,7 +9,6 @@ from coinvariant.combinatorics import (
     dimension,
     partitions_of,
 )
-from coinvariant.errors import LimitExceeded
 from coinvariant.kronecker import (
     KroneckerTable,
     OnDemandKronecker,
@@ -98,11 +97,11 @@ class TestTable:
         broken = KroneckerTable(n=4, entries=entries)
         assert not verify_kronecker_identities(broken)
 
-    def test_size_cap(self):
-        with pytest.raises(LimitExceeded):
-            build_kronecker_table(13)
-        with pytest.raises(LimitExceeded):
-            build_kronecker_table(5, max_n=4)
+    def test_size_must_be_positive(self):
+        # the builder has no size cap; the command line holds the caps
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                build_kronecker_table(n)
 
     def test_bulk_build_at_cap(self):
         # 77^3 logical entries, reduced to sorted triples; identities are

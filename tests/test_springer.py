@@ -12,7 +12,6 @@ from coinvariant.combinatorics import (
 from coinvariant.graded import graded_table
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
-    DEFAULT_MAX_N,
     kostka_foulkes_poly,
     kostka_foulkes_poly_by_charge,
     springer_counterexample_search,
@@ -179,10 +178,10 @@ class TestCounterexampleSearch:
         assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
         assert len(pool_builds) == 1
 
-    def test_cap(self):
-        assert DEFAULT_MAX_N == 12
-        with pytest.raises(ValueError, match="above cap 12"):
-            springer_counterexample_search(13)
+    def test_scan_range_needs_an_interior_degree(self):
+        # the sweep has no size cap; the command line holds it
+        with pytest.raises(ValueError, match="n_max must be at least 3"):
+            springer_counterexample_search(2)
 
     def test_payload_shape(self):
         payload = springer_counterexample_search(7).payload()

@@ -204,12 +204,28 @@ class TestCacheStore:
             ("graded-6", lambda doc: doc.update(b=doc["b"][:3])),
             ("char-6", lambda doc: doc.pop("values")),
             ("char-6", lambda doc: doc.update(values=[row[:5] for row in doc["values"]])),
+            ("char-6", lambda doc: doc["values"][0].__setitem__(0, "1")),
+            ("char-6", lambda doc: doc["values"][0].__setitem__(0, True)),
+            ("graded-6", lambda doc: doc["b"][0].__setitem__(0, 1.0)),
+            ("kron-5", lambda doc: doc.update(entries=doc["entries"][:-3] + [[0, 0, 99, 1]])),
+            ("kron-5", lambda doc: doc["entries"][0].pop()),
+            ("kron-5", lambda doc: doc["entries"][0].__setitem__(3, 0)),
+            ("kron-5", lambda doc: doc["entries"].append([0, 0, 0, 2])),
         ],
-        ids=["graded-6-short-of-rows", "char-6-without-values", "char-6-short-rows"],
+        ids=[
+            "graded-6-short-of-rows", "char-6-without-values", "char-6-short-rows",
+            "char-6-string-value", "char-6-bool-value", "graded-6-float-value",
+            "kron-5-index-out-of-range", "kron-5-three-field-entry", "kron-5-zero-coefficient",
+            "kron-5-duplicate-entry",
+        ],
     )
-    def test_malformed_body_rebuilds(self, tmp_path, fresh_memo, caplog, name, malform):
-        # a digest-valid file with the right envelope but a body of the wrong shape
+    def test_malformed_body_rebuilds(self, tmp_path, fresh_memo, caplog, capsys, name, malform):
+        # a digest-valid file with the right envelope but a body of the wrong
+        # shape; selftest reads the kron tables that verify-flag never needs
         def run(tag):
+            if name.startswith("kron"):
+                assert run_cli(tmp_path, "selftest", "--n-max", "5") == 0
+                return capsys.readouterr().out
             out = tmp_path / f"{tag}.json"
             assert run_cli(tmp_path, "verify-flag", "--n", "6", "--out", str(out)) == 0
             return payload_bytes(json.loads(out.read_bytes()))
@@ -231,14 +247,6 @@ class TestCacheStore:
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
             store.get_or_build("bogus", 3)
-
-    def test_cap_enforced_even_on_warm_cache(self, store):
-        from coinvariant.errors import LimitExceeded
-
-        store.get_or_build("kron", 4, max_n=4)
-        with pytest.raises(LimitExceeded):
-            store.get_or_build("kron", 4, max_n=3)
-        assert store.get_or_build("kron", 4).n == 4
 
     def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "viaenv"))
@@ -385,6 +393,22 @@ class TestCli:
         assert run_cli(tmp_path, *argv) == 1
         assert capsys.readouterr().err == error + "\n"
         assert list(cache.iterdir()) == []
+
+    def test_max_n_override_raises_a_cap_and_a_warm_cache_keeps_it(self, tmp_path, capsys):
+        argv = ["kronecker", "--n", "15", "--lambda", "15", "--mu", "15", "--nu", "15"]
+        refusal = "error [LimitExceeded]: char table size 15 outside [1, 14]\n"
+        assert run_cli(tmp_path, *argv) == 1
+        assert capsys.readouterr().err == refusal
+        assert run_cli(tmp_path, *argv, "--max-n-override", "15") == 0
+        assert capsys.readouterr().out == "1\n"
+        assert (tmp_path / "cache" / "char-15.json").exists()
+        # the table is cached now, and the cap still holds without the flag
+        assert run_cli(tmp_path, *argv) == 1
+        assert capsys.readouterr() == ("", refusal)
+
+    def test_max_n_override_never_lowers_a_cap(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "verify-flag", "--n", "5", "--max-n-override", "3") == 0
+        assert "status=pass" in capsys.readouterr().out
 
     def test_unimodal_above_kronecker_cap(self, tmp_path, capsys):
         assert run_cli(tmp_path, "unimodal", "--n", "13") == 0
