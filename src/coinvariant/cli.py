@@ -21,7 +21,7 @@ from .combinatorics import (
 )
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
-from .store import CacheStore, report_document, write_report
+from .store import CacheStore, check_report_path, report_document, write_report
 
 # every size cap, here only: the library builds any table and runs any sweep
 # it is asked for.  Table sizes must lie in [1, cap]; "springer" caps n_max.
@@ -233,6 +233,8 @@ def cmd_springer_scan(args) -> int:
     if n_max > cap:
         raise ValueError(f"n_max {n_max} above cap {cap}; raise the cap explicitly to go higher")
     springer.check_scan_range(n_max)
+    if args.out:
+        check_report_path(Path(args.out), has_entries=False)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs)

@@ -41,7 +41,6 @@ from .polynomials import (
     IntPoly,
     is_unimodal,
     monomial,
-    one_minus_q_power,
     one_minus_q_product,
     q_factorial as poincare_polynomial,
 )
@@ -53,11 +52,12 @@ def top_degree(n: int) -> int:
 
 def graded_character_poly(n: int, rho: Partition) -> IntPoly:
     """Graded character at a class of cycle type rho:
-    prod_{i<=n} (1 - q^i) / prod_j (1 - q^{rho_j}).  Exact by construction."""
+    prod_{i<=n} (1 - q^i) / prod_j (1 - q^{rho_j}), one division by
+    1 - q^part per cycle.  Exact by construction."""
     check_partition(rho, n)
     poly = one_minus_q_product(n)
     for part in rho:
-        poly = poly.divide_exact(one_minus_q_power(part))
+        poly = poly.divide_one_minus_q_power(part)
     return poly
 
 
@@ -72,11 +72,12 @@ def fake_degree_syt(lam: Partition) -> IntPoly:
 
 def fake_degree_hook(lam: Partition) -> IntPoly:
     """q^{n(lam)} [n]_q! / prod over cells [hook]_q, as q^{n(lam)}
-    prod_{i<=n} (1 - q^i) / prod over cells (1 - q^hook): both quotients
-    carry n factors of (1 - q).  Exact by the hook theorem."""
+    prod_{i<=n} (1 - q^i) / prod over cells (1 - q^hook), one division by
+    1 - q^hook per cell: both quotients carry n factors of (1 - q).  Exact
+    by the hook theorem."""
     poly = one_minus_q_product(sum(lam))
     for h in sorted(hook_lengths(lam), reverse=True):
-        poly = poly.divide_exact(one_minus_q_power(h))
+        poly = poly.divide_one_minus_q_power(h)
     return monomial(n_stat(lam)) * poly
 
 

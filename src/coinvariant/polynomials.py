@@ -6,6 +6,10 @@ Nothing here knows about partitions: the q-hook fake degree is in ``graded``.
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
 exact.  The zero polynomial is the empty coefficient tuple; its degree is
 undefined and operations that need a degree reject it.
+
+The one polynomial division is by 1 - q^k (``divide_one_minus_q_power``),
+the only divisor the engine's quotients of prod_{i<=n} (1 - q^i) need; a
+remainder raises ``NonExactDivision``.
 """
 
 from __future__ import annotations
@@ -92,42 +96,23 @@ class IntPoly:
     def scale(self, k: int) -> "IntPoly":
         return IntPoly(k * c for c in self.coeffs)
 
-    def divide_exact(self, den: "IntPoly") -> "IntPoly":
-        """Quotient q with q*den == self exactly; NonExactDivision otherwise.
+    def divide_one_minus_q_power(self, k: int) -> "IntPoly":
+        """Quotient q with q*(1 - q^k) == self exactly; NonExactDivision
+        otherwise, ValueError for k < 1.
 
-        Long division over the divisor's nonzero terms only; a unit leading
-        coefficient needs no divmod.
+        One pass from low degree up, q_j = p_j + q_(j-k).  The top k values
+        of that pass are the coefficients the quotient would need above
+        degree deg(p) - k; since the quotient in Z[q] is unique, it exists
+        exactly when they are all zero.
         """
-        if den.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return IntPoly()
-        rem = list(self.coeffs)
-        dc = den.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        if len(rem) - 1 < dd:
-            raise NonExactDivision(f"degree {len(rem)-1} < divisor degree {dd}")
-        lower = [(j, c) for j, c in enumerate(dc[:-1]) if c]
-        out = [0] * (len(rem) - dd)
-        for k in range(len(out) - 1, -1, -1):
-            top = rem[k + dd]
-            if lead == 1:
-                q = top
-            elif lead == -1:
-                q = -top
-            else:
-                q, r = divmod(top, lead)
-                if r:
-                    raise NonExactDivision("leading coefficient does not divide")
-            if q:
-                out[k] = q
-                for j, c in lower:
-                    rem[k + j] -= q * c
-        # rem[dd:] is cancelled by the leading terms; the remainder is below
-        if any(rem[:dd]):
-            raise NonExactDivision("nonzero remainder")
-        return IntPoly(out)
+        if k < 1:
+            raise ValueError(f"1 - q^k needs k >= 1, got {k}")
+        out = list(self.coeffs)
+        for j in range(k, len(out)):
+            out[j] += out[j - k]
+        if any(out[-k:]):
+            raise NonExactDivision(f"nonzero remainder dividing by 1 - q^{k}")
+        return IntPoly(out[:-k])
 
     def scalar_divide_exact(self, k: int) -> "IntPoly":
         """Coefficient-wise division by the integer ``k``; must be exact."""

@@ -262,20 +262,27 @@ def report_document(
     }
 
 
+def check_report_path(path: Path, has_entries: bool) -> None:
+    """Refuse a .csv ``path`` for a report without entry rows: CSV holds
+    only those rows.  A command whose report never has them calls this
+    before it reads or writes any table."""
+    if path.suffix.lower() == ".csv" and not has_entries:
+        raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
+
+
 def write_report(path: Path, document: dict) -> None:
     """JSON by default; entries-only CSV when the suffix is .csv, which
     needs a payload with entry rows."""
     path = Path(path)
+    payload = document["payload"]
+    check_report_path(path, "entries" in payload)
     if path.suffix.lower() == ".csv":
-        _atomic_write(path, _csv_bytes(document["payload"]))
+        _atomic_write(path, _csv_bytes(payload["entries"]))
     else:
         _atomic_write(path, _json_bytes(document))
 
 
-def _csv_bytes(payload: dict) -> bytes:
-    if "entries" not in payload:
-        raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
-    entries = payload["entries"]
+def _csv_bytes(entries: list[dict]) -> bytes:
     columns: list[str] = []
     for entry in entries:
         for key in entry:

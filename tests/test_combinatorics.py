@@ -226,6 +226,31 @@ class TestExactQuotients:
         ]
         assert found == []
 
+    def test_package_imports_no_unused_name(self):
+        # a name is used if it appears as an ast.Name, which covers the base
+        # of every attribute chain and every annotation
+        allowed = {
+            # perfbench/traced.py wraps verify.parallel_map (ROADMAP item 1)
+            ("verify.py", "parallel_map"),
+        }
+        package = Path(coinvariant.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and (path.name, name) not in allowed:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []
+
 
 class TestNStat:
     def test_examples(self):

@@ -349,20 +349,35 @@ class TestCli:
         assert repr(str(out)) in err
         assert ".tmp" not in err
 
-    def test_csv_export(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, header, rows",
+        [
+            # five partitions of 4, five interior degrees
+            (["verify-flag", "--n", "4"], "nu,i,d", 5 * 5),
+            (["unimodal", "--n", "4"], "nu,i,d", 5 * 5),
+            # the degree <= 3 and co-degree window is empty for n = 2, 1..2
+            # for n = 3 (three partitions), 1..5 for n = 4 (five partitions)
+            (["low-degree-harness", "--n-max", "4"], "n,nu,i,d", 31),
+        ],
+        ids=["verify-flag", "unimodal", "low-degree-harness"],
+    )
+    def test_csv_export(self, tmp_path, argv, header, rows):
         out = tmp_path / "report.csv"
-        assert run_cli(tmp_path, "unimodal", "--n", "4", "--out", str(out)) == 0
+        assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "nu,i,d"
-        # five partitions of 4, five interior degrees
-        assert len(lines) == 1 + 5 * 5
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
 
     def test_csv_export_without_entries_is_refused(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
         out = tmp_path / "scan.csv"
         assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: this report has no entry rows to export as CSV; write JSON instead\n"
+        )
         assert not out.exists()
+        assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("n_max", ["13", "20"])
     def test_springer_scan_above_cap(self, tmp_path, capsys, n_max):
