@@ -14,8 +14,8 @@ from . import characters, graded, kronecker, springer, verify
 from .combinatorics import (
     check_partition,
     conjugate,
-    enumerate_ssyt,
     format_partition,
+    kostka_number,
     parse_partition,
     partitions_of,
 )
@@ -115,6 +115,8 @@ def run(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if getattr(args, "out", None):
+            check_report_path(Path(args.out), has_entries=args.command != "springer-scan")
         return args.func(args)
     except (NonExactDivision, NonIntegral, LimitExceeded) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
@@ -233,8 +235,6 @@ def cmd_springer_scan(args) -> int:
     if n_max > cap:
         raise ValueError(f"n_max {n_max} above cap {cap}; raise the cap explicitly to go higher")
     springer.check_scan_range(n_max)
-    if args.out:
-        check_report_path(Path(args.out), has_entries=False)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
     report = springer.springer_counterexample_search(n_max, jobs=args.jobs)
@@ -294,9 +294,7 @@ def cmd_selftest(args) -> int:
     def kostka_foulkes_calibrated(lam, mu) -> bool:
         """K(lam, mu)(0) is delta(lam, mu) and K(lam, mu)(1) counts SSYT(lam, mu)."""
         poly = springer.kostka_foulkes_poly(lam, mu)
-        return poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == sum(
-            1 for _ in enumerate_ssyt(lam, mu)
-        )
+        return poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == kostka_number(lam, mu)
 
     # springer_graded_table raises unless type (1^n) is the coinvariant ring
     check("Kostka-Foulkes calibration", lambda: all(

@@ -8,7 +8,7 @@ never a recoverable condition, so the errors below are loud and specific.
 
 
 class NonExactDivision(ArithmeticError):
-    """A polynomial or coefficient-wise division left a remainder."""
+    """A polynomial division by 1 - q^k left a remainder."""
 
 
 class NonIntegral(ArithmeticError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 
 from . import memo
 from .characters import character_table
@@ -82,17 +81,14 @@ def fake_degree_hook(lam: Partition) -> IntPoly:
 
 
 def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
-    """Project the graded character onto V(lam): coefficient-wise
-    (1/n!) sum_rho class_size(rho) chi_lam(rho) chi(rho, q)."""
+    """Project the graded character onto V(lam): the q^i coefficient is
+    ``CharacterTable.multiplicity`` of rho -> [q^i] chi(rho, q) at lam, an
+    exact class sum (NonIntegral on a remainder)."""
     check_partition(lam, n)
     table = character_table(n)
-    total = IntPoly()
-    row = table.row(lam)
-    for j, rho in enumerate(table.partitions):
-        value = row[j] * table.class_sizes[j]
-        if value:
-            total = total + graded_character_poly(n, rho).scale(value)
-    return total.scalar_divide_exact(factorial(n))
+    c = top_degree(n)
+    chis = [graded_character_poly(n, rho).padded(c + 1) for rho in table.partitions]
+    return IntPoly(table.multiplicity(column, lam) for column in zip(*chis))
 
 
 @dataclass(frozen=True)

@@ -114,16 +114,6 @@ class IntPoly:
             raise NonExactDivision(f"nonzero remainder dividing by 1 - q^{k}")
         return IntPoly(out[:-k])
 
-    def scalar_divide_exact(self, k: int) -> "IntPoly":
-        """Coefficient-wise division by the integer ``k``; must be exact."""
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, k)
-            if r:
-                raise NonExactDivision(f"coefficient {c} not divisible by {k}")
-            out.append(q)
-        return IntPoly(out)
-
     def mirror(self, c: int) -> "IntPoly":
         """Coefficient reversal about degree ``c``: q^c * p(1/q).
 

@@ -27,6 +27,7 @@ provenance: payloads produced from the same inputs are byte-identical.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -263,9 +264,12 @@ def report_document(
 
 
 def check_report_path(path: Path, has_entries: bool) -> None:
-    """Refuse a .csv ``path`` for a report without entry rows: CSV holds
-    only those rows.  A command whose report never has them calls this
-    before it reads or writes any table."""
+    """Refuse a report ``path`` in a directory that does not exist, or a
+    .csv ``path`` for a report without entry rows (CSV holds only those
+    rows).  The command line calls this before it reads or writes any
+    table, so a refused run touches no table file."""
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     if path.suffix.lower() == ".csv" and not has_entries:
         raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
 

@@ -48,10 +48,6 @@ def _graded_character(
     return acc
 
 
-def _row_of(n: int, nu: Partition) -> int:
-    return character_table(n).index(check_partition(nu, n))
-
-
 def tensor_multiplicity_vector(
     table: GradedMultiplicityTable,
     kron: KroneckerTable | OnDemandKronecker,
@@ -73,11 +69,11 @@ def tensor_multiplicity_vector(
 
 def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     """Multiplicity of V(nu) in H^i (x) H^j of the coinvariant ring."""
-    row = _row_of(n, nu)
+    check_partition(nu, n)
     table = graded_table(n)
     chars = character_table(n)
     chi_i, chi_j = (_graded_character(table, chars, k) for k in (i, j))
-    return chars.decompose(tuple(map(mul, chi_i, chi_j)))[row]
+    return chars.multiplicity(tuple(map(mul, chi_i, chi_j)), nu)
 
 
 def d_matrix(
@@ -105,7 +101,7 @@ def d_matrix(
 
 def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
-    row = _row_of(n, nu)
+    row = character_table(n).index(check_partition(nu, n))
     table = graded_table(n)
     matrix = d_matrix(table)
     return [matrix[i][row] for i in range(1, table.top_degree)]

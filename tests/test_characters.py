@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -11,6 +12,7 @@ from coinvariant.characters import (
     verify_orthogonality,
 )
 from coinvariant.combinatorics import (
+    centralizer_size,
     class_sign,
     conjugate,
     dimension,
@@ -94,6 +96,17 @@ class TestOrthogonality:
         for n in range(7, 11):
             assert verify_orthogonality(character_table(n))
 
+    def test_column_relation(self):
+        # the audit of what the row relation implies: sum over lam of
+        # chi_lam(rho) chi_lam(sigma) is z_rho when rho == sigma, else 0
+        for n in range(1, 11):
+            table = character_table(n)
+            columns = list(zip(*table.values))
+            for j, rho in enumerate(table.partitions):
+                for k in range(j, len(columns)):
+                    expected = centralizer_size(rho) if k == j else 0
+                    assert sum(map(operator.mul, columns[j], columns[k])) == expected
+
     def test_perturbed_table_fails(self):
         table = character_table(6)
         values = [list(row) for row in table.values]
@@ -160,6 +173,26 @@ class TestBuildGuards:
         values[table.index(lam)][j] += 1
         values[table.index(conjugate(lam))][j] += class_sign(rho)
         broken = with_values(table, values)
+        assert not verify_orthogonality(broken)
+        with pytest.raises(AssertionError, match="orthogonality fails for n=6"):
+            _validate(broken)
+
+    def test_off_diagonal_only_defect(self):
+        # negating chi_(5,1)((3,1,1,1)) = 2 and its twin in the conjugate row
+        # keeps every row norm at 720, the twist and the dimension column,
+        # but row (5,1) is no longer orthogonal to row (6)
+        table = character_table(6)
+        rho = (3, 1, 1, 1)
+        values = [list(row) for row in table.values]
+        j = table.index(rho)
+        for lam in ((5, 1), conjugate((5, 1))):
+            values[table.index(lam)][j] *= -1
+        assert table.value((5, 1), rho) == 2
+        broken = with_values(table, values)
+        assert all(
+            sum(map(operator.mul, broken.class_sizes, map(operator.mul, row, row))) == 720
+            for row in broken.values
+        )
         assert not verify_orthogonality(broken)
         with pytest.raises(AssertionError, match="orthogonality fails for n=6"):
             _validate(broken)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from coinvariant import graded
 from coinvariant.combinatorics import dimension, n_stat, partitions_of
+from coinvariant.errors import NonIntegral
 from coinvariant.graded import (
     build_graded_table,
     check_duality,
@@ -104,6 +106,17 @@ class TestFakeDegrees:
 
     def test_projection_n3(self):
         assert fake_degree_projection((2, 1), 3) == IntPoly([0, 1, 1])
+
+    def test_projection_raises_on_a_remainder(self, monkeypatch):
+        # one more at q^0 of the 5-cycle adds |C_(5)| = 24 to a class sum
+        # that must be a multiple of 5! = 120
+        def bumped(n, rho):
+            poly = graded_character_poly(n, rho)
+            return poly + ONE if rho == (5,) else poly
+
+        monkeypatch.setattr(graded, "graded_character_poly", bumped)
+        with pytest.raises(NonIntegral):
+            fake_degree_projection((5,), 5)
 
     def test_three_routes_agree(self):
         for n in range(1, 10):

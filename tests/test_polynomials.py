@@ -88,11 +88,6 @@ class TestDivideExact:
                 with pytest.raises(NonExactDivision):
                     bumped.divide_one_minus_q_power(k)
 
-    def test_scalar_division(self):
-        assert IntPoly([2, 4]).scalar_divide_exact(2) == IntPoly([1, 2])
-        with pytest.raises(NonExactDivision):
-            IntPoly([1, 2]).scalar_divide_exact(2)
-
 
 class TestMirror:
     def test_example(self):

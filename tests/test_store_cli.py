@@ -398,11 +398,25 @@ class TestCli:
              "error: degree filter 'low:0' selects no interior degree of [1, 14]"),
             (["low-degree-harness", "--n-max", "3"], "error: n_max must be at least 4"),
             (["unimodal", "--n", "2"], "error: n must be at least 3"),
+            *(
+                ([*argv, "--out", "missing/r.json"],
+                 "error: [Errno 2] No such file or directory: 'missing/r.json'")
+                for argv in (
+                    ["springer-scan", "--n-max", "8"],
+                    ["verify-flag", "--n", "8"],
+                    ["unimodal", "--n", "7"],
+                    ["low-degree-harness", "--n-max", "9"],
+                )
+            ),
         ],
         ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
-             "low-degree-harness-range", "unimodal-range"],
+             "low-degree-harness-range", "unimodal-range", "springer-scan-out",
+             "verify-flag-out", "unimodal-out", "low-degree-harness-out"],
     )
-    def test_refused_scan_leaves_no_table_file(self, tmp_path, capsys, argv, error):
+    def test_refused_scan_leaves_no_table_file(
+        self, tmp_path, capsys, monkeypatch, argv, error
+    ):
+        monkeypatch.chdir(tmp_path)
         cache = tmp_path / "cache"
         cache.mkdir()
         assert run_cli(tmp_path, *argv) == 1
