@@ -154,36 +154,50 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Standard Young tableaux
+# Young tableaux
 
 
-def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
-    """All standard tableaux of ``shape``, sorted by row-reading word.
+def enumerate_ssyt(shape: Partition, content: Partition) -> Iterator[Tableau]:
+    """All semistandard tableaux of ``shape`` and ``content``: rows weakly
+    increase, columns strictly increase and letter k occurs content[k-1]
+    times, so the count is the Kostka number.  The stream is sorted as
+    tuples of rows, top row first (``reading_word`` starts from the bottom).
 
-    Entries are 1..n, rows and columns strictly increasing.  The count
-    equals n!/hook_product(shape).
+    The word 1^content[0] 2^content[1] ... is placed one cell at a time; the
+    copies of one letter form a horizontal strip over the row lengths
+    ``start`` that the letter began from, placed in weakly lower rows.
     """
     n = sum(check_partition(shape))
+    check_partition(content, n)
+    word = [letter for letter, size in enumerate(content, 1) for _ in range(size)]
     rows = len(shape)
     filled = [0] * rows
     tab: list[list[int]] = [[] for _ in range(rows)]
     found: list[Tableau] = []
 
-    def place(entry: int) -> None:
-        if entry > n:
+    def place(k: int, low: int, start: tuple[int, ...]) -> None:
+        if k == n:
             found.append(tuple(tuple(row) for row in tab))
             return
-        for r in range(rows):
+        if k == 0 or word[k - 1] != word[k]:
+            low, start = 0, tuple(filled)
+        for r in range(low, rows):
             c = filled[r]
-            if c < shape[r] and (r == 0 or filled[r - 1] > c):
+            if c < shape[r] and (r == 0 or start[r - 1] > c):
                 filled[r] += 1
-                tab[r].append(entry)
-                place(entry + 1)
+                tab[r].append(word[k])
+                place(k + 1, r, start)
                 filled[r] -= 1
                 tab[r].pop()
 
-    place(1)
+    place(0, 0, ())
     yield from sorted(found)
+
+
+def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
+    """All standard tableaux of ``shape``: the semistandard tableaux of
+    content (1^n), entries 1..n.  The count is n!/hook_product(shape)."""
+    yield from enumerate_ssyt(shape, (1,) * sum(check_partition(shape)))
 
 
 def major_index(tableau: Tableau) -> int:
@@ -194,54 +208,6 @@ def major_index(tableau: Tableau) -> int:
             row_of[entry] = r
     n = len(row_of)
     return sum(j for j in range(1, n) if row_of[j + 1] > row_of[j])
-
-
-# ---------------------------------------------------------------------------
-# Semistandard Young tableaux
-
-# An SSYT of shape lam and content mu is a chain of nested shapes where the
-# cells added at step k (a horizontal strip) receive the letter k.
-
-
-def enumerate_ssyt(shape: Partition, content: Partition) -> Iterator[Tableau]:
-    """All semistandard tableaux of ``shape`` and ``content``, sorted by
-    row-reading word.  Rows weakly increase, columns strictly increase and
-    letter k occurs content[k-1] times; the count is the Kostka number."""
-    if sum(shape) != sum(content):
-        raise ValueError("shape and content must have equal size")
-    rows = len(shape)
-    found: list[Tableau] = []
-    tab: list[list[int]] = [[] for _ in range(rows)]
-
-    def add_strip(inner: tuple[int, ...], letter: int) -> None:
-        if letter > len(content):
-            if list(inner) == list(shape):
-                found.append(tuple(tuple(row) for row in tab))
-            return
-        size = content[letter - 1]
-
-        def choose(r: int, left: int, new: list[int]) -> None:
-            if r == rows:
-                if left == 0:
-                    for rr in range(rows):
-                        tab[rr].extend([letter] * (new[rr] - inner[rr]))
-                    add_strip(tuple(new), letter + 1)
-                    for rr in range(rows):
-                        del tab[rr][inner[rr]:]
-                return
-            low = inner[r]
-            high = min(shape[r], inner[r] + left)
-            if r > 0:
-                high = min(high, inner[r - 1])  # horizontal strip condition
-            for val in range(low, high + 1):
-                new.append(val)
-                choose(r + 1, left - (val - low), new)
-                new.pop()
-
-        choose(0, size, [])
-
-    add_strip((0,) * rows, 1)
-    yield from sorted(found)
 
 
 def kostka_number(shape: Partition, content: Partition) -> int:

@@ -39,6 +39,7 @@ from coinvariant.graded import (
     graded_character_poly,
 )
 from coinvariant.kronecker import kronecker_coefficient
+from coinvariant.springer import kostka_foulkes_poly
 
 
 def euler_partition_count(n: int) -> int:
@@ -133,11 +134,15 @@ class TestCheckPartition:
             lambda: fake_degree_hook((1, 2)),
             lambda: fake_degree_syt((1, 2)),
             lambda: list(enumerate_syt((2, 0))),
+            lambda: list(enumerate_ssyt((3, 0), (2, 1))),
+            lambda: list(enumerate_ssyt((2, 1), (1, 2))),
+            lambda: kostka_number((3, 0), (2, 1)),
         ],
         ids=["graded_character_poly", "character_value-lam", "character_value-rho",
              "kronecker_coefficient", "fake_degree_projection", "hook_lengths",
              "dimension", "hook_product", "fake_degree_hook", "fake_degree_syt",
-             "enumerate_syt"],
+             "enumerate_syt", "enumerate_ssyt-shape", "enumerate_ssyt-content",
+             "kostka_number"],
     )
     def test_entry_points_reject_non_partitions(self, call):
         with pytest.raises(ValueError, match="not a partition"):
@@ -340,6 +345,27 @@ class TestSemistandardTableaux:
         for n in range(1, 8):
             for lam in partitions_of(n):
                 assert kostka_number(lam, lam) == 1
+
+    def test_every_pair_up_to_7(self):
+        # the count is checked against the fermionic formula, which does not
+        # enumerate tableaux
+        for n in range(8):
+            for lam in partitions_of(n):
+                assert len(list(enumerate_syt(lam))) == dimension(lam)
+                for mu in partitions_of(n):
+                    letters = [k for k, size in enumerate(mu, 1) for _ in range(size)]
+                    tableaux = list(enumerate_ssyt(lam, mu))
+                    assert len(set(tableaux)) == len(tableaux)
+                    assert len(tableaux) == kostka_foulkes_poly(lam, mu)(1)
+                    for tab in tableaux:
+                        assert tuple(map(len, tab)) == lam
+                        assert all(list(row) == sorted(row) for row in tab)
+                        assert all(
+                            above[c] < below[c]
+                            for above, below in zip(tab, tab[1:])
+                            for c in range(len(below))
+                        )
+                        assert sorted(reading_word(tab)) == letters
 
 
 class TestCharge:

@@ -3,9 +3,11 @@ import math
 import pytest
 
 from coinvariant import graded
-from coinvariant.combinatorics import dimension, n_stat, partitions_of
+from coinvariant.combinatorics import conjugate, dimension, n_stat, partitions_of
 from coinvariant.errors import NonIntegral
 from coinvariant.graded import (
+    GradedMultiplicityTable,
+    _validate,
     build_graded_table,
     check_duality,
     fake_degree_hook,
@@ -179,6 +181,75 @@ class TestDuality:
     def test_small(self):
         for n in range(1, 9):
             assert check_duality(n)
+
+    def test_mirror_defect_in_one_class(self, monkeypatch):
+        # rho = (3, 1) has sign +1, so q^0 + chi(rho, q) is no longer its
+        # own mirror at c = 6
+        def bumped(n, rho):
+            poly = graded_character_poly(n, rho)
+            return poly + ONE if rho == (3, 1) else poly
+
+        monkeypatch.setattr(graded, "graded_character_poly", bumped)
+        assert not check_duality(4)
+
+
+def bumped_table(table, *bumps):
+    """``table`` with delta added at b[lam][i] and at b[conjugate(lam)][c - i]
+    for each (lam, i, delta), which keeps duality."""
+    c = table.top_degree
+    b = [list(row) for row in table.b]
+    for lam, i, delta in bumps:
+        b[table.index(lam)][i] += delta
+        b[table.index(conjugate(lam))][c - i] += delta
+    return GradedMultiplicityTable(table.n, tuple(map(tuple, b)))
+
+
+def guards_held(table):
+    """(row sums, duality, Poincare columns), each checked on its own."""
+    dims = [dimension(lam) for lam in table.partitions]
+    betti = poincare_polynomial(table.n).padded(table.top_degree + 1)
+    return (
+        all(sum(row) == d for row, d in zip(table.b, dims)),
+        graded._duality_failure(table) is None,
+        all(
+            sum(d * row[i] for d, row in zip(dims, table.b)) == betti[i]
+            for i in range(table.top_degree + 1)
+        ),
+    )
+
+
+class TestBuildGuards:
+    """Each defect below breaks exactly one guard of ``_validate``."""
+
+    def test_row_sum_only_defect(self):
+        # +3 in row (4) and -1 in row (3,1) at degree 1 cancel in the
+        # dimension-weighted column, as their mirrors do at degree 5
+        broken = bumped_table(graded_table(4), ((4,), 1, 3), ((3, 1), 1, -1))
+        assert guards_held(broken) == (False, True, True)
+        with pytest.raises(AssertionError, match=r"^row sum != dim V\(\(4,\)\)$"):
+            _validate(broken)
+
+    def test_duality_only_defect(self):
+        # (5,1) and (3,3) both have dimension 5 and are not conjugate, so
+        # swapping their rows keeps every row sum and weighted column
+        table = graded_table(6)
+        b = list(table.b)
+        a, z = table.index((5, 1)), table.index((3, 3))
+        b[a], b[z] = b[z], b[a]
+        broken = GradedMultiplicityTable(6, tuple(b))
+        assert guards_held(broken) == (True, False, True)
+        with pytest.raises(AssertionError, match=r"^duality fails on row \(5, 1\)$"):
+            _validate(broken)
+
+    def test_poincare_column_only_defect(self):
+        # moving one copy of V(3,1) from degree 1 to degree 0 keeps its row
+        # sum, and its mirror move in row (2,1,1) keeps duality
+        broken = bumped_table(graded_table(4), ((3, 1), 1, -1), ((3, 1), 0, 1))
+        assert guards_held(broken) == (True, True, False)
+        with pytest.raises(
+            AssertionError, match="^column 0 does not match Poincare coefficient$"
+        ):
+            _validate(broken)
 
 
 class TestStabilization:

@@ -9,9 +9,10 @@ from coinvariant.combinatorics import (
     n_stat,
     partitions_of,
 )
-from coinvariant.graded import graded_table
+from coinvariant.graded import GradedMultiplicityTable, graded_table
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
+    _calibrate,
     kostka_foulkes_poly,
     kostka_foulkes_poly_by_charge,
     springer_counterexample_search,
@@ -137,6 +138,43 @@ class TestSpringerTable:
             for part in mu:
                 denom *= math.factorial(part)
             assert total == math.factorial(n) // denom
+
+
+def with_row(table, lam, row):
+    """``table`` with the row of ``lam`` replaced."""
+    b = list(table.b)
+    b[table.index(lam)] = tuple(row)
+    return GradedMultiplicityTable(table.n, tuple(b))
+
+
+class TestCalibrationGuards:
+    """Each defect below breaks exactly one guard of ``_calibrate``."""
+
+    def test_one_row_type_not_trivial(self):
+        # the trivial rep shifted to degree 1 still fills the top degree
+        # with V(3) alone
+        broken = GradedMultiplicityTable(3, ((0, 1), (0, 0), (0, 0)))
+        assert broken.support(broken.top_degree) == ((0, 1),)
+        with pytest.raises(AssertionError, match=r"^type \(n\) table is not the trivial rep$"):
+            _calibrate(broken, (3,))
+
+    def test_regular_type_not_the_coinvariant_ring(self):
+        # an extra V(2,1) in degree 0 leaves the sign rep alone on top
+        table = springer_graded_table((1, 1, 1))
+        broken = with_row(table, (2, 1), (1, 1, 1, 0))
+        assert broken.support(broken.top_degree) == ((2, 1),)
+        with pytest.raises(AssertionError, match=r"^type \(1\^n\) table does not match"):
+            _calibrate(broken, (1, 1, 1))
+
+    def test_top_degree_support(self):
+        table = springer_graded_table((2, 1))
+        broken = with_row(table, (2, 1), (0, 2))
+        with pytest.raises(
+            AssertionError,
+            match=r"^grading calibration fails for mu=\(2, 1\): "
+            r"top degree support \(\(1, 2\),\)$",
+        ):
+            _calibrate(broken, (2, 1))
 
 
 class TestSpringerLogConcavity:

@@ -96,6 +96,12 @@ class TestDVector:
             with pytest.raises(ValueError):
                 d_vector(3, nu)
 
+    def test_d_matrix_rejects_boundary_degrees(self):
+        table = graded_table(4)
+        for i in (0, table.top_degree):
+            with pytest.raises(ValueError, match=rf"^degree {i} outside interior range \[1, 5\]$"):
+                d_matrix(table, [i])
+
     def test_symmetry_theorem(self):
         for n in range(3, 8):
             c = top_degree(n)
