@@ -3,6 +3,20 @@
 Character values are computed by the Murnaghan-Nakayama recursion over
 border strips, memoized on (shape, remaining cycle type) with the cycle
 type consumed largest part first.  Everything is an exact Python int.
+
+Class sums are batched by packing (Kronecker substitution): the values of
+many functions at one class are packed into one integer, digit i of
+signed base 2^w holding function i, so one big-integer multiply-add per
+(row, class) takes the class sums of all of them.  The digit width w is
+bitlen(B) + 2, rounded up to whole bytes, for a proven bound B on every
+digit: max|chi| * sum_rho max_i |C_rho f_i(rho)| for decompositions, and
+n! for row orthogonality, once every row norm is n! (Cauchy-Schwarz for
+the positive form sum_rho |C_rho| a_rho b_rho).  Each digit read back is
+therefore exactly its class sum; every multiplicity is still divided by
+n! with a ``NonIntegral`` check, and the build keeps its dimension,
+twist and orthogonality guards.  Combinations sum_k c_k chi_k (graded
+characters) are taken the same way from the rows packed by class, with
+bound max|chi| * sum_k |c_k|.
 """
 
 from __future__ import annotations
@@ -11,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial
 from operator import mul
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import memo
 from .combinatorics import (
@@ -102,19 +116,97 @@ class CharacterTable:
         """Multiplicities, in canonical order, of the irreducibles in the
         class function f with ``values`` per class: (1/n!) sum over rho of
         |C_rho| f(rho) chi(rho); NonIntegral if f is not a virtual character."""
-        weighted = tuple(map(mul, self.class_sizes, values))
-        return tuple(self._class_sum(weighted, k) for k in range(len(self.values)))
+        return self._decompose_all([values])[0]
 
     def multiplicity(self, values: Sequence[int], lam: Partition) -> int:
         """The entry of ``decompose(values)`` at lam, from its one class sum."""
-        return self._class_sum(tuple(map(mul, self.class_sizes, values)), self.index(lam))
+        k = self.index(lam)
+        weighted = map(mul, self.class_sizes, values)
+        return self._exact(sum(map(mul, weighted, self.values[k])), k)
 
-    def _class_sum(self, weighted: Sequence[int], k: int) -> int:
-        """(1/n!) sum over rho of weighted(rho) chi_k(rho), exactly."""
-        mult, rem = divmod(sum(map(mul, weighted, self.values[k])), factorial(self.n))
+    @cached_property
+    def _max_abs_value(self) -> int:
+        return max(abs(v) for row in self.values for v in row)
+
+    def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """``decompose`` of every class function in ``functions``, from one
+        packed class sum per irreducible: digit i of row k's sum is
+        sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and every packed
+        value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)| in size."""
+        if not functions:
+            return []
+        weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
+        per_class = sum(max(map(abs, column)) for column in zip(*weighted))
+        layout = _digit_layout(self._max_abs_value * per_class, len(functions))
+        sums = [
+            tuple(self._exact(digit, k) for digit in _unpack(total, layout))
+            for k, total in enumerate(self._packed_class_sums(weighted, layout))
+        ]
+        return list(zip(*sums))
+
+    def _packed_class_sums(self, weighted: Sequence[Sequence[int]], layout: _Layout) -> list[int]:
+        """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
+        weighted[i][rho] into digit i: one big-integer multiply-add per
+        (row, class) does the class sums of every i at once."""
+        packed = [_pack(column, layout) for column in zip(*weighted)]
+        return [sum(map(mul, row, packed)) for row in self.values]
+
+    def _combine_rows(self, supports: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+        """For each sparse list of (row index k, c_k), the class function
+        sum_k c_k chi_k, as one multiply-add per pair on the rows packed by
+        class; every value is at most max|chi| * sum_k |c_k| in size."""
+        weight = max((sum(abs(c) for _, c in support) for support in supports), default=0)
+        layout = _digit_layout(self._max_abs_value * max(weight, 1), len(self.values))
+        used = {k for support in supports for k, _ in support}
+        packed = {k: _pack(self.values[k], layout) for k in used}
+        return [
+            _unpack(sum(c * packed[k] for k, c in support), layout) for support in supports
+        ]
+
+    def _exact(self, total: int, k: int) -> int:
+        """total / n!, the class sum of the k-th irreducible, exactly."""
+        mult, rem = divmod(total, factorial(self.n))
         if rem:
             raise NonIntegral(f"class sum for {self.partitions[k]} is not divisible by {self.n}!")
         return mult
+
+
+class _Layout(NamedTuple):
+    """``count`` signed digits of 8 size bits, each of absolute value below
+    half = 2^(8 size - 1), packed into one integer; adding ``offset`` =
+    sum_i half 2^(8 size i) makes every digit unsigned."""
+
+    size: int
+    half: int
+    offset: int
+    count: int
+
+
+def _digit_layout(bound: int, count: int) -> _Layout:
+    """The layout for ``count`` digits of absolute value at most ``bound``:
+    8 size is bitlen(bound) + 2 rounded up to whole bytes, so half > 2 bound,
+    and a sum of such digits times 2^(8 size i) has exactly one expansion."""
+    size = (bound.bit_length() + 9) // 8
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    return _Layout(size, half, offset, count)
+
+
+def _pack(values: Iterable[int], layout: _Layout) -> int:
+    """sum_i values[i] 2^(8 size i), built from bytes in linear time."""
+    size, half, offset, _ = layout
+    data = b"".join((v + half).to_bytes(size, "little") for v in values)
+    return int.from_bytes(data, "little") - offset
+
+
+def _unpack(total: int, layout: _Layout) -> list[int]:
+    """The signed digits of ``total`` (the inverse of ``_pack``)."""
+    size, half, offset, count = layout
+    data = (total + offset).to_bytes(size * count, "little")
+    return [
+        int.from_bytes(data[at : at + size], "little") - half
+        for at in range(0, len(data), size)
+    ]
 
 
 def build_character_table(n: int) -> CharacterTable:
@@ -152,16 +244,21 @@ def verify_orthogonality(table: CharacterTable) -> bool:
     """Exact row orthogonality, sum_rho |C_rho| chi_lam(rho) chi_mu(rho) =
     n! delta(lam, mu).  Columns need no check: with D = diag(|C_rho|) the
     rows say X D X^T = n! I for the square table X, so D X^T / n! is the
-    inverse of X and X^T X = n! D^-1 = diag(z_rho) (Macdonald, I.7)."""
-    values = table.values
+    inverse of X and X^T X = n! D^-1 = diag(z_rho) (Macdonald, I.7).
+
+    Every row norm is checked against n! first.  The form sum_rho |C_rho|
+    a_rho b_rho is positive definite, so by Cauchy-Schwarz every sum, and
+    every weighted value |C_rho| chi(rho), then has absolute value at most
+    n!; in that digit layout, row k passes exactly when its packed class
+    sum over all rows is n! shifted to digit k.
+    """
     nfact = factorial(table.n)
-    for i, row in enumerate(values):
-        weighted = tuple(map(mul, table.class_sizes, row))
-        if sum(map(mul, weighted, row)) != nfact:
-            return False
-        if any(sum(map(mul, weighted, other)) for other in values[i + 1 :]):
-            return False
-    return True
+    weighted = [tuple(map(mul, table.class_sizes, row)) for row in table.values]
+    if any(sum(map(mul, w, row)) != nfact for w, row in zip(weighted, table.values)):
+        return False
+    layout = _digit_layout(nfact, len(weighted))
+    totals = table._packed_class_sums(weighted, layout)
+    return all(total == nfact << (8 * layout.size * k) for k, total in enumerate(totals))
 
 
 def character_table(n: int) -> CharacterTable:

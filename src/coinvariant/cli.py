@@ -41,7 +41,8 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=default_jobs(),
-        help="worker processes (springer-scan only); output is identical for any N",
+        help="worker processes (springer-scan only, at most the CPU count); "
+        "output is identical for any N",
     )
     common.add_argument(
         "--max-n-override",

@@ -1,7 +1,9 @@
 """Deterministic work-pool helper.
 
 Results always come back in submission order, so output never depends on
-the scheduling of workers; ``jobs=1`` or a single item runs inline.
+the scheduling of workers; ``jobs=1`` or a single item runs inline, and
+no pool has more workers than the CPU count: a worker beyond it adds no
+CPU, only one more copy of the memo entries each worker builds itself.
 ``multiprocessing`` and the process pool are imported only on the fork
 path, so a run that never forks does not load them.  Workers are forked,
 so process-wide memo caches that are already warm carry over for free.
@@ -21,7 +23,8 @@ def default_jobs() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map; inline when jobs <= 1 or there is one item."""
+    """Order-preserving map; inline when jobs <= 1 or there is one item,
+    otherwise over at most ``default_jobs()`` forked workers."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     # imported here so that runs which never fork skip their import cost
@@ -32,6 +35,6 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
         context = multiprocessing.get_context("fork")
     except ValueError:
         context = multiprocessing.get_context()
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items), default_jobs())
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(fn, items))

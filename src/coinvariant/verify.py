@@ -8,10 +8,15 @@ d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
     (1/n!) sum over classes rho of |C_rho| * chi_nu(rho)
            * (chi_i(rho)^2 - chi_(i-1)(rho) * chi_(i+1)(rho))
 
-for interior degrees 1 <= i <= top-1: ``CharacterTable.decompose`` of the
-class function chi_i^2 - chi_(i-1) chi_(i+1), which divides each class sum
-by n! once with an exactness check.  Negative d values are findings, so
-reports always carry the full d table, never just a flag.
+for interior degrees 1 <= i <= top-1: the decomposition of the class
+function chi_i^2 - chi_(i-1) chi_(i+1), which divides each class sum by n!
+once with an exactness check.  ``d_matrix`` checks every requested degree,
+then takes the graded characters chi_j from the character rows packed by
+class and decomposes the class functions of all degrees together, with
+one packed class sum per irreducible (see ``characters``): the digit
+widths follow from proven bounds, so each digit is exactly its class sum.
+Negative d values are findings, so reports always carry the full d
+table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
 independent audit route.
 
@@ -21,11 +26,11 @@ Degrees outside [0, top] of a graded table contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from operator import mul
 from typing import ClassVar, Iterable, Mapping
 
-from .characters import CharacterTable, character_table
+from .characters import character_table
 from .combinatorics import Partition, check_partition, dimension, format_partition, partitions_of
 from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial, top_degree
 from .kronecker import KroneckerTable, OnDemandKronecker
@@ -35,17 +40,6 @@ from .parallel import parallel_map  # noqa: F401
 from .polynomials import is_log_concave, is_unimodal, symmetric_about
 
 SCHEMA_VERSION = 1
-
-
-def _graded_character(
-    table: GradedMultiplicityTable, chars: CharacterTable, i: int
-) -> list[int]:
-    """chi_i(rho) for every class rho, in canonical order."""
-    acc = [0] * len(chars.partitions)
-    for r, mult in table.support(i):
-        for k, value in enumerate(chars.values[r]):
-            acc[k] += mult * value
-    return acc
 
 
 def tensor_multiplicity_vector(
@@ -72,7 +66,7 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     check_partition(nu, n)
     table = graded_table(n)
     chars = character_table(n)
-    chi_i, chi_j = (_graded_character(table, chars, k) for k in (i, j))
+    chi_i, chi_j = chars._combine_rows([table.support(i), table.support(j)])
     return chars.multiplicity(tuple(map(mul, chi_i, chi_j)), nu)
 
 
@@ -80,23 +74,23 @@ def d_matrix(
     table: GradedMultiplicityTable,
     degrees: Iterable[int] | None = None,
 ) -> dict[int, tuple[int, ...]]:
-    """d vectors over nu, keyed by interior degree i."""
+    """d vectors over nu, keyed by interior degree i.  Every degree is
+    checked before any class sum is taken; then the class functions
+    chi_i^2 - chi_(i-1) chi_(i+1) of all degrees are decomposed together,
+    in one packed class sum per irreducible."""
     top = table.top_degree
-    if degrees is None:
-        degrees = range(1, top)
-    chars = character_table(table.n)
-    character = cache(lambda i: _graded_character(table, chars, i))
-    result: dict[int, tuple[int, ...]] = {}
+    degrees = range(1, top) if degrees is None else tuple(degrees)
     for i in degrees:
         if not 1 <= i <= top - 1:
             raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-        result[i] = chars.decompose(
-            [
-                x * x - lo * hi
-                for x, lo, hi in zip(character(i), character(i - 1), character(i + 1))
-            ]
-        )
-    return result
+    chars = character_table(table.n)
+    needed = sorted({j for i in degrees for j in (i - 1, i, i + 1)})
+    chi = dict(zip(needed, chars._combine_rows([table.support(j) for j in needed])))
+    functions = [
+        [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
+        for i in degrees
+    ]
+    return dict(zip(degrees, chars._decompose_all(functions)))
 
 
 def d_vector(n: int, nu: Partition) -> list[int]:

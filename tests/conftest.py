@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 
 import pytest
 
@@ -19,3 +20,27 @@ def pool_builds(monkeypatch):
     # also counted if parallel ever binds the name at import time again
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool, raising=False)
     return builds
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A host of 3 CPUs whose ProcessPoolExecutor starts no process: it
+    records its ``max_workers`` and maps in the calling process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None, mp_context=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return requested

@@ -2,6 +2,7 @@ import math
 import operator
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coinvariant.characters import (
     CharacterTable,
@@ -19,6 +20,9 @@ from coinvariant.combinatorics import (
     partitions_of,
 )
 from coinvariant.errors import NonIntegral
+from coinvariant.graded import graded_table
+from coinvariant.springer import springer_graded_table
+from coinvariant.verify import d_matrix
 
 
 class TestCharacterValue:
@@ -87,6 +91,40 @@ class TestBuildTable:
                 build_character_table(n)
 
 
+def reference_decompose(table: CharacterTable, values) -> tuple[int, ...]:
+    """The audit route for the packed kernel: one class sum per row."""
+    nfact = math.factorial(table.n)
+    weighted = tuple(map(operator.mul, table.class_sizes, values))
+    result = []
+    for k, row in enumerate(table.values):
+        mult, rem = divmod(sum(map(operator.mul, weighted, row)), nfact)
+        if rem:
+            raise NonIntegral(
+                f"class sum for {table.partitions[k]} is not divisible by {table.n}!"
+            )
+        result.append(mult)
+    return tuple(result)
+
+
+def reference_orthogonality(table: CharacterTable) -> bool:
+    """Row orthogonality with one class sum per pair of rows."""
+    nfact = math.factorial(table.n)
+    for i, row in enumerate(table.values):
+        weighted = tuple(map(operator.mul, table.class_sizes, row))
+        for k, other in enumerate(table.values[i:], i):
+            if sum(map(operator.mul, weighted, other)) != (nfact if k == i else 0):
+                return False
+    return True
+
+
+def virtual_character(table: CharacterTable, coefficients) -> list[int]:
+    """sum_k c_k chi_k at every class."""
+    return [
+        sum(c * value for c, value in zip(coefficients, column))
+        for column in zip(*table.values)
+    ]
+
+
 class TestOrthogonality:
     def test_small_tables(self):
         for n in (1, 2, 4, 6):
@@ -116,6 +154,44 @@ class TestOrthogonality:
             values=tuple(tuple(row) for row in values),
         )
         assert not verify_orthogonality(broken)
+
+
+    def test_duplicated_row_fails(self):
+        # two equal rows: every norm is n!, and the off-diagonal sum of the
+        # pair is n!, the Cauchy-Schwarz extreme
+        for n in (3, 5, 6):
+            table = character_table(n)
+            for k in (0, len(table.values) // 2):
+                values = list(table.values)
+                values[k + 1] = values[k]
+                broken = with_values(table, values)
+                weighted = tuple(map(operator.mul, table.class_sizes, values[k]))
+                assert sum(map(operator.mul, weighted, values[k + 1])) == math.factorial(n)
+                assert not verify_orthogonality(broken)
+                assert not reference_orthogonality(broken)
+
+    def test_wrong_norm_fails(self):
+        for n in (2, 5, 6):
+            table = character_table(n)
+            for factor in (2, -1, 0):
+                values = list(table.values)
+                values[1] = tuple(factor * v for v in values[1])
+                broken = with_values(table, values)
+                assert verify_orthogonality(broken) == reference_orthogonality(broken)
+                assert verify_orthogonality(broken) == (factor == -1)
+
+    def test_every_unit_perturbation_matches_reference(self):
+        for n in range(1, 8):
+            table = character_table(n)
+            for i, row in enumerate(table.values):
+                for j in range(len(row)):
+                    for step in (1, -1):
+                        values = [list(r) for r in table.values]
+                        values[i][j] += step
+                        broken = with_values(table, values)
+                        assert verify_orthogonality(broken) == reference_orthogonality(
+                            broken
+                        ), (n, i, j, step)
 
 
 class TestDecompose:
@@ -152,6 +228,106 @@ class TestDecompose:
                     assert tuple(
                         table.multiplicity(product, nu) for nu in table.partitions
                     ) == table.decompose(product)
+
+
+class TestPackedKernel:
+    """``CharacterTable._decompose_all`` against one class sum per row."""
+
+    def test_every_product_matches_reference(self):
+        for n in range(1, 9):
+            table = character_table(n)
+            products = [
+                tuple(map(operator.mul, row_a, row_b))
+                for a, row_a in enumerate(table.values)
+                for row_b in table.values[a:]
+            ]
+            assert table._decompose_all(products) == [
+                reference_decompose(table, product) for product in products
+            ], n
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(
+                        st.integers(-(2**300), 2**300),
+                        min_size=len(partitions_of(n)),
+                        max_size=len(partitions_of(n)),
+                    ),
+                    min_size=1,
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_large_signed_virtual_characters(self, case):
+        n, coefficients = case
+        table = character_table(n)
+        functions = [virtual_character(table, c) for c in coefficients]
+        assert table._decompose_all(functions) == [tuple(c) for c in coefficients]
+
+    def test_digits_at_the_width_bound(self):
+        # at n = 2, c times an irreducible has class sums 2c and 0, and 2|c|
+        # is the bound max|chi| * sum_rho |C_rho c| itself; c = 2^k - 1 and
+        # 2^k put that bound at both ends of every bit length
+        table = character_table(2)
+        for c in (value for k in range(1, 40) for value in (2**k - 1, 2**k)):
+            coefficients = [(c, 0), (-c, 0), (0, c), (0, -c), (c, 0)]
+            functions = [virtual_character(table, pair) for pair in coefficients]
+            assert table._decompose_all(functions) == coefficients, c
+
+    def test_mixed_batch_names_the_failing_partition(self):
+        # chi_lam and chi_lam' agree mod 2, so (chi_lam + chi_lam') / 2 is
+        # integer-valued with multiplicity 1/2 at lam = (n-1, 1) and at its
+        # conjugate, and 0 at the trivial row the class sums start with
+        for n in range(4, 9):
+            table = character_table(n)
+            lam = (n - 1, 1)
+            pair = zip(table.row(lam), table.row(conjugate(lam)))
+            bad = [(x + y) // 2 for x, y in pair]
+            message = f"class sum for {lam} is not divisible by {n}!"
+            with pytest.raises(NonIntegral) as expected:
+                reference_decompose(table, bad)
+            assert str(expected.value) == message
+            batch = [*table.values, virtual_character(table, range(len(table.values))), bad]
+            with pytest.raises(NonIntegral) as raised:
+                table._decompose_all(batch)
+            assert str(raised.value) == message, n
+
+    def test_empty_batch(self):
+        assert character_table(4)._decompose_all([]) == []
+
+
+def reference_d_matrix(table) -> dict[int, tuple[int, ...]]:
+    """d one degree at a time, from plainly summed graded characters."""
+    chars = character_table(table.n)
+
+    def chi(i):
+        return [
+            sum(m * chars.values[r][k] for r, m in table.support(i))
+            for k in range(len(chars.partitions))
+        ]
+
+    return {
+        i: reference_decompose(
+            chars, [x * x - lo * hi for x, lo, hi in zip(chi(i), chi(i - 1), chi(i + 1))]
+        )
+        for i in range(1, table.top_degree)
+    }
+
+
+class TestDMatrixMatchesReference:
+    def test_coinvariant_tables(self):
+        for n in range(1, 11):
+            table = graded_table(n)
+            assert d_matrix(table) == reference_d_matrix(table), n
+
+    def test_springer_tables(self):
+        for n in range(1, 9):
+            for mu in partitions_of(n):
+                table = springer_graded_table(mu)
+                assert d_matrix(table) == reference_d_matrix(table), mu
 
 
 def with_values(table: CharacterTable, values) -> CharacterTable:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from coinvariant import cli
 from coinvariant.combinatorics import (
     dimension,
     dominates,
@@ -10,6 +11,7 @@ from coinvariant.combinatorics import (
     partitions_of,
 )
 from coinvariant.graded import GradedMultiplicityTable, graded_table
+from coinvariant.parallel import parallel_map
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
     _calibrate,
@@ -215,6 +217,20 @@ class TestCounterexampleSearch:
         assert len(pool_builds) == 1
         assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
         assert len(pool_builds) == 1
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool):
+        reference = springer_counterexample_search(7, jobs=1).payload()
+        assert fake_pool == []
+        for jobs, workers in ((2, 2), (3, 3), (4, 3), (500, 3)):
+            assert springer_counterexample_search(7, jobs=jobs).payload() == reference
+            assert fake_pool.pop() == workers
+        assert parallel_map(str, [1, 2], 500) == ["1", "2"]
+        assert fake_pool == [2]
+
+    def test_cli_jobs_above_cpu_count(self, fake_pool, tmp_path):
+        argv = ["springer-scan", "--n-max", "7", "--jobs", "500", "--cache-dir", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert fake_pool == [3]
 
     def test_scan_range_needs_an_interior_degree(self):
         # the sweep has no size cap; the command line holds it

@@ -102,6 +102,16 @@ class TestDVector:
             with pytest.raises(ValueError, match=rf"^degree {i} outside interior range \[1, 5\]$"):
                 d_matrix(table, [i])
 
+    def test_d_matrix_checks_every_degree_before_any_class_sum(self, monkeypatch):
+        table = graded_table(4)
+
+        def no_class_sums(n):
+            raise AssertionError("character table looked up before the degree check")
+
+        monkeypatch.setattr(verify, "character_table", no_class_sums)
+        with pytest.raises(ValueError, match=r"^degree 6 outside interior range \[1, 5\]$"):
+            d_matrix(table, [1, 2, 6])
+
     def test_symmetry_theorem(self):
         for n in range(3, 8):
             c = top_degree(n)
