@@ -133,8 +133,6 @@ class CharacterTable:
         packed class sum per irreducible: digit i of row k's sum is
         sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and every packed
         value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)| in size."""
-        if not functions:
-            return []
         weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
         per_class = sum(max(map(abs, column)) for column in zip(*weighted))
         layout = _digit_layout(self._max_abs_value * per_class, len(functions))
