@@ -16,7 +16,9 @@ therefore exactly its class sum; every multiplicity is still divided by
 n! with a ``NonIntegral`` check, and the build keeps its dimension,
 twist and orthogonality guards.  Combinations sum_k c_k chi_k (graded
 characters) are taken the same way from the rows packed by class, with
-bound max|chi| * sum_k |c_k|.
+bound max|chi| * sum_k |c_k|; a table keeps each row it has packed, per
+digit size, so the many Springer tables of one n pack each row once per
+size.
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ class CharacterTable:
     def _max_abs_value(self) -> int:
         return max(abs(v) for row in self.values for v in row)
 
+    @cached_property
+    def _packed_rows(self) -> dict[int, dict[int, int]]:
+        """Per digit size, the rows ``_combine_rows`` has packed by class so
+        far, by row index; a row's packing depends only on the size, since
+        every layout here has one digit per class."""
+        return {}
+
     def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         """``decompose`` of every class function in ``functions``, from one
         packed class sum per irreducible: digit i of row k's sum is
@@ -155,8 +164,9 @@ class CharacterTable:
         class; every value is at most max|chi| * sum_k |c_k| in size."""
         weight = max((sum(abs(c) for _, c in support) for support in supports), default=0)
         layout = _digit_layout(self._max_abs_value * max(weight, 1), len(self.values))
-        used = {k for support in supports for k, _ in support}
-        packed = {k: _pack(self.values[k], layout) for k in used}
+        packed = self._packed_rows.setdefault(layout.size, {})
+        for k in {k for support in supports for k, _ in support} - packed.keys():
+            packed[k] = _pack(self.values[k], layout)
         return [
             _unpack(sum(c * packed[k] for k, c in support), layout) for support in supports
         ]

@@ -238,7 +238,7 @@ def cmd_springer_scan(args) -> int:
     springer.check_scan_range(n_max)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
-    report = springer.springer_counterexample_search(n_max, jobs=args.jobs)
+    report = springer.springer_counterexample_search(n_max, jobs=args.jobs, store=store)
     lines = [
         f"springer-scan n_max={n_max} "
         f"counterexamples={len(report.counterexamples)} status={report.status}"

@@ -2,8 +2,11 @@
 
 Library lookups build a missing table on first use, at any n; a cache
 store adopts every table it reads or builds, so later library calls use
-the table the store holds.  Only the Springer sweep forks a worker pool,
-and its workers inherit the memo.
+the table the store holds.  Kind ``"springer"`` holds, per n, the Springer
+table of every type of n in canonical order; only the Springer sweep
+adopts it, from the ``springer-n`` files it reads.  Only that sweep forks
+a worker pool, and its workers inherit the memo, so on a warm cache they
+compute only d.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ def lookup(kind: str, n: int, build: Callable[[int], T]) -> T:
     if table is None:
         table = _TABLES[(kind, n)] = build(n)
     return table
+
+
+def held(kind: str, n: int):
+    """The memoized (kind, n) table, or None; never builds."""
+    return _TABLES.get((kind, n))
 
 
 def adopt(kind: str, n: int, table: T) -> T:

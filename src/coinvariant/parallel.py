@@ -1,7 +1,8 @@
 """Deterministic work-pool helper.
 
 Results always come back in submission order, so output never depends on
-the scheduling of workers; ``jobs=1`` or a single item runs inline, and
+the scheduling of workers or on how the items are sent to them in
+contiguous chunks; ``jobs=1`` or a single item runs inline, and
 no pool has more workers than the CPU count: a worker beyond it adds no
 CPU, only one more copy of the memo entries each worker builds itself.
 ``multiprocessing`` and the process pool are imported only on the fork
@@ -36,5 +37,9 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     except ValueError:
         context = multiprocessing.get_context()
     workers = min(jobs, len(items), default_jobs())
+    # about eight chunks per worker: one round trip per item costs more than
+    # a cheap item (a d matrix of a cached Springer table), while the last
+    # chunk to finish stays small
+    chunksize = max(1, len(items) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=chunksize))

@@ -11,16 +11,20 @@ coefficient of q^i in q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
 Three calibration constraints pin this grading convention: the type (n)
 table must be the trivial representation, the type (1^n) table must equal
 the coinvariant-ring table, and K(lam, mu)(0) must be delta(lam, mu).  If
-any ever fails the build stops; conventions are never auto-flipped.
+any ever fails the build stops; conventions are never auto-flipped.  A
+table read back from a ``springer-n`` cache file (``table_from_entry``)
+is calibrated again, and one that fails is rebuilt.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, zip_longest
 
+from . import memo
 from .characters import character_table
 from .combinatorics import (
     Partition,
@@ -142,8 +146,10 @@ def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
             "grading convention is broken"
         )
     # K(lam, mu)(0) = delta: exactly one multiplicity in the top degree,
-    # namely V(mu) itself
-    top_support = table.support(table.top_degree)
+    # namely V(mu) itself; read from the rows, so that a table read from
+    # disk builds no ``supports`` until a d matrix needs them
+    top = table.top_degree
+    top_support = tuple((r, row[top]) for r, row in enumerate(table.b) if row[top])
     if top_support != ((idx[mu], 1),):
         raise AssertionError(
             f"grading calibration fails for mu={mu}: "
@@ -151,10 +157,13 @@ def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
         )
 
 
-def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
-    """d-scan of the Springer table of type mu; vacuous pass below two
-    interior degrees."""
-    table = springer_graded_table(mu)
+def verify_springer_log_concavity(
+    mu: Partition, table: GradedMultiplicityTable | None = None
+) -> LogConcavityReport:
+    """d-scan of the Springer table of type mu (``table`` when given, else
+    built); vacuous pass below two interior degrees."""
+    if table is None:
+        table = springer_graded_table(mu)
     return LogConcavityReport(table.n, d_matrix(table))
 
 
@@ -184,9 +193,58 @@ class SpringerScanReport(ScanReport):
         }
 
 
-def _scan_one_type(mu: Partition) -> tuple[Partition, tuple]:
-    report = verify_springer_log_concavity(mu)
-    return mu, report.violations
+def table_entry(mu: Partition, table: GradedMultiplicityTable) -> dict:
+    """The ``springer-n`` file entry of type mu: the type, the top degree
+    and each row as flat (degree, multiplicity) pairs of its nonzero
+    entries, degrees increasing."""
+    return {
+        "mu": format_partition(mu),
+        "top": table.top_degree,
+        "rows": [[x for i, m in enumerate(row) if m for x in (i, m)] for row in table.b],
+    }
+
+
+def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
+    """The table of ``table_entry(mu, table)``, calibrated again.  ValueError
+    unless the entry names mu, its top is n(mu), and it has p(n) rows of
+    even length whose degrees increase within [0, top] with positive int
+    multiplicities; AssertionError if the table fails calibration."""
+    n, top, rows = sum(mu), entry["top"], entry["rows"]
+    if entry["mu"] != format_partition(mu) or type(top) is not int or top != n_stat(mu):
+        raise ValueError(f"entry is not the type {format_partition(mu)} with top n(mu)")
+    if len(rows) != len(partitions_of(n)) or any(len(row) % 2 for row in rows):
+        raise ValueError("rows are not p(n) lists of (degree, multiplicity) pairs")
+    dense = []
+    for row in rows:
+        values = [0] * (top + 1)
+        last = -1
+        for i, m in zip(row[::2], row[1::2]):
+            if type(i) is not int or type(m) is not int or not last < i <= top or m < 1:
+                raise ValueError("a pair is not an increasing degree in [0, top] and a positive int")
+            values[i] = m
+            last = i
+        dense.append(tuple(values))
+    table = GradedMultiplicityTable(n, tuple(dense))
+    _calibrate(table, mu)
+    return table
+
+
+def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
+    """The Springer table of every type of n, in canonical order."""
+    return tuple(springer_graded_table(mu) for mu in partitions_of(n))
+
+
+def _scan_one_type(item: tuple[Partition, bool]) -> tuple[Partition, tuple, str | None]:
+    """The d violations of type mu, from the memo's table of mu when one is
+    held and from Kostka-Foulkes otherwise; with the table's ``table_entry``
+    as compact JSON when ``encode`` asks for it, which the parent holds for
+    every type of the sweep in far less memory than the lists it encodes."""
+    mu, encode = item
+    tables = memo.held("springer", sum(mu))
+    table = springer_graded_table(mu) if tables is None else tables[partition_index(sum(mu))[mu]]
+    violations = verify_springer_log_concavity(mu, table).violations
+    entry = json.dumps(table_entry(mu, table), separators=(",", ":")) if encode else None
+    return mu, violations, entry
 
 
 def check_scan_range(n_max: int) -> None:
@@ -198,17 +256,35 @@ def check_scan_range(n_max: int) -> None:
         )
 
 
-def springer_counterexample_search(n_max: int, jobs: int = 1) -> SpringerScanReport:
+def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> SpringerScanReport:
     """All types mu with |mu| <= n_max whose Springer representation fails
     equivariant log-concavity, grouped by n in canonical order.  Any
     n_max >= 3 is scanned; the cost grows about 4x per step in n, and the
-    command line caps it.  The character tables are warmed first, so forked
-    workers inherit them; then one pool scans every type, and each worker
-    keeps its Kostka-Foulkes memo across n.
+    command line caps it.  The character tables are warmed first, and with
+    a cache ``store`` so is every ``springer-n`` table it holds, so forked
+    workers inherit them; then one pool scans every type.  A type of a
+    cached n costs its workers only d; any other type is built by
+    Kostka-Foulkes inside a worker, which returns it encoded for disk, and
+    the parent writes one ``springer-n`` file per such n once the pool is
+    done.  Without a store nothing is read or written.
     """
     check_scan_range(n_max)
     for n in range(2, n_max + 1):
         character_table(n)
-    types = [mu for n in range(1, n_max + 1) for mu in partitions_of(n)]
-    results = parallel_map(_scan_one_type, types, jobs)
-    return SpringerScanReport(n_max, tuple((mu, bad) for mu, bad in results if bad))
+    ns = range(1, n_max + 1)
+    cached = set()
+    if store is not None:
+        for n in ns:
+            tables = store.read("springer", n)
+            if tables is not None:
+                memo.adopt("springer", n, tables)
+                cached.add(n)
+    items = [(mu, store is not None and n not in cached) for n in ns for mu in partitions_of(n)]
+    results = parallel_map(_scan_one_type, items, jobs)
+    built: dict[int, list[str]] = {}
+    for mu, _, entry in results:
+        if entry is not None:
+            built.setdefault(sum(mu), []).append(entry)
+    for n, entries in built.items():
+        store.write_list("springer", n, "tables", entries)
+    return SpringerScanReport(n_max, tuple((mu, bad) for mu, bad, _ in results if bad))

@@ -2,22 +2,37 @@
 
 One file ``{kind}-{n}.json`` per table: a one-line JSON header holding the
 sha256 of the table document, then the document itself as one line of
-compact JSON with exact decimal integers.  Every document opens with the
-same envelope, ``schema_version``, ``kind``, ``n`` and the canonical
-partitions of n (``_envelope``), followed by the fields of its kind.  A
-table is read back from n and the fields it holds; everything it derives
-(partitions, class sizes) is written for readers of the file only.  The
-digest covers the stored body bytes, so a body written indented by an
-older version still reads as it is.  A digest mismatch, a version
-mismatch, a file without the header or an envelope other than the one
-the file name promises (say ``graded-4`` copied over ``graded-5``) or a
-body of the wrong shape (a char table needs p(n) rows of p(n) ints, a
+compact JSON with exact decimal integers.  The kinds are ``char`` (the
+character table of S_n), ``graded`` (the coinvariant ring's graded
+multiplicities), ``kron`` (Kronecker coefficients) and ``springer`` (the
+Springer table of every type mu of n, in canonical order, each row
+stored sparsely as flat (degree, multiplicity) pairs).  Every document
+opens with the same envelope, ``schema_version``, ``kind``, ``n`` and the
+canonical partitions of n (``_envelope``), followed by the fields of its
+kind.  A table is read back from n and the fields it holds; everything
+it derives (partitions, class sizes) is written for readers of the file
+only.  The digest covers the stored body bytes, so a body written
+indented by an older version still reads as it is.  A digest mismatch, a
+version mismatch, a file without the header or an envelope other than
+the one the file name promises (say ``graded-4`` copied over
+``graded-5``) or a body of the wrong shape triggers a rebuild, never a
+partial read.  The shapes: a char table needs p(n) rows of p(n) ints, a
 graded table p(n) rows of n(n-1)/2 + 1 ints, a kron table distinct
-entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and g > 0)
-triggers a rebuild, never a partial read.  Every write goes to a unique
-temp file in the same directory and is renamed into place, and no file
-is shared between tables, so concurrent runs on one directory never see
-a half-written file.  Any n >= 1 is stored; size caps belong to the CLI.
+entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and g > 0, and
+a springer table one entry per type, the types exactly the partitions of
+n in order, each with top = n(mu) and p(n) rows of even length whose
+degrees increase within [0, top] and whose multiplicities are positive
+ints; every Springer table read is calibrated again
+(``springer._calibrate``), and one that fails is malformed too.  Every
+write goes to a unique temp file in the same directory and is renamed
+into place, and no file is shared between tables, so concurrent runs on
+one directory never see a half-written file.  Any n >= 1 is stored; size
+caps belong to the CLI.
+
+``get_or_build`` reads a table or builds and writes it; ``read`` and
+``write_list`` split that for the Springer sweep, which reads every
+cached ``springer-n`` before it forks and writes the others from the
+entries its workers return (see ``springer_counterexample_search``).
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -39,7 +54,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, memo
+from . import __version__, memo, springer
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, partitions_of
 from .graded import GradedMultiplicityTable, build_graded_table, top_degree
@@ -151,10 +166,27 @@ def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
     return GradedMultiplicityTable(doc["n"], _rows(doc, "b", top_degree(doc["n"]) + 1))
 
 
+def _springer_doc(tables: tuple[GradedMultiplicityTable, ...]) -> dict:
+    n = tables[0].n
+    entries = [springer.table_entry(mu, t) for mu, t in zip(partitions_of(n), tables)]
+    return {**_envelope("springer", n), "tables": entries}
+
+
+def _springer_from_doc(doc: dict) -> tuple[GradedMultiplicityTable, ...]:
+    """One entry per type of n, in canonical order (see
+    ``springer.table_from_entry`` for the shape of each); ValueError
+    otherwise, AssertionError if a table fails calibration."""
+    types, entries = partitions_of(doc["n"]), doc["tables"]
+    if len(entries) != len(types):
+        raise ValueError("tables are not one entry per partition of n")
+    return tuple(springer.table_from_entry(mu, entry) for mu, entry in zip(types, entries))
+
+
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "char": (build_character_table, _char_doc, _char_from_doc),
     "kron": (build_kronecker_table, _kron_doc, _kron_from_doc),
     "graded": (build_graded_table, _graded_doc, _graded_from_doc),
+    "springer": (springer.springer_tables, _springer_doc, _springer_from_doc),
 }
 
 
@@ -176,26 +208,21 @@ class CacheStore:
         Either way the table is adopted into the process memo, which never
         stands in for a missing or invalid file in this directory.
         """
-        if kind not in _KINDS:
-            raise ValueError(f"unknown cache kind {kind!r}")
-        builder, to_doc, from_doc = _KINDS[kind]
-        path = self.root / f"{kind}-{n}.json"
-        table = self._read(kind, n, path, from_doc)
+        table = self.read(kind, n)
         if table is None:
+            builder, to_doc, _ = _KINDS[kind]
             table = builder(n)
-            body = json.dumps(to_doc(table), separators=(",", ":")).encode()
-            digest = _digest(body)
-            self.root.mkdir(parents=True, exist_ok=True)
-            header = (json.dumps({"sha256": digest}) + "\n").encode()
-            _atomic_write(path, header + body)
-            self._digests[(kind, n)] = digest
+            self._write(kind, n, json.dumps(to_doc(table), separators=(",", ":")).encode())
         return memo.adopt(kind, n, table)
 
-    def _read(self, kind: str, n: int, path: Path, from_doc: Callable):
-        """The table in ``path`` if its header digest, schema, envelope and
-        body shape hold, else None."""
+    def read(self, kind: str, n: int):
+        """The (kind, n) table of its file if its header digest, schema,
+        envelope and body shape hold, else None, with a warning unless the
+        file is missing; adopts nothing into the memo."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown cache kind {kind!r}")
         try:
-            data = path.read_bytes()
+            data = self._path(kind, n).read_bytes()
         except FileNotFoundError:
             return None
         header, _, body = data.partition(b"\n")
@@ -219,12 +246,30 @@ class CacheStore:
             log.warning("cache %s-%s holds another table; rebuilding", kind, n)
             return None
         try:
-            table = from_doc(doc)
-        except (KeyError, TypeError, ValueError):
+            table = _KINDS[kind][2](doc)
+        except (AssertionError, KeyError, TypeError, ValueError):
             log.warning("cache %s-%s is malformed; rebuilding", kind, n)
             return None
         self._digests[(kind, n)] = digest
         return table
+
+    def write_list(self, kind: str, n: int, field: str, items: list[str]) -> None:
+        """Persist the document of the (kind, n) envelope and the one list
+        ``field`` whose items are compact JSON already: the bytes
+        ``get_or_build`` writes for the decoded items, spliced from their
+        text, since encoding the decoded items holds a string per value."""
+        head = json.dumps({**_envelope(kind, n), field: []}, separators=(",", ":"))
+        self._write(kind, n, (head[:-2] + ",".join(items) + "]}").encode())
+
+    def _write(self, kind: str, n: int, body: bytes) -> None:
+        digest = _digest(body)
+        self.root.mkdir(parents=True, exist_ok=True)
+        header = (json.dumps({"sha256": digest}) + "\n").encode()
+        _atomic_write(self._path(kind, n), header + body)
+        self._digests[(kind, n)] = digest
+
+    def _path(self, kind: str, n: int) -> Path:
+        return self.root / f"{kind}-{n}.json"
 
 
 # -- report documents --------------------------------------------------------

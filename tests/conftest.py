@@ -38,7 +38,7 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

@@ -4,6 +4,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
+from coinvariant import characters
 from coinvariant.characters import (
     CharacterTable,
     _validate,
@@ -297,6 +298,62 @@ class TestPackedKernel:
 
     def test_empty_batch(self):
         assert character_table(4)._decompose_all([]) == []
+
+
+class TestPackedRows:
+    """``CharacterTable._combine_rows`` keeps the rows it packed, per digit size."""
+
+    def test_each_row_is_packed_once_per_digit_size(self, monkeypatch):
+        table = build_character_table(6)
+        packed = []
+        pack = characters._pack
+
+        def recording_pack(values, layout):
+            packed.append((table.values.index(tuple(values)), layout.size))
+            return pack(values, layout)
+
+        monkeypatch.setattr(characters, "_pack", recording_pack)
+        small = [[(0, 1), (3, 2)], [(3, -1)]]
+        expected = [
+            virtual_character(table, [1, 0, 0, 2] + [0] * 7),
+            virtual_character(table, [0, 0, 0, -1] + [0] * 7),
+        ]
+        assert table._combine_rows(small) == expected
+        assert table._combine_rows(small) == expected
+        first = sorted(packed)
+        assert [k for k, _ in first] == [0, 3]
+        # a weight that needs wider digits packs its rows again, once
+        large = [[(0, 2**40), (5, -1)]]
+        assert table._combine_rows(large) == [
+            virtual_character(table, [2**40, 0, 0, 0, 0, -1] + [0] * 5)
+        ]
+        wide = sorted(set(packed) - set(first))
+        assert [k for k, _ in wide] == [0, 5] and wide[0][1] > first[0][1]
+        # in a batch with the large weight, row 3 is packed wide as well
+        assert table._combine_rows(small + large)[:2] == expected
+        assert packed[len(first) + len(wide):] == [(3, wide[0][1])]
+        assert len(packed) == len(set(packed)) == 5
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.integers(-(2**200), 2**200), min_size=len(partitions_of(n)),
+                             max_size=len(partitions_of(n))),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_kept_rows_give_the_combinations_of_every_size(self, case):
+        # one table over many calls, so rows packed at one size are reused
+        n, coefficients = case
+        table = character_table(n)
+        for c in coefficients:
+            support = [(k, x) for k, x in enumerate(c) if x]
+            assert table._combine_rows([support]) == [virtual_character(table, c)]
 
 
 def reference_d_matrix(table) -> dict[int, tuple[int, ...]]:

@@ -218,6 +218,11 @@ class TestCounterexampleSearch:
         assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
         assert len(pool_builds) == 1
 
+    def test_chunked_pool_keeps_submission_order(self):
+        # the items go out in contiguous chunks, 6 each on two workers
+        items = list(range(100))
+        assert parallel_map(math.factorial, items, 2) == [math.factorial(k) for k in items]
+
     def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool):
         reference = springer_counterexample_search(7, jobs=1).payload()
         assert fake_pool == []

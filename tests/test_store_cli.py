@@ -10,6 +10,7 @@ import pytest
 
 import coinvariant
 from coinvariant import cli, memo, springer
+from coinvariant.combinatorics import partitions_of
 from coinvariant.store import (
     CacheStore,
     _char_doc,
@@ -18,6 +19,7 @@ from coinvariant.store import (
     payload_bytes,
     report_document,
 )
+from coinvariant.springer import springer_graded_table
 
 
 @pytest.fixture
@@ -54,6 +56,15 @@ def digest_and_body(path: Path) -> tuple[str, bytes]:
 
 def write_table_file(path: Path, digest: str, body: bytes) -> None:
     path.write_bytes(json.dumps({"sha256": digest}).encode() + b"\n" + body)
+
+
+def swap(items: list, a: int, b: int) -> None:
+    items[a], items[b] = items[b], items[a]
+
+
+def swap_rows(entries: list, a: int, b: int) -> None:
+    """Swap the rows of two springer-n entries, keeping each type and top."""
+    entries[a]["rows"], entries[b]["rows"] = entries[b]["rows"], entries[a]["rows"]
 
 
 class TestCacheStore:
@@ -170,14 +181,23 @@ class TestCacheStore:
 
     @pytest.mark.parametrize(
         "target, source",
-        [("graded-5", "graded-4"), ("char-5", "char-4"), ("char-5", "graded-5")],
-        ids=["graded-5-holds-graded-4", "char-5-holds-char-4", "char-5-holds-graded-5"],
+        [
+            ("graded-5", "graded-4"), ("char-5", "char-4"), ("char-5", "graded-5"),
+            ("springer-6", "springer-5"), ("springer-5", "graded-5"),
+        ],
+        ids=[
+            "graded-5-holds-graded-4", "char-5-holds-char-4", "char-5-holds-graded-5",
+            "springer-6-holds-springer-5", "springer-5-holds-graded-5",
+        ],
     )
     def test_file_holding_another_table_rebuilds(
         self, tmp_path, fresh_memo, caplog, target, source
     ):
         # a digest-valid file whose envelope is not the one its name promises
         commands = [["unimodal", "--n", "5"], ["low-degree-harness", "--n-max", "5"]]
+        if target.startswith("springer"):
+            # the first sweep rebuilds in the pool and the second reads warm
+            commands = [["springer-scan", "--n-max", "6", "--jobs", jobs] for jobs in "21"]
 
         def payloads(tag):
             found = []
@@ -211,21 +231,48 @@ class TestCacheStore:
             ("kron-5", lambda doc: doc["entries"][0].pop()),
             ("kron-5", lambda doc: doc["entries"][0].__setitem__(3, 0)),
             ("kron-5", lambda doc: doc["entries"].append([0, 0, 0, 2])),
+            # springer-6 holds the types (6), (5,1), (4,2), (4,1,1), (3,3),
+            # (3,2,1), ..., and n(mu) = 3 for both (4,1,1) and (3,3)
+            ("springer-6", lambda doc: swap(doc["tables"], 3, 4)),
+            ("springer-6", lambda doc: swap_rows(doc["tables"], 3, 4)),
+            ("springer-6", lambda doc: doc["tables"].pop()),
+            ("springer-6", lambda doc: doc.pop("tables")),
+            ("springer-6", lambda doc: doc["tables"][2].__setitem__("top", 3)),
+            ("springer-6", lambda doc: doc["tables"][2].__setitem__("top", 2.0)),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"].pop()),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].pop()),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].__setitem__(0, 5)),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].__setitem__(0, -1)),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].extend([0, 1])),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].__setitem__(1, 0)),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].__setitem__(1, True)),
+            ("springer-6", lambda doc: doc["tables"][5]["rows"][0].__setitem__(1, "1")),
         ],
         ids=[
             "graded-6-short-of-rows", "char-6-without-values", "char-6-short-rows",
             "char-6-string-value", "char-6-bool-value", "graded-6-float-value",
             "kron-5-index-out-of-range", "kron-5-three-field-entry", "kron-5-zero-coefficient",
             "kron-5-duplicate-entry",
+            "springer-6-types-out-of-order", "springer-6-rows-of-two-types-swapped",
+            "springer-6-short-of-types", "springer-6-without-tables", "springer-6-top-not-n-mu",
+            "springer-6-float-top", "springer-6-short-of-rows", "springer-6-odd-row",
+            "springer-6-degree-above-top", "springer-6-negative-degree",
+            "springer-6-repeated-degree", "springer-6-zero-multiplicity",
+            "springer-6-bool-multiplicity", "springer-6-string-multiplicity",
         ],
     )
     def test_malformed_body_rebuilds(self, tmp_path, fresh_memo, caplog, capsys, name, malform):
         # a digest-valid file with the right envelope but a body of the wrong
-        # shape; selftest reads the kron tables that verify-flag never needs
+        # shape; selftest reads the kron tables that verify-flag never needs,
+        # and only springer-scan reads the springer tables
         def run(tag):
             if name.startswith("kron"):
                 assert run_cli(tmp_path, "selftest", "--n-max", "5") == 0
                 return capsys.readouterr().out
+            if name.startswith("springer"):
+                out = tmp_path / f"{tag}.json"
+                assert run_cli(tmp_path, "springer-scan", "--n-max", "6", "--out", str(out)) == 0
+                return payload_bytes(json.loads(out.read_bytes()))
             out = tmp_path / f"{tag}.json"
             assert run_cli(tmp_path, "verify-flag", "--n", "6", "--out", str(out)) == 0
             return payload_bytes(json.loads(out.read_bytes()))
@@ -251,6 +298,85 @@ class TestCacheStore:
     def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "viaenv"))
         assert default_cache_dir() == tmp_path / "viaenv"
+
+
+class TestSpringerCache:
+    """The ``springer-n`` files the sweep reads before it forks and writes
+    after its pool is done."""
+
+    def test_round_trip_every_type_up_to_8(self, tmp_path, fresh_memo):
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "8", "--jobs", "2") == 2
+        store = CacheStore(tmp_path / "cache")
+        built = CacheStore(tmp_path / "built")
+        for n in range(1, 9):
+            assert store.read("springer", n) == tuple(
+                springer_graded_table(mu) for mu in partitions_of(n)
+            ), n
+            # the store's own build writes the entries the workers returned
+            built.get_or_build("springer", n)
+            name = f"springer-{n}.json"
+            assert (built.root / name).read_bytes() == (store.root / name).read_bytes(), n
+
+    def test_a_longer_sweep_writes_only_the_new_sizes(self, tmp_path, fresh_memo, monkeypatch):
+        written = []
+        write = CacheStore._write
+
+        def recording_write(self, kind, n, body):
+            written.append(f"{kind}-{n}")
+            write(self, kind, n, body)
+
+        monkeypatch.setattr(CacheStore, "_write", recording_write)
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7") == 2
+        assert [name for name in written if name.startswith("springer")] == [
+            f"springer-{n}" for n in range(1, 8)
+        ]
+        cache = tmp_path / "cache"
+        files = {path.name: path.read_bytes() for path in cache.glob("springer-*.json")}
+        written.clear()
+        fresh_memo.clear()
+        warm = tmp_path / "warm.json"
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "8", "--out", str(warm)) == 2
+        assert written == ["char-8", "graded-8", "springer-8"]
+        assert all((cache / name).read_bytes() == data for name, data in files.items())
+        fresh_memo.clear()
+        cold = tmp_path / "cold.json"
+        assert cli.run([
+            "springer-scan", "--n-max", "8", "--cache-dir", str(tmp_path / "other"),
+            "--out", str(cold),
+        ]) == 2
+        assert payload_bytes(json.loads(warm.read_bytes())) == payload_bytes(
+            json.loads(cold.read_bytes())
+        )
+
+    def test_cold_and_warm_payloads_identical_at_every_jobs(self, tmp_path, fresh_memo):
+        payloads = set()
+        for jobs in ("1", "2"):
+            for run in ("cold", "warm"):
+                fresh_memo.clear()
+                out = tmp_path / f"{jobs}-{run}.json"
+                argv = ["springer-scan", "--n-max", "8", "--jobs", jobs, "--out", str(out)]
+                assert cli.run([*argv, "--cache-dir", str(tmp_path / jobs)]) == 2
+                payloads.add(payload_bytes(json.loads(out.read_bytes())))
+            files = sorted(path.name for path in (tmp_path / jobs).glob("springer-*.json"))
+            assert files == sorted(f"springer-{n}.json" for n in range(1, 9))
+        assert len(payloads) == 1
+
+    def test_warm_workers_build_no_springer_table(self, tmp_path, fresh_memo, monkeypatch):
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
+        fresh_memo.clear()
+
+        def refuse(mu):
+            raise AssertionError(f"built the table of {mu} on a warm cache")
+
+        monkeypatch.setattr(springer, "springer_graded_table", refuse)
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
+
+    def test_library_search_without_a_store_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "cache"))
+        report = springer.springer_counterexample_search(7, jobs=1)
+        assert report.types() == [(4, 1, 1, 1)]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportDocuments:
@@ -608,3 +734,27 @@ class TestConcurrentRuns:
             payloads = {payload_bytes(json.loads(out.read_bytes())) for out in outs}
             assert len(payloads) == 1
             assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_cold_springer_scans_share_one_cache_dir(self, tmp_path, caplog):
+        """Several cold sweeps write the same springer-n files at once."""
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        for round_ in range(3):
+            cache = tmp_path / f"cache-{round_}"
+            outs = [tmp_path / f"springer-{round_}-{k}.json" for k in range(4)]
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "coinvariant", "springer-scan", "--n-max", "7",
+                     "--out", str(out), "--jobs", "12"[k % 2], "--cache-dir", str(cache)],
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                )
+                for k, out in enumerate(outs)
+            ]
+            errors = [proc.communicate(timeout=120)[1].decode() for proc in procs]
+            assert [proc.returncode for proc in procs] == [2] * len(procs), errors
+            payloads = {payload_bytes(json.loads(out.read_bytes())) for out in outs}
+            assert len(payloads) == 1
+            assert list(tmp_path.rglob("*.tmp")) == []
+            store = CacheStore(cache)
+            with caplog.at_level("WARNING", logger="coinvariant.store"):
+                assert all(store.read("springer", n) for n in range(1, 8))
+            assert caplog.text == ""
