@@ -189,6 +189,7 @@ def cmd_kronecker(args) -> int:
 
 def cmd_verify_flag(args) -> int:
     n = args.n
+    verify.check_flag_size(n)
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
     store = _store(args)
     _seed(store, args, ("char", [n]), ("graded", [n]))

@@ -2,11 +2,12 @@
 
 Library lookups build a missing table on first use, at any n; a cache
 store adopts every table it reads or builds, so later library calls use
-the table the store holds.  Kind ``"springer"`` holds, per n, the Springer
-table of every type of n in canonical order; only the Springer sweep
-adopts it, from the ``springer-n`` files it reads.  Only that sweep forks
-a worker pool, and its workers inherit the memo, so on a warm cache they
-compute only d.
+the table the store holds, but never in place of a file its directory
+lacks.  Kind ``"springer"`` holds, per n, the Springer table of every
+type of n in canonical order; no lookup builds it, and a store adopts it
+as the Springer sweep reads its ``springer-n`` files.  Only that sweep
+forks a worker pool, and its workers inherit the memo, so on a warm cache
+they compute only d.
 """
 
 from __future__ import annotations

@@ -272,19 +272,11 @@ def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> Spr
     for n in range(2, n_max + 1):
         character_table(n)
     ns = range(1, n_max + 1)
-    cached = set()
-    if store is not None:
-        for n in ns:
-            tables = store.read("springer", n)
-            if tables is not None:
-                memo.adopt("springer", n, tables)
-                cached.add(n)
+    cached = set() if store is None else {n for n in ns if store.read("springer", n) is not None}
     items = [(mu, store is not None and n not in cached) for n in ns for mu in partitions_of(n)]
     results = parallel_map(_scan_one_type, items, jobs)
-    built: dict[int, list[str]] = {}
-    for mu, _, entry in results:
-        if entry is not None:
-            built.setdefault(sum(mu), []).append(entry)
-    for n, entries in built.items():
-        store.write_list("springer", n, "tables", entries)
+    for n in ns:
+        entries = [entry for mu, _, entry in results if entry is not None and sum(mu) == n]
+        if entries:
+            store.write("springer", n, {"tables": entries})
     return SpringerScanReport(n_max, tuple((mu, bad) for mu, bad, _ in results if bad))

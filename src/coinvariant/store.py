@@ -29,10 +29,10 @@ into place, and no file is shared between tables, so concurrent runs on
 one directory never see a half-written file.  Any n >= 1 is stored; size
 caps belong to the CLI.
 
-``get_or_build`` reads a table or builds and writes it; ``read`` and
-``write_list`` split that for the Springer sweep, which reads every
-cached ``springer-n`` before it forks and writes the others from the
-entries its workers return (see ``springer_counterexample_search``).
+One route each way: ``read`` checks a file and adopts its table into the
+process memo, and ``write`` makes every body from list items that are
+compact JSON already.  ``get_or_build`` calls both around a build; the
+Springer sweep calls them itself (see ``springer_counterexample_search``).
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -182,6 +182,8 @@ def _springer_from_doc(doc: dict) -> tuple[GradedMultiplicityTable, ...]:
     return tuple(springer.table_from_entry(mu, entry) for mu, entry in zip(types, entries))
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "char": (build_character_table, _char_doc, _char_from_doc),
     "kron": (build_kronecker_table, _kron_doc, _kron_from_doc),
@@ -212,13 +214,17 @@ class CacheStore:
         if table is None:
             builder, to_doc, _ = _KINDS[kind]
             table = builder(n)
-            self._write(kind, n, json.dumps(to_doc(table), separators=(",", ":")).encode())
-        return memo.adopt(kind, n, table)
+            doc = to_doc(table)
+            field, items = doc.popitem()
+            self.write(kind, n, {**doc, field: map(_ENCODER.encode, items)})
+            table = memo.adopt(kind, n, table)
+        return table
 
     def read(self, kind: str, n: int):
         """The (kind, n) table of its file if its header digest, schema,
-        envelope and body shape hold, else None, with a warning unless the
-        file is missing; adopts nothing into the memo."""
+        envelope and body shape hold, adopted into the process memo (the
+        held table when one is), else None, with a warning unless the file
+        is missing."""
         if kind not in _KINDS:
             raise ValueError(f"unknown cache kind {kind!r}")
         try:
@@ -251,15 +257,16 @@ class CacheStore:
             log.warning("cache %s-%s is malformed; rebuilding", kind, n)
             return None
         self._digests[(kind, n)] = digest
-        return table
+        return memo.adopt(kind, n, table)
 
-    def write_list(self, kind: str, n: int, field: str, items: list[str]) -> None:
-        """Persist the document of the (kind, n) envelope and the one list
-        ``field`` whose items are compact JSON already: the bytes
-        ``get_or_build`` writes for the decoded items, spliced from their
-        text, since encoding the decoded items holds a string per value."""
-        head = json.dumps({**_envelope(kind, n), field: []}, separators=(",", ":"))
-        self._write(kind, n, (head[:-2] + ",".join(items) + "]}").encode())
+    def write(self, kind: str, n: int, fields: dict) -> None:
+        """Persist the (kind, n) envelope and ``fields``, whose last value
+        yields list items that are compact JSON already, spliced in as they
+        are: encoding a whole document at once holds a string per value."""
+        doc = {**_envelope(kind, n), **fields}
+        field, items = doc.popitem()
+        text = _ENCODER.encode({**doc, field: []})
+        self._write(kind, n, (text[:-2] + ",".join(items) + "]}").encode())
 
     def _write(self, kind: str, n: int, body: bytes) -> None:
         digest = _digest(body)
@@ -332,14 +339,10 @@ def write_report(path: Path, document: dict) -> None:
 
 
 def _csv_bytes(entries: list[dict]) -> bytes:
-    columns: list[str] = []
-    for entry in entries:
-        for key in entry:
-            if key not in columns:
-                columns.append(key)
+    # the columns in the order their keys first appear
+    columns = list(dict.fromkeys(key for entry in entries for key in entry))
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns)
     writer.writeheader()
-    for entry in entries:
-        writer.writerow(entry)
+    writer.writerows(entries)
     return buffer.getvalue().encode()

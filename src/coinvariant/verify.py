@@ -199,12 +199,17 @@ def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def check_flag_size(n: int) -> None:
+    """ValueError unless n >= 2; checked before any degree filter is read."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+
+
 def verify_flag_log_concavity(
     n: int, degree_filter: Iterable[int] | None = None
 ) -> LogConcavityReport:
     """Scan d[nu][i] over the coinvariant ring of S_n; pass iff all >= 0."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_flag_size(n)
     return LogConcavityReport(n, d_matrix(graded_table(n), degree_filter))
 
 

@@ -12,6 +12,7 @@ import coinvariant
 from coinvariant import cli, memo, springer
 from coinvariant.combinatorics import partitions_of
 from coinvariant.store import (
+    _KINDS,
     CacheStore,
     _char_doc,
     _graded_doc,
@@ -36,11 +37,13 @@ def fresh_memo(monkeypatch):
     return tables
 
 
-# digests of the n = 4 table files; a change here changes the file format
+# digests of small table files; a change here changes the file format
 GOLDEN_DIGESTS = {
     "char-4": "sha256:3cf15ab0ecd9d99a29e6164cba9f87eaf2409b37d760007d5c8fbf7bac01d0b1",
     "graded-4": "sha256:47101346b2af8c92532a4701c00e5d44eab4b29f59c2038b6a318bdaf77ec7b8",
     "kron-4": "sha256:d1b964f27ea1ec812a16d94e6dbdee6c4175f96ddd11653ae099cd4e4189b673",
+    "springer-4": "sha256:850d2c0bd4d37c01d46f1daecf877318d7c6505eeb8d4b5b5a95bfb94ede2b04",
+    "springer-6": "sha256:81365a625e3c8ac110998eae5696c6cb9637e54685d79d3a100c797683a40d9e",
 }
 
 
@@ -178,6 +181,15 @@ class TestCacheStore:
         digest, body = digest_and_body(store.root / f"{name}.json")
         assert digest == sha256(body) == GOLDEN_DIGESTS[name]
         assert store.digests() == {name: digest}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_body_is_the_compact_encoding_of_the_document(self, store, kind, n):
+        table = store.get_or_build(kind, n)
+        _, body = digest_and_body(store.root / f"{kind}-{n}.json")
+        # the reference: one encoder over the whole document
+        reference = json.dumps(_KINDS[kind][1](table), separators=(",", ":"))
+        assert body == reference.encode()
 
     @pytest.mark.parametrize(
         "target, source",
@@ -347,6 +359,31 @@ class TestSpringerCache:
         assert payload_bytes(json.loads(warm.read_bytes())) == payload_bytes(
             json.loads(cold.read_bytes())
         )
+
+    def test_memo_never_stands_in_for_a_missing_file(self, tmp_path, fresh_memo):
+        def sweep(name):
+            assert cli.run(["springer-scan", "--n-max", "7", "--cache-dir", str(tmp_path / name)]) == 2
+
+        # the warm sweep on a leaves every springer table in the memo, where
+        # the sweep on the empty b finds them, though not on its disk
+        sweep("a")
+        sweep("a")
+        assert all(memo.held("springer", n) for n in range(1, 8))
+        sweep("b")
+        files = {
+            name: {path.name: path.read_bytes() for path in (tmp_path / name).glob("springer-*.json")}
+            for name in ("a", "b")
+        }
+        assert sorted(files["b"]) == sorted(f"springer-{n}.json" for n in range(1, 8))
+        assert files["b"] == files["a"]
+
+    def test_read_leaves_its_table_in_the_memo(self, tmp_path, fresh_memo):
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7") == 2
+        fresh_memo.clear()
+        store = CacheStore(tmp_path / "cache")
+        for kind in ("char", "graded", "springer"):
+            table = store.read(kind, 7)
+            assert table is not None and memo.held(kind, 7) is table, kind
 
     def test_cold_and_warm_payloads_identical_at_every_jobs(self, tmp_path, fresh_memo):
         payloads = set()
@@ -524,6 +561,7 @@ class TestCli:
              "error: degree filter 'low:0' selects no interior degree of [1, 14]"),
             (["low-degree-harness", "--n-max", "3"], "error: n_max must be at least 4"),
             (["unimodal", "--n", "2"], "error: n must be at least 3"),
+            *((["verify-flag", "--n", n], "error: n must be at least 2") for n in ("1", "0", "-2")),
             *(
                 ([*argv, "--out", "missing/r.json"],
                  "error: [Errno 2] No such file or directory: 'missing/r.json'")
@@ -536,7 +574,8 @@ class TestCli:
             ),
         ],
         ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
-             "low-degree-harness-range", "unimodal-range", "springer-scan-out",
+             "low-degree-harness-range", "unimodal-range", "verify-flag-n-1",
+             "verify-flag-n-0", "verify-flag-n-minus-2", "springer-scan-out",
              "verify-flag-out", "unimodal-out", "low-degree-harness-out"],
     )
     def test_refused_scan_leaves_no_table_file(
