@@ -2,7 +2,9 @@
 
 Character values are computed by the Murnaghan-Nakayama recursion over
 border strips, memoized on (shape, remaining cycle type) with the cycle
-type consumed largest part first.  Everything is an exact Python int.
+type consumed largest part first; ``character_rows`` takes the rows of
+chosen shapes alone by the same rule, a block of classes at a time
+(``_mn_row``).  Everything is an exact Python int.
 
 Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
@@ -52,19 +54,21 @@ def _border_strip_removals(lam: Partition, k: int) -> tuple[tuple[int, Partition
     strip height is the number of beta values jumped over.
     """
     ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    occupied = set(beta)
+    beta = [part + (ell - 1 - i) for i, part in enumerate(lam)]  # decreasing
     removals: list[tuple[int, Partition]] = []
     for i, b in enumerate(beta):
         nb = b - k
-        if nb < 0 or nb in occupied:
+        # rows i+1 .. j-1 hold the beta values jumped over
+        j = i + 1
+        while j < ell and beta[j] > nb:
+            j += 1
+        if nb < 0 or (j < ell and beta[j] == nb):
             continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((occupied - {b}) | {nb}, reverse=True)
-        shape = tuple(new_beta[j] - (ell - 1 - j) for j in range(ell))
+        moved = beta[:i] + beta[i + 1 : j] + [nb] + beta[j:]
+        shape = [v - (ell - 1 - t) for t, v in enumerate(moved)]
         while shape and shape[-1] == 0:
-            shape = shape[:-1]
-        removals.append((-1 if height % 2 else 1, shape))
+            shape.pop()
+        removals.append((-1 if (j - i - 1) % 2 else 1, tuple(shape)))
     return tuple(removals)
 
 
@@ -79,19 +83,122 @@ def _mn(lam: Partition, rho: Partition) -> int:
     return total
 
 
+@cache
+def _parts_at_most(m: int, k: int) -> int:
+    """How many partitions of m have no part above k: those end the
+    canonical order of m."""
+    return sum(1 for rho in partitions_of(m) if not rho or rho[0] <= k)
+
+
+@cache
+def _mn_row(lam: Partition) -> tuple[int, ...]:
+    """chi_lam at every class of |lam| in canonical order, by the same rule
+    as ``_mn`` applied a whole block of classes at a time.  The classes
+    whose largest part is k are (k, *rest) for the rests of |lam| - k with
+    no part above k, in canonical order; those rests end the canonical
+    order of |lam| - k, so the block is a sum of tails of the rows of the
+    shapes left by removing a k-strip from lam."""
+    n = sum(lam)
+    if len(lam) <= 1:
+        return (1,) * len(partitions_of(n))
+    row: list[int] = []
+    for k in range(n, 0, -1):
+        count = _parts_at_most(n - k, k)
+        block = [0] * count
+        for sign, smaller in _border_strip_removals(lam, k):
+            tail = _mn_row(smaller)[-count:]
+            block = [b + sign * v for b, v in zip(block, tail)]
+        row += block
+    return tuple(row)
+
+
 def character_value(lam: Partition, rho: Partition) -> int:
     """chi_lam(rho) for partitions of the same n."""
     check_partition(rho, sum(check_partition(lam)))
     return _mn(lam, rho)
 
 
+class _PackedClassSums:
+    """The packed class sums over rows ``values[k]``, chi of ``shapes[k]``
+    at every class of S_n in canonical order: a ``CharacterTable`` holds
+    every row, a ``CharacterRows`` some of them."""
+
+    n: int
+    values: tuple[tuple[int, ...], ...]
+    shapes: tuple[Partition, ...]
+
+    @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        return tuple(class_size(rho) for rho in partitions_of(self.n))
+
+    @cached_property
+    def _max_abs_value(self) -> int:
+        return max(max(map(abs, row)) for row in self.values)
+
+    def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """The multiplicities at every row of every class function in
+        ``functions``, from one packed class sum per row: digit i of row
+        k's sum is sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and
+        every packed value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)|
+        in size."""
+        weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
+        per_class = sum(max(map(abs, column)) for column in zip(*weighted))
+        layout = _digit_layout(self._max_abs_value * per_class, len(functions))
+        sums = [
+            tuple(self._exact(digit, k) for digit in _unpack(total, layout))
+            for k, total in enumerate(self._packed_class_sums(weighted, layout))
+        ]
+        return list(zip(*sums))
+
+    def _packed_class_sums(self, weighted: Sequence[Sequence[int]], layout: _Layout) -> list[int]:
+        """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
+        weighted[i][rho] into digit i: one big-integer multiply-add per
+        (row, class) does the class sums of every i at once."""
+        packed = [_pack(column, layout) for column in zip(*weighted)]
+        return [sum(map(mul, row, packed)) for row in self.values]
+
+    def _exact(self, total: int, k: int) -> int:
+        """total / n!, the class sum of the k-th row, exactly."""
+        mult, rem = divmod(total, factorial(self.n))
+        if rem:
+            raise NonIntegral(f"class sum for {self.shapes[k]} is not divisible by {self.n}!")
+        return mult
+
+
 @dataclass(frozen=True)
-class CharacterTable:
+class CharacterRows(_PackedClassSums):
+    """The rows of chi_lam for lam in ``shapes`` (partitions of n, in any
+    order): ``values[k]`` is chi of ``shapes[k]`` at every class."""
+
+    n: int
+    shapes: tuple[Partition, ...]
+    values: tuple[tuple[int, ...], ...]
+
+
+def character_rows(n: int, shapes: Iterable[Partition]) -> CharacterRows:
+    """The Murnaghan-Nakayama rows of ``shapes`` alone (``_mn_row``), each
+    checked: its value at the identity class is dim V(lam) and its norm
+    sum_rho |C_rho| chi(rho)^2 is n!."""
+    shapes = tuple(check_partition(lam, n) for lam in shapes)
+    rows = CharacterRows(n, shapes, tuple(map(_mn_row, shapes)))
+    nfact = factorial(n)
+    for lam, row in zip(shapes, rows.values):
+        # the identity class (1^n) comes last in canonical order
+        if row[-1] != dimension(lam):
+            raise AssertionError(f"dimension column wrong at {lam}")
+        if sum(map(mul, rows.class_sizes, map(mul, row, row))) != nfact:
+            raise AssertionError(f"row {lam} does not have norm {n}!")
+    return rows
+
+
+@dataclass(frozen=True)
+class CharacterTable(_PackedClassSums):
     """Full character table of S_n in canonical partition order.
 
     ``values[i][j]`` is chi of the i-th partition (irreducible) at the j-th
     partition (conjugacy class).  The table holds only n and ``values``;
-    ``partitions`` and ``class_sizes`` are derived from n.
+    ``partitions`` (also its ``shapes``) and ``class_sizes`` are derived
+    from n.
     """
 
     n: int
@@ -101,9 +208,7 @@ class CharacterTable:
     def partitions(self) -> tuple[Partition, ...]:
         return partitions_of(self.n)
 
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(class_size(rho) for rho in self.partitions)
+    shapes = partitions
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -127,36 +232,11 @@ class CharacterTable:
         return self._exact(sum(map(mul, weighted, self.values[k])), k)
 
     @cached_property
-    def _max_abs_value(self) -> int:
-        return max(abs(v) for row in self.values for v in row)
-
-    @cached_property
     def _packed_rows(self) -> dict[int, dict[int, int]]:
         """Per digit size, the rows ``_combine_rows`` has packed by class so
         far, by row index; a row's packing depends only on the size, since
         every layout here has one digit per class."""
         return {}
-
-    def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        """``decompose`` of every class function in ``functions``, from one
-        packed class sum per irreducible: digit i of row k's sum is
-        sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and every packed
-        value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)| in size."""
-        weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
-        per_class = sum(max(map(abs, column)) for column in zip(*weighted))
-        layout = _digit_layout(self._max_abs_value * per_class, len(functions))
-        sums = [
-            tuple(self._exact(digit, k) for digit in _unpack(total, layout))
-            for k, total in enumerate(self._packed_class_sums(weighted, layout))
-        ]
-        return list(zip(*sums))
-
-    def _packed_class_sums(self, weighted: Sequence[Sequence[int]], layout: _Layout) -> list[int]:
-        """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
-        weighted[i][rho] into digit i: one big-integer multiply-add per
-        (row, class) does the class sums of every i at once."""
-        packed = [_pack(column, layout) for column in zip(*weighted)]
-        return [sum(map(mul, row, packed)) for row in self.values]
 
     def _combine_rows(self, supports: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
         """For each sparse list of (row index k, c_k), the class function
@@ -170,13 +250,6 @@ class CharacterTable:
         return [
             _unpack(sum(c * packed[k] for k, c in support), layout) for support in supports
         ]
-
-    def _exact(self, total: int, k: int) -> int:
-        """total / n!, the class sum of the k-th irreducible, exactly."""
-        mult, rem = divmod(total, factorial(self.n))
-        if rem:
-            raise NonIntegral(f"class sum for {self.partitions[k]} is not divisible by {self.n}!")
-        return mult
 
 
 class _Layout(NamedTuple):

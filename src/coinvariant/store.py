@@ -120,8 +120,8 @@ def _envelope(kind: str, n: int) -> dict:
 def _char_doc(table: CharacterTable) -> dict:
     return {
         **_envelope("char", table.n),
-        "class_sizes": list(table.class_sizes),
-        "values": [list(row) for row in table.values],
+        "class_sizes": table.class_sizes,
+        "values": table.values,
     }
 
 
@@ -159,7 +159,7 @@ def _kron_from_doc(doc: dict) -> KroneckerTable:
 
 
 def _graded_doc(table: GradedMultiplicityTable) -> dict:
-    return {**_envelope("graded", table.n), "b": [list(row) for row in table.b]}
+    return {**_envelope("graded", table.n), "b": table.b}
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:

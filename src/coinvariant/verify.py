@@ -18,7 +18,10 @@ widths follow from proven bounds, so each digit is exactly its class sum.
 Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
-independent audit route.
+independent audit route.  The low-degree harness needs no full table:
+``low_degree_matrix`` decomposes the same class functions on the only
+character rows where d can be nonzero, with a completeness guard that
+proves the rest zero (see ``low_degree_harness``).
 
 Degrees outside [0, top] of a graded table contribute zero.
 """
@@ -27,17 +30,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from operator import mul
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping, Sequence
 
-from .characters import character_table
-from .combinatorics import Partition, check_partition, dimension, format_partition, partitions_of
+from .characters import character_rows, character_table
+from .combinatorics import (
+    Partition,
+    check_partition,
+    dimension,
+    format_partition,
+    partition_index,
+    partitions_of,
+)
 from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial, top_degree
 from .kronecker import KroneckerTable, OnDemandKronecker
 # unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
 # when the bench reads in-tree spans (ROADMAP item 1)
 from .parallel import parallel_map  # noqa: F401
-from .polynomials import is_log_concave, is_unimodal, symmetric_about
+from .polynomials import is_log_concave, is_unimodal, one_minus_q_product, symmetric_about
 
 SCHEMA_VERSION = 1
 
@@ -263,23 +274,116 @@ def check_harness_range(n_max: int) -> None:
         raise ValueError("n_max must be at least 4")
 
 
+def low_degree_shapes(n: int, max_m: int) -> tuple[Partition, ...]:
+    """The nu of S_n with n - nu_1 <= 2 max_m, in canonical order: the only
+    rows where d can be nonzero at degrees and co-degrees m <= max_m."""
+    return tuple(nu for nu in partitions_of(n) if n - nu[0] <= 2 * max_m)
+
+
+def _truncated_quotient(coeffs: Sequence[int], parts: Partition, length: int) -> list[int]:
+    """The first ``length`` coefficients of the power series
+    coeffs / prod over parts p of (1 - q^p)."""
+    out = list(coeffs[:length])
+    for p in parts:
+        for j in range(p, length):
+            out[j] += out[j - p]
+    return out
+
+
+def _graded_characters(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
+    """chi_j at every class rho of S_n, in canonical order, for the degrees
+    j <= max_m + 1 and j >= c - max_m - 1: the q^j coefficients of
+    N(q) / prod_j (1 - q^{rho_j}), N = prod_{k<=n} (1 - q^k), of degree c.
+    The low ones are that quotient as a power series truncated after
+    q^(max_m + 1).  The top ones are the truncated series of the reversed
+    quotient, N's top coefficients over prod_j (q^{rho_j} - 1), not the
+    sign twist of the low ones, so the harness's mirror check compares two
+    computations."""
+    c = top_degree(n)
+    length = min(max_m + 2, c + 1)
+    numerator = one_minus_q_product(n).coeffs
+    reversed_numerator = numerator[::-1]
+    low, top = [], []
+    for rho in partitions_of(n):
+        low.append(_truncated_quotient(numerator, rho, length))
+        sign = -1 if len(rho) % 2 else 1
+        top.append([sign * v for v in _truncated_quotient(reversed_numerator, rho, length)])
+    chi = {c - k: column for k, column in enumerate(zip(*top))}
+    chi.update(enumerate(zip(*low)))
+    return chi
+
+
+def low_degree_matrix(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
+    """d vectors over every nu of S_n at the degrees of
+    ``low_degree_window(max_m, c)``, computed on the rows of
+    ``low_degree_shapes`` alone and 0 elsewhere; see ``low_degree_harness``
+    for the bound and the guards checked on the way."""
+    c = top_degree(n)
+    degrees = low_degree_window(max_m, c)
+    chi = _graded_characters(n, max_m)
+    betti = poincare_polynomial(n).coeffs
+    for j, values in chi.items():
+        # the identity class (1^n) comes last in canonical order
+        if values[-1] != betti[j]:
+            raise AssertionError(f"chi_{j} at the identity is not the Betti number b_{j} of n={n}")
+    rows = character_rows(n, low_degree_shapes(n, max_m))
+    functions = [
+        [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
+        for i in degrees
+    ]
+    matrix = dict(zip(degrees, rows._decompose_all(functions)))
+    nfact = factorial(n)
+    for i, f in zip(degrees, functions):
+        norm = sum(map(mul, rows.class_sizes, map(mul, f, f)))
+        if nfact * sum(d * d for d in matrix[i]) != norm:
+            raise AssertionError(
+                f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
+            )
+    index = partition_index(n)
+    padded = {}
+    for i, d in matrix.items():
+        row = [0] * len(index)
+        for nu, value in zip(rows.shapes, d):
+            row[index[nu]] = value
+        padded[i] = tuple(row)
+    return padded
+
+
 def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     """d >= 0 at degrees m in 1..max_m and co-degrees, for all n up to n_max.
 
     Stability makes n <= 4m sufficient for degree m at every n; the scan
     still runs all n <= n_max as direct evidence, in this process: the
     whole scan is too little work for a worker pool to pay for itself.
+    It builds no character or graded table and reads or writes no table
+    file: per n it computes only the graded characters chi_j with j within
+    max_m + 1 of either end and the character rows d can be nonzero on.
+
+    The rows: n(lam) >= n - lam_1, so a constituent V(lam) of H^i, whose
+    least major index is n(lam), has n - lam_1 <= i.  A constituent nu of
+    V(a) (x) V(b) has n - nu_1 <= (n - a_1) + (n - b_1).  So d[nu][m], a
+    difference of multiplicities in H^m (x) H^m and H^(m-1) (x) H^(m+1),
+    is 0 unless n - nu_1 <= 2m.  Co-degrees need no other rows: H^(c-i)
+    is the sign twist of H^i, and the two sign twists in each tensor
+    product cancel.
+
+    The guards, checked on every run (``low_degree_matrix``): every row
+    has norm n! and its identity-class value is dim V(nu); every chi_j is
+    the Betti number b_j at the identity class; every class sum clears n!
+    (``NonIntegral`` names its partition); and completeness: for each
+    class function f = chi_m^2 - chi_(m-1) chi_(m+1), the sum of d^2 over
+    the computed rows equals <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2
+    exactly.  By Parseval <f, f> is the sum of d^2 over every nu, so
+    every omitted d is 0: the row bound is checked, not assumed.
+
     Co-degree values are computed directly, not mirrored, so the report's
     check of the duality d[nu][m] == d[nu][c-m] compares two computations.
     """
     check_harness_range(n_max)
     entries = []
     for n in range(2, n_max + 1):
-        table = graded_table(n)
-        degrees = low_degree_window(max_m, table.top_degree)
-        matrix = d_matrix(table, degrees)
-        for i in degrees:
-            entries.extend((n, nu, i, d) for nu, d in zip(table.partitions, matrix[i]))
+        for i, row in low_degree_matrix(n, max_m).items():
+            entries.extend((n, nu, i, d) for nu, d in zip(partitions_of(n), row))
     return LowDegreeReport(n_max, max_m, tuple(entries))
 
 

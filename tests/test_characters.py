@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from coinvariant import characters
 from coinvariant.characters import (
     CharacterTable,
+    _mn_row,
     _validate,
     build_character_table,
+    character_rows,
     character_table,
     character_value,
     verify_orthogonality,
@@ -354,6 +356,40 @@ class TestPackedRows:
         for c in coefficients:
             support = [(k, x) for k, x in enumerate(c) if x]
             assert table._combine_rows([support]) == [virtual_character(table, c)]
+
+
+class TestCharacterRows:
+    """Rows of chosen shapes alone, by the row-at-a-time recursion."""
+
+    def test_row_recursion_matches_the_table(self):
+        for n in range(0, 11):
+            for lam in partitions_of(n):
+                assert _mn_row(lam) == tuple(
+                    character_value(lam, rho) for rho in partitions_of(n)
+                ), lam
+
+    def test_rows_in_any_order_decompose_as_the_table(self):
+        table = character_table(7)
+        shapes = ((4, 2, 1), (7,), (2, 2, 1, 1, 1), (5, 2))
+        rows = character_rows(7, shapes)
+        assert rows.values == tuple(table.row(lam) for lam in shapes)
+        functions = [virtual_character(table, range(15)), table.values[3]]
+        full = table._decompose_all(functions)
+        at = [table.index(lam) for lam in shapes]
+        assert rows._decompose_all(functions) == [tuple(d[k] for k in at) for d in full]
+
+    def test_non_virtual_function_names_the_row_partition(self):
+        # (chi_(4,2) + chi_(2,2,1,1)) / 2 is integer-valued but has
+        # multiplicity 1/2 at (4, 2), which is row 0 here and index 2 in S_6
+        table = character_table(6)
+        f = [(a + b) // 2 for a, b in zip(table.row((4, 2)), table.row((2, 2, 1, 1)))]
+        rows = character_rows(6, ((4, 2), (3, 3)))
+        with pytest.raises(NonIntegral, match=r"class sum for \(4, 2\) is not divisible by 6!"):
+            rows._decompose_all([f])
+
+    def test_rows_must_be_partitions_of_n(self):
+        with pytest.raises(ValueError):
+            character_rows(5, ((4, 2),))
 
 
 def reference_d_matrix(table) -> dict[int, tuple[int, ...]]:

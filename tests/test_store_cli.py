@@ -156,7 +156,8 @@ class TestCacheStore:
         digest, body = digest_and_body(store.root / f"{kind}-6.json")
         assert digest == sha256(body)
         assert b"\n" not in body and b" " not in body
-        assert json.loads(body) == to_doc(table)
+        # the document holds the table's tuples; JSON writes them as lists
+        assert json.loads(body) == json.loads(json.dumps(to_doc(table)))
 
     @pytest.mark.parametrize("kind, to_doc", [("char", _char_doc), ("graded", _graded_doc)])
     def test_indented_body_reads_warm(self, tmp_path, caplog, kind, to_doc):
@@ -205,8 +206,11 @@ class TestCacheStore:
     def test_file_holding_another_table_rebuilds(
         self, tmp_path, fresh_memo, caplog, target, source
     ):
-        # a digest-valid file whose envelope is not the one its name promises
-        commands = [["unimodal", "--n", "5"], ["low-degree-harness", "--n-max", "5"]]
+        # a digest-valid file whose envelope is not the one its name promises;
+        # verify-flag --n 4 writes the n = 4 sources and --n 5 reads n = 5 back
+        commands = [
+            ["unimodal", "--n", "5"], ["verify-flag", "--n", "4"], ["verify-flag", "--n", "5"],
+        ]
         if target.startswith("springer"):
             # the first sweep rebuilds in the pool and the second reads warm
             commands = [["springer-scan", "--n-max", "6", "--jobs", jobs] for jobs in "21"]
@@ -613,7 +617,7 @@ class TestCli:
         [
             ["verify-flag", "--n", "6"],
             ["unimodal", "--n", "5"],
-            ["low-degree-harness", "--n-max", "6"],
+            ["verify-flag", "--n", "6", "--degrees", "low:3"],
             ["springer-scan", "--n-max", "7"],
         ],
     )
@@ -622,6 +626,14 @@ class TestCli:
         cache = tmp_path / "cache"
         assert list(cache.glob("char-*.json"))
         assert list(cache.glob("kron-*.json")) == []
+
+    def test_low_degree_harness_reads_and_writes_no_table_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "lowdeg.json"
+        assert run_cli(tmp_path, "low-degree-harness", "--n-max", "6", "--out", str(out)) == 0
+        assert list(cache.iterdir()) == []
+        assert json.loads(out.read_text())["provenance"]["cache_digests"] == {}
 
     def test_unknown_flag_is_operational_error(self, tmp_path):
         assert cli.run(["verify-flag", "--n", "5", "--bogus"]) == 1

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from coinvariant import verify
+from coinvariant import characters, verify
 from coinvariant.characters import character_table
 from coinvariant.combinatorics import centralizer_size, dimension, partitions_of
+from coinvariant.errors import NonIntegral
 from coinvariant.graded import graded_character_poly, graded_table, top_degree
 from coinvariant.kronecker import OnDemandKronecker, kronecker_table
 from coinvariant.springer import springer_graded_table
@@ -13,6 +14,8 @@ from coinvariant.verify import (
     d_matrix,
     d_vector,
     low_degree_harness,
+    low_degree_matrix,
+    low_degree_window,
     parse_degree_filter,
     tensor_multiplicity_vector,
     tensor_pair_multiplicity,
@@ -200,21 +203,102 @@ class TestLowDegreeHarness:
     def test_codegree_mismatch_fails_the_mirror_check(self, monkeypatch):
         # at n = 5 (c = 10) raise d[(4,1)][9] by one, so it no longer
         # mirrors d[(4,1)][1] but stays nonnegative
-        compute = verify.d_matrix
+        compute = verify.low_degree_matrix
 
-        def skewed(table, degrees=None):
-            matrix = compute(table, degrees)
-            if table.n == 5:
-                row = table.index((4, 1))
+        def skewed(n, max_m):
+            matrix = compute(n, max_m)
+            if n == 5:
+                row = partitions_of(5).index((4, 1))
                 matrix[9] = tuple(d + (k == row) for k, d in enumerate(matrix[9]))
             return matrix
 
-        monkeypatch.setattr(verify, "d_matrix", skewed)
+        monkeypatch.setattr(verify, "low_degree_matrix", skewed)
         report = low_degree_harness(6)
         assert report.mirror_mismatches == ((5, (4, 1), 1),)
         assert report.violations == ()
         assert report.status == "fail"
         assert report.payload()["mirror_mismatches"] == [{"n": 5, "nu": "4,1", "m": 1}]
+
+
+class TestLowDegreeRoute:
+    """The harness's own route: graded characters as truncated series,
+    character rows with n - nu_1 <= 2m only, and a guard for each part."""
+
+    def test_matches_d_matrix_on_full_tables(self):
+        for n in range(2, 15):
+            table = graded_table(n)
+            for m in range(1, 7):
+                expected = d_matrix(table, low_degree_window(m, table.top_degree))
+                assert low_degree_matrix(n, m) == expected, (n, m)
+                # the audit route agrees that d is 0 outside the row bound
+                for row in expected.values():
+                    for nu, d in zip(partitions_of(n), row):
+                        assert d == 0 or n - nu[0] <= 2 * m, (n, m, nu)
+
+    def test_dropped_row_fails_the_completeness_guard(self, monkeypatch):
+        # rows with n - nu_1 = 6 are needed at m = 3: d[(3, 3, 3)][3] = 1
+        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, max_m: tuple(
+            nu for nu in partitions_of(n) if n - nu[0] <= 2 * max_m - 1
+        ))
+        with pytest.raises(AssertionError, match=r"completeness fails at n=9, degree 3:"):
+            low_degree_harness(9)
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ((2, 1, 1, 1), r"row \(4, 1\) does not have norm 5!"),
+            ((1, 1, 1, 1, 1), r"dimension column wrong at \(4, 1\)"),
+        ],
+        ids=["norm", "dimension"],
+    )
+    def test_perturbed_mn_value_fails_the_row_guard(self, monkeypatch, rho, message):
+        # the harness stops at the perturbed row of n = 5, before any row
+        # that the recursion builds from (4, 1) could keep the perturbation
+        mn_row = characters._mn_row
+        column = partitions_of(5).index(rho)
+
+        def skewed(lam):
+            row = mn_row(lam)
+            if lam == (4, 1):
+                row = tuple(v + (k == column) for k, v in enumerate(row))
+            return row
+
+        monkeypatch.setattr(characters, "_mn_row", skewed)
+        with pytest.raises(AssertionError, match=message):
+            low_degree_harness(5)
+
+    def test_perturbed_graded_coefficient_fails_the_betti_guard(self, monkeypatch):
+        graded_characters = verify._graded_characters
+
+        def skewed(n, max_m):
+            chi = graded_characters(n, max_m)
+            if n == 5:
+                chi[2] = (*chi[2][:-1], chi[2][-1] + 1)
+            return chi
+
+        monkeypatch.setattr(verify, "_graded_characters", skewed)
+        message = "chi_2 at the identity is not the Betti number b_2 of n=5"
+        with pytest.raises(AssertionError, match=message):
+            low_degree_harness(5)
+
+    def test_non_virtual_class_function_names_its_partition(self, monkeypatch):
+        # rows in reverse canonical order, so row 0 is (1^6), not (6)
+        shapes = verify.low_degree_shapes
+        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, max_m: shapes(n, max_m)[::-1])
+        graded_characters = verify._graded_characters
+
+        def skewed(n, max_m):
+            # chi_1 + 1 at the 6-cycles changes chi_1^2 there by an odd number,
+            # so every hook's class sum moves by 120 * odd, not a multiple of 6!
+            chi = graded_characters(n, max_m)
+            if n == 6:
+                chi[1] = (chi[1][0] + 1, *chi[1][1:])
+            return chi
+
+        monkeypatch.setattr(verify, "_graded_characters", skewed)
+        message = r"class sum for \(1, 1, 1, 1, 1, 1\) is not divisible by 6!"
+        with pytest.raises(NonIntegral, match=message):
+            low_degree_harness(6)
 
 
 class TestUnimodality:
