@@ -1,10 +1,12 @@
 """Exact irreducible characters of the symmetric group.
 
-Character values are computed by the Murnaghan-Nakayama recursion over
-border strips, memoized on (shape, remaining cycle type) with the cycle
-type consumed largest part first; ``character_rows`` takes the rows of
-chosen shapes alone by the same rule, a block of classes at a time
-(``_mn_row``).  Everything is an exact Python int.
+Character rows are computed by the Murnaghan-Nakayama recursion over
+border strips, memoized per shape and taken a block of classes at a time
+with the cycle type consumed largest part first (``_mn_row``): full
+tables and the rows ``character_rows`` picks both come from it.  A single
+value ``character_value`` takes the same rule one class at a time
+(``_mn``), the independent reference the rows are tested against.
+Everything is an exact Python int.
 
 Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
@@ -54,21 +56,19 @@ def _border_strip_removals(lam: Partition, k: int) -> tuple[tuple[int, Partition
     strip height is the number of beta values jumped over.
     """
     ell = len(lam)
-    beta = [part + (ell - 1 - i) for i, part in enumerate(lam)]  # decreasing
+    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
+    occupied = set(beta)
     removals: list[tuple[int, Partition]] = []
     for i, b in enumerate(beta):
         nb = b - k
-        # rows i+1 .. j-1 hold the beta values jumped over
-        j = i + 1
-        while j < ell and beta[j] > nb:
-            j += 1
-        if nb < 0 or (j < ell and beta[j] == nb):
+        if nb < 0 or nb in occupied:
             continue
-        moved = beta[:i] + beta[i + 1 : j] + [nb] + beta[j:]
-        shape = [v - (ell - 1 - t) for t, v in enumerate(moved)]
+        height = sum(1 for other in beta if nb < other < b)
+        new_beta = sorted((occupied - {b}) | {nb}, reverse=True)
+        shape = tuple(new_beta[j] - (ell - 1 - j) for j in range(ell))
         while shape and shape[-1] == 0:
-            shape.pop()
-        removals.append((-1 if (j - i - 1) % 2 else 1, tuple(shape)))
+            shape = shape[:-1]
+        removals.append((-1 if height % 2 else 1, shape))
     return tuple(removals)
 
 
@@ -92,8 +92,8 @@ def _parts_at_most(m: int, k: int) -> int:
 
 @cache
 def _mn_row(lam: Partition) -> tuple[int, ...]:
-    """chi_lam at every class of |lam| in canonical order, by the same rule
-    as ``_mn`` applied a whole block of classes at a time.  The classes
+    """chi_lam at every class of |lam| in canonical order: the rule of
+    ``_mn`` applied a whole block of classes at a time.  The classes
     whose largest part is k are (k, *rest) for the rests of |lam| - k with
     no part above k, in canonical order; those rests end the canonical
     order of |lam| - k, so the block is a sum of tails of the rows of the
@@ -133,7 +133,7 @@ class _PackedClassSums:
 
     @cached_property
     def _max_abs_value(self) -> int:
-        return max(max(map(abs, row)) for row in self.values)
+        return max(abs(v) for row in self.values for v in row)
 
     def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         """The multiplicities at every row of every class function in
@@ -295,10 +295,7 @@ def build_character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("n must be positive")
     parts = partitions_of(n)
-    values = tuple(
-        tuple(_mn(lam, rho) for rho in parts) for lam in parts
-    )
-    table = CharacterTable(n, values)
+    table = CharacterTable(n, tuple(map(_mn_row, parts)))
     _validate(table)
     return table
 
