@@ -12,25 +12,32 @@ Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
 signed base 2^w holding function i, so one big-integer multiply-add per
 (row, class) takes the class sums of all of them.  The digit width w is
-bitlen(B) + 2, rounded up to whole bytes, for a proven bound B on every
-digit: max|chi| * sum_rho max_i |C_rho f_i(rho)| for decompositions, and
-n! for row orthogonality, once every row norm is n! (Cauchy-Schwarz for
-the positive form sum_rho |C_rho| a_rho b_rho).  Each digit read back is
-therefore exactly its class sum; every multiplicity is still divided by
-n! with a ``NonIntegral`` check, and the build keeps its dimension,
-twist and orthogonality guards.  Combinations sum_k c_k chi_k (graded
-characters) are taken the same way from the rows packed by class, with
-bound max|chi| * sum_k |c_k|; a table keeps each row it has packed, per
-digit size, so the many Springer tables of one n pack each row once per
-size.
+bitlen(B) + 2, rounded up to whole bytes (and, below 9 bytes, to 1, 2, 4
+or 8 bytes, whose digits ``struct`` converts in one call), for a proven
+bound B on every digit: max|chi| * sum_rho max_i |C_rho f_i(rho)| for
+decompositions, and n! for row orthogonality, once every row norm is n!
+(Cauchy-Schwarz for the positive form sum_rho |C_rho| a_rho b_rho).
+Each digit read back is therefore exactly its class sum; every
+multiplicity is still divided by n! with a ``NonIntegral`` check, a whole
+row's digits at once by one division of its packed sum
+(``_exact_digits``), and the build keeps its dimension, twist and
+orthogonality guards.  Combinations sum_k c_k chi_k (graded characters)
+are taken the same way from the rows packed by class, with bound
+max|chi| * sum_k |c_k|; a table keeps each row it has packed, per digit
+size, so the many Springer tables of one n pack each row once per size.
+The Springer sweep decomposes the class functions of every cached type
+of one n in one batch, so it takes one packed class sum per row per n,
+not per type.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 from math import factorial
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import memo
@@ -135,20 +142,36 @@ class _PackedClassSums:
     def _max_abs_value(self) -> int:
         return max(abs(v) for row in self.values for v in row)
 
-    def _decompose_all(self, functions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    def _decompose_all(self, functions: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         """The multiplicities at every row of every class function in
         ``functions``, from one packed class sum per row: digit i of row
         k's sum is sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and
         every packed value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)|
-        in size."""
+        in size.  Only the weighted values |C_rho| f_i(rho) are kept, so
+        ``functions`` may be a generator that drops each f once it is read."""
         weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
         per_class = sum(max(map(abs, column)) for column in zip(*weighted))
-        layout = _digit_layout(self._max_abs_value * per_class, len(functions))
-        sums = [
-            tuple(self._exact(digit, k) for digit in _unpack(total, layout))
-            for k, total in enumerate(self._packed_class_sums(weighted, layout))
-        ]
+        layout = _digit_layout(self._max_abs_value * per_class, len(weighted))
+        totals = self._packed_class_sums(weighted, layout)
+        # drop the weighted values before the multiplicities are made, so
+        # a large batch never holds both
+        del weighted
+        sums = [self._exact_digits(total, k, layout) for k, total in enumerate(totals)]
         return list(zip(*sums))
+
+    def _exact_digits(self, total: int, k: int, layout: _Layout) -> list[int]:
+        """Every digit of the k-th row's packed ``total`` divided by n!,
+        exactly, from one division of ``total``: if total = n! q and every
+        digit e of q has |n! e| < half, then the digits n! e expand total,
+        and that expansion is unique, so they are its digits.  Otherwise
+        some digit is not divisible, and ``_exact`` names the row."""
+        nfact = factorial(self.n)
+        quotient, rem = divmod(total, nfact)
+        if not rem:
+            digits = _unpack(quotient, layout)
+            if max(map(abs, digits), default=0) * nfact < layout.half:
+                return digits
+        return [self._exact(digit, k) for digit in _unpack(total, layout)]
 
     def _packed_class_sums(self, weighted: Sequence[Sequence[int]], layout: _Layout) -> list[int]:
         """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
@@ -263,11 +286,19 @@ class _Layout(NamedTuple):
     count: int
 
 
+# struct codes of the unsigned little-endian digit sizes that have one
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _digit_layout(bound: int, count: int) -> _Layout:
     """The layout for ``count`` digits of absolute value at most ``bound``:
     8 size is bitlen(bound) + 2 rounded up to whole bytes, so half > 2 bound,
-    and a sum of such digits times 2^(8 size i) has exactly one expansion."""
+    and a sum of such digits times 2^(8 size i) has exactly one expansion.
+    A size up to 8 is rounded up to 1, 2, 4 or 8, so ``struct`` packs and
+    unpacks its digits."""
     size = (bound.bit_length() + 9) // 8
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
     half = 1 << (8 * size - 1)
     offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
     return _Layout(size, half, offset, count)
@@ -275,8 +306,11 @@ def _digit_layout(bound: int, count: int) -> _Layout:
 
 def _pack(values: Iterable[int], layout: _Layout) -> int:
     """sum_i values[i] 2^(8 size i), built from bytes in linear time."""
-    size, half, offset, _ = layout
-    data = b"".join((v + half).to_bytes(size, "little") for v in values)
+    size, half, offset, count = layout
+    if size in _FORMATS:
+        data = struct.pack(f"<{count}{_FORMATS[size]}", *map(add, values, repeat(half)))
+    else:
+        data = b"".join((v + half).to_bytes(size, "little") for v in values)
     return int.from_bytes(data, "little") - offset
 
 
@@ -284,6 +318,8 @@ def _unpack(total: int, layout: _Layout) -> list[int]:
     """The signed digits of ``total`` (the inverse of ``_pack``)."""
     size, half, offset, count = layout
     data = (total + offset).to_bytes(size * count, "little")
+    if size in _FORMATS:
+        return [v - half for v in struct.unpack(f"<{count}{_FORMATS[size]}", data)]
     return [
         int.from_bytes(data[at : at + size], "little") - half
         for at in range(0, len(data), size)

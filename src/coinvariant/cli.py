@@ -41,7 +41,8 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=default_jobs(),
-        help="worker processes (springer-scan only, at most the CPU count); "
+        help="worker processes (at most the CPU count) for the Springer tables "
+        "springer-scan builds; a warm sweep and every other command fork none; "
         "output is identical for any N",
     )
     common.add_argument(

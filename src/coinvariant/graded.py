@@ -19,7 +19,6 @@ The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import memo
 from .characters import character_table
@@ -112,13 +111,10 @@ class GradedMultiplicityTable:
     def top_degree(self) -> int:
         return len(self.b[0]) - 1
 
-    @cached_property
+    @property
     def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per degree: the nonzero (row, multiplicity) pairs."""
-        return tuple(
-            tuple((r, row[i]) for r, row in enumerate(self.b) if row[i])
-            for i in range(len(self.b[0]))
-        )
+        return tuple(map(self.support, range(self.top_degree + 1)))
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -133,10 +129,12 @@ class GradedMultiplicityTable:
         return self.b[self.index(lam)][i]
 
     def support(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Nonzero (partition row, multiplicity) pairs in degree i."""
-        if not 0 <= i < len(self.supports):
+        """Nonzero (partition row, multiplicity) pairs in degree i, read
+        from the rows on each call and not kept: a Springer sweep holds
+        many tables and needs each support once."""
+        if not 0 <= i <= self.top_degree:
             return ()
-        return self.supports[i]
+        return tuple((r, row[i]) for r, row in enumerate(self.b) if row[i])
 
 
 def build_graded_table(n: int) -> GradedMultiplicityTable:

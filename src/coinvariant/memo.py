@@ -5,9 +5,9 @@ store adopts every table it reads or builds, so later library calls use
 the table the store holds, but never in place of a file its directory
 lacks.  Kind ``"springer"`` holds, per n, the Springer table of every
 type of n in canonical order; no lookup builds it, and a store adopts it
-as the Springer sweep reads its ``springer-n`` files.  Only that sweep
-forks a worker pool, and its workers inherit the memo, so on a warm cache
-they compute only d.
+as the Springer sweep reads its ``springer-n`` files.  That sweep checks
+every type of a held n in its own process; only the types of the other
+sizes go to a forked worker pool, whose workers inherit the memo.
 """
 
 from __future__ import annotations

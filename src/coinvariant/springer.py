@@ -42,7 +42,7 @@ from .combinatorics import (
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import ONE, IntPoly, monomial, q_binomial
-from .verify import LogConcavityReport, ScanReport, d_matrix, d_row
+from .verify import LogConcavityReport, ScanReport, d_matrices, d_matrix, d_row
 
 
 @cache
@@ -146,10 +146,8 @@ def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
             "grading convention is broken"
         )
     # K(lam, mu)(0) = delta: exactly one multiplicity in the top degree,
-    # namely V(mu) itself; read from the rows, so that a table read from
-    # disk builds no ``supports`` until a d matrix needs them
-    top = table.top_degree
-    top_support = tuple((r, row[top]) for r, row in enumerate(table.b) if row[top])
+    # namely V(mu) itself
+    top_support = table.support(table.top_degree)
     if top_support != ((idx[mu], 1),):
         raise AssertionError(
             f"grading calibration fails for mu={mu}: "
@@ -234,17 +232,19 @@ def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
     return tuple(springer_graded_table(mu) for mu in partitions_of(n))
 
 
-def _scan_one_type(item: tuple[Partition, bool]) -> tuple[Partition, tuple, str | None]:
-    """The d violations of type mu, from the memo's table of mu when one is
-    held and from Kostka-Foulkes otherwise; with the table's ``table_entry``
-    as compact JSON when ``encode`` asks for it, which the parent holds for
-    every type of the sweep in far less memory than the lists it encodes."""
+def _build_one_type(item: tuple[Partition, bool]) -> tuple[Partition, tuple, str | None]:
+    """The d violations of type mu, whose table is built by Kostka-Foulkes;
+    with the table's ``table_entry`` as compact JSON when ``encode`` asks
+    for it, which the parent holds for every built type in far less memory
+    than the lists it encodes."""
     mu, encode = item
-    tables = memo.held("springer", sum(mu))
-    table = springer_graded_table(mu) if tables is None else tables[partition_index(sum(mu))[mu]]
+    table = springer_graded_table(mu)
     violations = verify_springer_log_concavity(mu, table).violations
-    entry = json.dumps(table_entry(mu, table), separators=(",", ":")) if encode else None
-    return mu, violations, entry
+    return mu, violations, _encoded(mu, table) if encode else None
+
+
+def _encoded(mu: Partition, table: GradedMultiplicityTable) -> str:
+    return json.dumps(table_entry(mu, table), separators=(",", ":"))
 
 
 def check_scan_range(n_max: int) -> None:
@@ -261,22 +261,40 @@ def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> Spr
     equivariant log-concavity, grouped by n in canonical order.  Any
     n_max >= 3 is scanned; the cost grows about 4x per step in n, and the
     command line caps it.  The character tables are warmed first, and with
-    a cache ``store`` so is every ``springer-n`` table it holds, so forked
-    workers inherit them; then one pool scans every type.  A type of a
-    cached n costs its workers only d; any other type is built by
-    Kostka-Foulkes inside a worker, which returns it encoded for disk, and
-    the parent writes one ``springer-n`` file per such n once the pool is
-    done.  Without a store nothing is read or written.
+    a cache ``store`` every ``springer-n`` file it holds is read into the
+    memo.  Every type of an n whose tables the memo then holds is checked
+    in this process, the d of all types of that n in one batch
+    (``d_matrices``), so a warm sweep forks nothing.  Only the types of
+    the other n go to the worker pool: each forked worker builds a table
+    by Kostka-Foulkes and returns its d violations and, with a store, its
+    entry encoded for disk.  Then one ``springer-n`` file is written per n
+    whose file the store lacked.  Without a store nothing is read or
+    written.
     """
     check_scan_range(n_max)
     for n in range(2, n_max + 1):
         character_table(n)
     ns = range(1, n_max + 1)
-    cached = set() if store is None else {n for n in ns if store.read("springer", n) is not None}
-    items = [(mu, store is not None and n not in cached) for n in ns for mu in partitions_of(n)]
-    results = parallel_map(_scan_one_type, items, jobs)
+    missing = set() if store is None else {n for n in ns if store.read("springer", n) is None}
+    held = {n: memo.held("springer", n) for n in ns}
+    items = [(mu, n in missing) for n in ns if held[n] is None for mu in partitions_of(n)]
+    violations = {}
+    entries = {n: [] for n in ns}
+    for mu, bad, entry in parallel_map(_build_one_type, items, jobs):
+        violations[mu] = bad
+        if entry is not None:
+            entries[sum(mu)].append(entry)
+    for n, tables in held.items():
+        if tables is None:
+            continue
+        for mu, table, matrix in zip(partitions_of(n), tables, d_matrices(tables)):
+            violations[mu] = LogConcavityReport(n, matrix).violations
+            if n in missing:
+                entries[n].append(_encoded(mu, table))
     for n in ns:
-        entries = [entry for mu, _, entry in results if entry is not None and sum(mu) == n]
-        if entries:
-            store.write("springer", n, {"tables": entries})
-    return SpringerScanReport(n_max, tuple((mu, bad) for mu, bad, _ in results if bad))
+        if entries[n]:
+            store.write("springer", n, {"tables": entries[n]})
+    counterexamples = tuple(
+        (mu, violations[mu]) for n in ns for mu in partitions_of(n) if violations[mu]
+    )
+    return SpringerScanReport(n_max, counterexamples)

@@ -316,12 +316,15 @@ def report_document(
 
 
 def check_report_path(path: Path, has_entries: bool) -> None:
-    """Refuse a report ``path`` in a directory that does not exist, or a
-    .csv ``path`` for a report without entry rows (CSV holds only those
-    rows).  The command line calls this before it reads or writes any
-    table, so a refused run touches no table file."""
+    """Refuse a report ``path`` in a directory that does not exist, a
+    ``path`` that is a directory, or a .csv ``path`` for a report without
+    entry rows (CSV holds only those rows).  The command line calls this
+    before it reads or writes any table, so a refused run touches no
+    table file."""
     if not path.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if path.suffix.lower() == ".csv" and not has_entries:
         raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
 

@@ -10,11 +10,13 @@ d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
 
 for interior degrees 1 <= i <= top-1: the decomposition of the class
 function chi_i^2 - chi_(i-1) chi_(i+1), which divides each class sum by n!
-once with an exactness check.  ``d_matrix`` checks every requested degree,
-then takes the graded characters chi_j from the character rows packed by
-class and decomposes the class functions of all degrees together, with
-one packed class sum per irreducible (see ``characters``): the digit
-widths follow from proven bounds, so each digit is exactly its class sum.
+once with an exactness check.  ``d_matrices`` checks every requested
+degree of every table of one n, then takes each table's graded
+characters chi_j from the character rows packed by class and decomposes
+the class functions of all degrees of all tables together, with one
+packed class sum per irreducible (see ``characters``): the digit widths
+follow from proven bounds, so each digit is exactly its class sum.
+``d_matrix`` is its one-table case.
 Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
@@ -62,8 +64,9 @@ def tensor_multiplicity_vector(
     """Multiplicity of every V(nu) in (degree-i piece) (x) (degree-j piece),
     summed over Kronecker coefficients (the audit route)."""
     acc = [0] * len(table.partitions)
+    right = table.support(j)
     for a, ma in table.support(i):
-        for b, mb in table.support(j):
+        for b, mb in right:
             weight = ma * mb
             vec = kron.pair_vector(a, b)
             for k, g in enumerate(vec):
@@ -85,23 +88,46 @@ def d_matrix(
     table: GradedMultiplicityTable,
     degrees: Iterable[int] | None = None,
 ) -> dict[int, tuple[int, ...]]:
-    """d vectors over nu, keyed by interior degree i.  Every degree is
-    checked before any class sum is taken; then the class functions
-    chi_i^2 - chi_(i-1) chi_(i+1) of all degrees are decomposed together,
-    in one packed class sum per irreducible."""
-    top = table.top_degree
-    degrees = range(1, top) if degrees is None else tuple(degrees)
-    for i in degrees:
-        if not 1 <= i <= top - 1:
-            raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-    chars = character_table(table.n)
-    needed = sorted({j for i in degrees for j in (i - 1, i, i + 1)})
-    chi = dict(zip(needed, chars._combine_rows([table.support(j) for j in needed])))
-    functions = [
-        [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
-        for i in degrees
-    ]
-    return dict(zip(degrees, chars._decompose_all(functions)))
+    """d vectors over nu, keyed by interior degree i (every interior
+    degree when ``degrees`` is None); see ``d_matrices``."""
+    return d_matrices([table], degrees)[0]
+
+
+def d_matrices(
+    tables: Sequence[GradedMultiplicityTable],
+    degrees: Iterable[int] | None = None,
+) -> list[dict[int, tuple[int, ...]]]:
+    """The d matrix of every table of ``tables``, all of one n, at
+    ``degrees`` (or each table's every interior degree).  Every degree of
+    every table is checked before any class sum is taken; then the class
+    functions chi_i^2 - chi_(i-1) chi_(i+1) of every degree of every table
+    are decomposed together, in one packed class sum per irreducible.  A
+    table's graded characters are dropped before the next table's are
+    taken, so the batch holds only the weighted class functions."""
+    if len({table.n for table in tables}) > 1:
+        raise ValueError("d_matrices needs tables of one n")
+    chosen = None if degrees is None else tuple(degrees)
+    scans = []
+    for table in tables:
+        top = table.top_degree
+        scan = range(1, top) if chosen is None else chosen
+        for i in scan:
+            if not 1 <= i <= top - 1:
+                raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
+        scans.append(scan)
+    if not tables:
+        return []
+    chars = character_table(tables[0].n)
+
+    def functions():
+        for table, scan in zip(tables, scans):
+            needed = sorted({j for i in scan for j in (i - 1, i, i + 1)})
+            chi = dict(zip(needed, chars._combine_rows([table.support(j) for j in needed])))
+            for i in scan:
+                yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
+
+    vectors = iter(chars._decompose_all(functions()))
+    return [dict(zip(scan, vectors)) for scan in scans]
 
 
 def d_vector(n: int, nu: Partition) -> list[int]:

@@ -3,7 +3,16 @@ import os
 
 import pytest
 
-from coinvariant import parallel
+from coinvariant import memo, parallel
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty process memo for this test; clear it to make the next run
+    use the tables its store reads instead of ones held from earlier."""
+    tables = {}
+    monkeypatch.setattr(memo, "_TABLES", tables)
+    return tables
 
 
 @pytest.fixture

@@ -1,15 +1,19 @@
 import math
+import operator
 
 import pytest
 
 from coinvariant import cli
+from coinvariant.characters import CharacterTable, character_table
 from coinvariant.combinatorics import (
+    conjugate,
     dimension,
     dominates,
     kostka_number,
     n_stat,
     partitions_of,
 )
+from coinvariant.errors import NonIntegral
 from coinvariant.graded import GradedMultiplicityTable, graded_table
 from coinvariant.parallel import parallel_map
 from coinvariant.polynomials import IntPoly
@@ -19,8 +23,10 @@ from coinvariant.springer import (
     kostka_foulkes_poly_by_charge,
     springer_counterexample_search,
     springer_graded_table,
+    springer_tables,
     verify_springer_log_concavity,
 )
+from coinvariant.verify import d_matrices, d_matrix
 
 # the ten types up to S_10 whose Springer representation fails
 # equivariant log-concavity; everything below S_7 passes
@@ -196,6 +202,56 @@ class TestSpringerLogConcavity:
                 assert verify_springer_log_concavity(mu).status == "pass"
 
 
+class TestBatchedD:
+    """``d_matrices`` over every type of one n, the sweep's route for the
+    tables it holds, against ``d_matrix`` of each table alone."""
+
+    def test_every_type_up_to_10(self):
+        for n in range(1, 11):
+            expected = [d_matrix(springer_graded_table(mu)) for mu in partitions_of(n)]
+            assert d_matrices(springer_tables(n)) == expected, n
+
+    def test_tables_must_share_one_n(self):
+        with pytest.raises(ValueError, match="tables of one n"):
+            d_matrices([graded_table(3), graded_table(4)])
+        assert d_matrices([]) == []
+
+    def test_perturbed_type_names_the_failing_partition(self, monkeypatch):
+        # chi_0 of the type (4,1,1,1) gains h = (chi_lam + chi_lam') / 2,
+        # lam = (6,1), which is no virtual character; chi_0 enters only
+        # f_1 = chi_1^2 - chi_0 chi_2, so only that function is off
+        n, lam = 7, (6, 1)
+        tables = springer_tables(n)
+        bad = tables[partitions_of(n).index((4, 1, 1, 1))]
+        chars = character_table(n)
+        h = [(x + y) // 2 for x, y in zip(chars.row(lam), chars.row(conjugate(lam)))]
+        combine = CharacterTable._combine_rows
+
+        def perturbed(self, supports):
+            chis = combine(self, supports)
+            if supports == list(bad.supports):
+                chis[0] = [x + y for x, y in zip(chis[0], h)]
+            return chis
+
+        chi0, chi1, chi2 = combine(chars, [bad.support(j) for j in range(3)])
+        f1 = [x * x - (lo + e) * hi for x, lo, hi, e in zip(chi1, chi0, chi2, h)]
+        weighted = list(map(operator.mul, chars.class_sizes, f1))
+        failing = [
+            nu
+            for nu, row in zip(partitions_of(n), chars.values)
+            if sum(map(operator.mul, weighted, row)) % math.factorial(n)
+        ]
+        assert failing
+        message = f"class sum for {failing[0]} is not divisible by {n}!"
+        monkeypatch.setattr(CharacterTable, "_combine_rows", perturbed)
+        for batch in ([bad], tables):
+            with pytest.raises(NonIntegral) as raised:
+                d_matrices(batch)
+            assert str(raised.value) == message, len(batch)
+        good = [table for table in tables if table is not bad]
+        assert d_matrices(good) == [d_matrix(table) for table in good]
+
+
 class TestCounterexampleSearch:
     def test_none_up_to_6(self):
         report = springer_counterexample_search(6)
@@ -212,7 +268,8 @@ class TestCounterexampleSearch:
         forked = springer_counterexample_search(7, jobs=2)
         assert serial.payload() == forked.payload()
 
-    def test_one_pool_per_scan(self, pool_builds):
+    def test_one_pool_per_scan(self, pool_builds, fresh_memo):
+        # no springer table is held, so every type is built in the pool
         forked = springer_counterexample_search(8, jobs=2)
         assert len(pool_builds) == 1
         assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
@@ -223,7 +280,7 @@ class TestCounterexampleSearch:
         items = list(range(100))
         assert parallel_map(math.factorial, items, 2) == [math.factorial(k) for k in items]
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool):
+    def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool, fresh_memo):
         reference = springer_counterexample_search(7, jobs=1).payload()
         assert fake_pool == []
         for jobs, workers in ((2, 2), (3, 3), (4, 3), (500, 3)):
@@ -232,7 +289,7 @@ class TestCounterexampleSearch:
         assert parallel_map(str, [1, 2], 500) == ["1", "2"]
         assert fake_pool == [2]
 
-    def test_cli_jobs_above_cpu_count(self, fake_pool, tmp_path):
+    def test_cli_jobs_above_cpu_count(self, fake_pool, fresh_memo, tmp_path):
         argv = ["springer-scan", "--n-max", "7", "--jobs", "500", "--cache-dir", str(tmp_path)]
         assert cli.run(argv) == 2
         assert fake_pool == [3]

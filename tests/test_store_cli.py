@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -26,15 +27,6 @@ from coinvariant.springer import springer_graded_table
 @pytest.fixture
 def store(tmp_path):
     return CacheStore(tmp_path / "cache")
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty process memo for this test; clear it to make the next run
-    use the tables its store reads instead of ones held from earlier."""
-    tables = {}
-    monkeypatch.setattr(memo, "_TABLES", tables)
-    return tables
 
 
 # digests of small table files; a change here changes the file format
@@ -412,6 +404,31 @@ class TestSpringerCache:
         monkeypatch.setattr(springer, "springer_graded_table", refuse)
         assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
 
+    def test_warm_sweep_forks_nothing(self, tmp_path, fresh_memo, monkeypatch):
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "2") == 2
+        fresh_memo.clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm sweep built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "2") == 2
+        # with one file gone, only the types of that n are built, in the pool
+        path = tmp_path / "cache" / "springer-7.json"
+        data = path.read_bytes()
+        path.unlink()
+        fresh_memo.clear()
+        mapped = []
+
+        def inline_map(fn, items, jobs):
+            mapped.append([mu for mu, _ in items])
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(springer, "parallel_map", inline_map)
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "2") == 2
+        assert mapped == [list(partitions_of(7))]
+        assert path.read_bytes() == data
+
     def test_library_search_without_a_store_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "cache"))
@@ -576,11 +593,16 @@ class TestCli:
                     ["low-degree-harness", "--n-max", "9"],
                 )
             ),
+            *(
+                ([*argv, "--out", "."], "error: [Errno 21] Is a directory: '.'")
+                for argv in (["springer-scan", "--n-max", "6"], ["verify-flag", "--n", "6"])
+            ),
         ],
         ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
              "low-degree-harness-range", "unimodal-range", "verify-flag-n-1",
              "verify-flag-n-0", "verify-flag-n-minus-2", "springer-scan-out",
-             "verify-flag-out", "unimodal-out", "low-degree-harness-out"],
+             "verify-flag-out", "unimodal-out", "low-degree-harness-out",
+             "springer-scan-out-dir", "verify-flag-out-dir"],
     )
     def test_refused_scan_leaves_no_table_file(
         self, tmp_path, capsys, monkeypatch, argv, error
