@@ -2,8 +2,9 @@
 
 Character rows are computed by the Murnaghan-Nakayama recursion over
 border strips, memoized per shape and taken a block of classes at a time
-with the cycle type consumed largest part first (``_mn_row``): full
-tables and the rows ``character_rows`` picks both come from it.  A single
+with the cycle type consumed largest part first (``_mn_row``).  Full
+tables and the rows ``character_rows`` picks are one type,
+``CharacterTable``, and both come from ``_mn_row``.  A single
 value ``character_value`` takes the same rule one class at a time
 (``_mn``), the independent reference the rows are tested against.
 Everything is an exact Python int.
@@ -125,14 +126,40 @@ def character_value(lam: Partition, rho: Partition) -> int:
     return _mn(lam, rho)
 
 
-class _PackedClassSums:
-    """The packed class sums over rows ``values[k]``, chi of ``shapes[k]``
-    at every class of S_n in canonical order: a ``CharacterTable`` holds
-    every row, a ``CharacterRows`` some of them."""
+@dataclass(frozen=True)
+class CharacterTable:
+    """Character rows of S_n: ``values[k]`` is chi of ``shapes[k]`` at
+    every class of S_n in canonical order.  ``shapes`` defaults to every
+    partition of n in canonical order, the full table.  Rows are looked up
+    by shape (``row``, ``value``, ``multiplicity``) and classes by
+    canonical position (``index``, ``partitions``), so a row subset
+    answers as the full table does at its shapes.
+    """
 
     n: int
     values: tuple[tuple[int, ...], ...]
-    shapes: tuple[Partition, ...]
+    shapes: tuple[Partition, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.shapes is None:
+            object.__setattr__(self, "shapes", partitions_of(self.n))
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return partitions_of(self.n)
+
+    def index(self, rho: Partition) -> int:
+        return partition_index(self.n)[rho]
+
+    @cached_property
+    def _row_index(self) -> dict[Partition, int]:
+        return {lam: k for k, lam in enumerate(self.shapes)}
+
+    def row(self, lam: Partition) -> tuple[int, ...]:
+        return self.values[self._row_index[lam]]
+
+    def value(self, lam: Partition, rho: Partition) -> int:
+        return self.row(lam)[self.index(rho)]
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -141,6 +168,19 @@ class _PackedClassSums:
     @cached_property
     def _max_abs_value(self) -> int:
         return max(abs(v) for row in self.values for v in row)
+
+    def decompose(self, values: Sequence[int]) -> tuple[int, ...]:
+        """Multiplicities, in the order of ``shapes``, of the irreducibles
+        in the class function f with ``values`` per class: (1/n!) sum over
+        rho of |C_rho| f(rho) chi(rho); NonIntegral if f is not a virtual
+        character."""
+        return self._decompose_all([values])[0]
+
+    def multiplicity(self, values: Sequence[int], lam: Partition) -> int:
+        """The entry of ``decompose(values)`` at lam, from its one class sum."""
+        k = self._row_index[lam]
+        weighted = map(mul, self.class_sizes, values)
+        return self._exact(sum(map(mul, weighted, self.values[k])), k)
 
     def _decompose_all(self, functions: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         """The multiplicities at every row of every class function in
@@ -187,73 +227,6 @@ class _PackedClassSums:
             raise NonIntegral(f"class sum for {self.shapes[k]} is not divisible by {self.n}!")
         return mult
 
-
-@dataclass(frozen=True)
-class CharacterRows(_PackedClassSums):
-    """The rows of chi_lam for lam in ``shapes`` (partitions of n, in any
-    order): ``values[k]`` is chi of ``shapes[k]`` at every class."""
-
-    n: int
-    shapes: tuple[Partition, ...]
-    values: tuple[tuple[int, ...], ...]
-
-
-def character_rows(n: int, shapes: Iterable[Partition]) -> CharacterRows:
-    """The Murnaghan-Nakayama rows of ``shapes`` alone (``_mn_row``), each
-    checked: its value at the identity class is dim V(lam) and its norm
-    sum_rho |C_rho| chi(rho)^2 is n!."""
-    shapes = tuple(check_partition(lam, n) for lam in shapes)
-    rows = CharacterRows(n, shapes, tuple(map(_mn_row, shapes)))
-    nfact = factorial(n)
-    for lam, row in zip(shapes, rows.values):
-        # the identity class (1^n) comes last in canonical order
-        if row[-1] != dimension(lam):
-            raise AssertionError(f"dimension column wrong at {lam}")
-        if sum(map(mul, rows.class_sizes, map(mul, row, row))) != nfact:
-            raise AssertionError(f"row {lam} does not have norm {n}!")
-    return rows
-
-
-@dataclass(frozen=True)
-class CharacterTable(_PackedClassSums):
-    """Full character table of S_n in canonical partition order.
-
-    ``values[i][j]`` is chi of the i-th partition (irreducible) at the j-th
-    partition (conjugacy class).  The table holds only n and ``values``;
-    ``partitions`` (also its ``shapes``) and ``class_sizes`` are derived
-    from n.
-    """
-
-    n: int
-    values: tuple[tuple[int, ...], ...]
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        return partitions_of(self.n)
-
-    shapes = partitions
-
-    def index(self, lam: Partition) -> int:
-        return partition_index(self.n)[lam]
-
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.values[self.index(lam)]
-
-    def value(self, lam: Partition, rho: Partition) -> int:
-        return self.values[self.index(lam)][self.index(rho)]
-
-    def decompose(self, values: Sequence[int]) -> tuple[int, ...]:
-        """Multiplicities, in canonical order, of the irreducibles in the
-        class function f with ``values`` per class: (1/n!) sum over rho of
-        |C_rho| f(rho) chi(rho); NonIntegral if f is not a virtual character."""
-        return self._decompose_all([values])[0]
-
-    def multiplicity(self, values: Sequence[int], lam: Partition) -> int:
-        """The entry of ``decompose(values)`` at lam, from its one class sum."""
-        k = self.index(lam)
-        weighted = map(mul, self.class_sizes, values)
-        return self._exact(sum(map(mul, weighted, self.values[k])), k)
-
     @cached_property
     def _packed_rows(self) -> dict[int, dict[int, int]]:
         """Per digit size, the rows ``_combine_rows`` has packed by class so
@@ -266,13 +239,34 @@ class CharacterTable(_PackedClassSums):
         sum_k c_k chi_k, as one multiply-add per pair on the rows packed by
         class; every value is at most max|chi| * sum_k |c_k| in size."""
         weight = max((sum(abs(c) for _, c in support) for support in supports), default=0)
-        layout = _digit_layout(self._max_abs_value * max(weight, 1), len(self.values))
+        layout = _digit_layout(self._max_abs_value * max(weight, 1), len(self.class_sizes))
         packed = self._packed_rows.setdefault(layout.size, {})
         for k in {k for support in supports for k, _ in support} - packed.keys():
             packed[k] = _pack(self.values[k], layout)
         return [
             _unpack(sum(c * packed[k] for k, c in support), layout) for support in supports
         ]
+
+
+def character_rows(n: int, shapes: Iterable[Partition]) -> CharacterTable:
+    """The Murnaghan-Nakayama rows of ``shapes`` alone (``_mn_row``), in
+    the given order, each checked: its value at the identity class is
+    dim V(lam) and its norm sum_rho |C_rho| chi(rho)^2 is n!."""
+    shapes = tuple(check_partition(lam, n) for lam in shapes)
+    rows = CharacterTable(n, tuple(map(_mn_row, shapes)), shapes)
+    _check_dimensions(rows)
+    nfact = factorial(n)
+    for lam, row in zip(shapes, rows.values):
+        if sum(map(mul, rows.class_sizes, map(mul, row, row))) != nfact:
+            raise AssertionError(f"row {lam} does not have norm {n}!")
+    return rows
+
+
+def _check_dimensions(table: CharacterTable) -> None:
+    # every row is dim V(lam) at the identity class (1^n), last in canonical order
+    for lam, row in zip(table.shapes, table.values):
+        if row[-1] != dimension(lam):
+            raise AssertionError(f"dimension column wrong at {lam}")
 
 
 class _Layout(NamedTuple):
@@ -337,12 +331,9 @@ def build_character_table(n: int) -> CharacterTable:
 
 
 def _validate(table: CharacterTable) -> None:
+    _check_dimensions(table)
     n = table.n
     parts = table.partitions
-    identity = parts.index((1,) * n)
-    for i, lam in enumerate(parts):
-        if table.values[i][identity] != dimension(lam):
-            raise AssertionError(f"dimension column wrong at {lam}")
     idx = partition_index(n)
     signs = [class_sign(rho) for rho in parts]
     for row, lam in zip(table.values, parts):

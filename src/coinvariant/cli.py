@@ -24,8 +24,8 @@ from .parallel import default_jobs
 from .store import CacheStore, check_report_path, report_document, write_report
 
 # every size cap, here only: the library builds any table and runs any sweep
-# it is asked for.  Table sizes must lie in [1, cap]; "springer" caps n_max.
-CAPS = {"char": 14, "kron": 12, "springer": 12}
+# it is asked for.  Table sizes must lie in [1, cap]; "springer" and "harness" cap n_max.
+CAPS = {"char": 14, "kron": 12, "springer": 12, "harness": 16}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -51,7 +51,7 @@ def _common_flags() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="raise the built-in size caps (character and Kronecker tables, "
-        "the springer-scan sweep) to N; never lowers them",
+        "the springer-scan sweep, the low-degree harness) to N; never lowers them",
     )
     return common
 
@@ -147,7 +147,7 @@ def _cap(args, kind: str) -> int:
 
 def _check_caps(args, *requests) -> None:
     """LimitExceeded unless every size of every ``(kind, ns)`` request of a
-    capped kind lies in [1, cap]."""
+    capped table kind lies in [1, cap]; n_max caps are checked by their commands."""
     for kind, ns in requests:
         cap = _cap(args, kind) if kind in CAPS else None
         for n in ns:
@@ -227,9 +227,9 @@ def cmd_unimodal(args) -> int:
 def cmd_low_degree(args) -> int:
     n_max = args.n_max
     verify.check_harness_range(n_max)
-    # the harness builds only the character rows it needs, never a table
-    # file, but the char cap bounds its n all the same
-    _check_caps(args, ("char", range(2, n_max + 1)))
+    cap = _cap(args, "harness")
+    if n_max > cap:
+        raise LimitExceeded(f"low-degree-harness n_max {n_max} above cap {cap}")
     report = verify.low_degree_harness(n_max)
     return _finish(args, None, "low-degree-harness", {"n_max": n_max}, report, [
         f"low-degree-harness n_max={n_max} entries={len(report.entries)} "

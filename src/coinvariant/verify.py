@@ -21,9 +21,9 @@ Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
 independent audit route.  The low-degree harness needs no full table:
-``low_degree_matrix`` decomposes the same class functions on the only
-character rows where d can be nonzero, with a completeness guard that
-proves the rest zero (see ``low_degree_harness``).
+``low_degree_matrix`` decomposes the same class functions (``_d_functions``)
+on a ``CharacterTable`` of only the rows where d can be nonzero, with a
+completeness guard that proves the rest zero (see ``low_degree_harness``).
 
 Degrees outside [0, top] of a graded table contribute zero.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from operator import mul
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .characters import character_rows, character_table
 from .combinatorics import (
@@ -42,7 +42,6 @@ from .combinatorics import (
     check_partition,
     dimension,
     format_partition,
-    partition_index,
     partitions_of,
 )
 from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial, top_degree
@@ -123,11 +122,16 @@ def d_matrices(
         for table, scan in zip(tables, scans):
             needed = sorted({j for i in scan for j in (i - 1, i, i + 1)})
             chi = dict(zip(needed, chars._combine_rows([table.support(j) for j in needed])))
-            for i in scan:
-                yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
+            yield from _d_functions(chi, scan)
 
     vectors = iter(chars._decompose_all(functions()))
     return [dict(zip(scan, vectors)) for scan in scans]
+
+
+def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> Iterator[list[int]]:
+    """chi_i^2 - chi_(i-1) chi_(i+1) at every class, for each i of ``degrees``."""
+    for i in degrees:
+        yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
 
 
 def d_vector(n: int, nu: Partition) -> list[int]:
@@ -353,10 +357,7 @@ def low_degree_matrix(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
         if values[-1] != betti[j]:
             raise AssertionError(f"chi_{j} at the identity is not the Betti number b_{j} of n={n}")
     rows = character_rows(n, low_degree_shapes(n, max_m))
-    functions = [
-        [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
-        for i in degrees
-    ]
+    functions = list(_d_functions(chi, degrees))
     matrix = dict(zip(degrees, rows._decompose_all(functions)))
     nfact = factorial(n)
     for i, f in zip(degrees, functions):
@@ -365,14 +366,8 @@ def low_degree_matrix(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
             raise AssertionError(
                 f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
             )
-    index = partition_index(n)
-    padded = {}
-    for i, d in matrix.items():
-        row = [0] * len(index)
-        for nu, value in zip(rows.shapes, d):
-            row[index[nu]] = value
-        padded[i] = tuple(row)
-    return padded
+    by_shape = {i: dict(zip(rows.shapes, d)) for i, d in matrix.items()}
+    return {i: tuple(d.get(nu, 0) for nu in partitions_of(n)) for i, d in by_shape.items()}
 
 
 def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:

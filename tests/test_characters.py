@@ -392,6 +392,51 @@ class TestCharacterRows:
             character_rows(5, ((4, 2),))
 
 
+class TestRowSubsets:
+    """Rows of some shapes answer as the full table does at those shapes."""
+
+    @staticmethod
+    def subsets(n):
+        parts = partitions_of(n)
+        return [parts, parts[::-1], (parts[len(parts) // 2],), parts[1::2] + parts[:1]]
+
+    def test_rows_answer_as_the_full_table(self):
+        for n in range(1, 9):
+            table = character_table(n)
+            count = len(table.partitions)
+            functions = [
+                virtual_character(table, range(count)),
+                virtual_character(table, [(-3) ** k for k in range(count)]),
+                list(map(operator.mul, table.values[count // 2], table.values[-1])),
+            ]
+            full = table._decompose_all(functions)
+            for shapes in self.subsets(n):
+                rows = character_rows(n, shapes)
+                at = [table.index(lam) for lam in shapes]
+                assert rows.shapes == shapes
+                for lam in shapes:
+                    assert rows.row(lam) == table.row(lam)
+                    for rho in table.partitions:
+                        assert rows.value(lam, rho) == table.value(lam, rho)
+                for f, d in zip(functions, full):
+                    assert rows.decompose(f) == tuple(d[k] for k in at), (n, shapes)
+                    for lam in shapes:
+                        assert rows.multiplicity(f, lam) == table.multiplicity(f, lam)
+                # small and wide coefficients: both digit routes of the layout
+                supports = [
+                    [(k, k + 1) for k in range(len(shapes))],
+                    [(k, (-1) ** k * 2**70) for k in range(len(shapes))][::-1],
+                ]
+                expected = table._combine_rows(
+                    [[(at[k], c) for k, c in support] for support in supports]
+                )
+                assert rows._combine_rows(supports) == expected, (n, shapes)
+
+    def test_rows_of_every_partition_are_the_full_table(self):
+        for n in range(1, 11):
+            assert character_rows(n, partitions_of(n)) == character_table(n)
+
+
 def reference_d_matrix(table) -> dict[int, tuple[int, ...]]:
     """d one degree at a time, from plainly summed graded characters."""
     chars = character_table(table.n)

@@ -575,7 +575,7 @@ class TestCli:
             (["springer-scan", "--n-max", "20"],
              "error: n_max 20 above cap 12; raise the cap explicitly to go higher"),
             (["low-degree-harness", "--n-max", "40"],
-             "error [LimitExceeded]: char table size 15 outside [1, 14]"),
+             "error [LimitExceeded]: low-degree-harness n_max 40 above cap 16"),
             (["selftest", "--n-max", "13"],
              "error [LimitExceeded]: kron table size 13 outside [1, 12]"),
             (["verify-flag", "--n", "6", "--degrees", "low:0"],
@@ -625,6 +625,18 @@ class TestCli:
         # the table is cached now, and the cap still holds without the flag
         assert run_cli(tmp_path, *argv) == 1
         assert capsys.readouterr() == ("", refusal)
+
+    def test_harness_has_its_own_cap(self, tmp_path, capsys):
+        # the harness builds no character table, so the char cap (14) does
+        # not bound it; its own cap does
+        cache = tmp_path / "cache"
+        assert run_cli(tmp_path, "low-degree-harness", "--n-max", "16") == 0
+        assert "status=pass" in capsys.readouterr().out
+        assert not cache.exists() or list(cache.iterdir()) == []
+        assert run_cli(tmp_path, "low-degree-harness", "--n-max", "17") == 1
+        assert capsys.readouterr().err == (
+            "error [LimitExceeded]: low-degree-harness n_max 17 above cap 16\n"
+        )
 
     def test_max_n_override_never_lowers_a_cap(self, tmp_path, capsys):
         assert run_cli(tmp_path, "verify-flag", "--n", "5", "--max-n-override", "3") == 0
