@@ -158,8 +158,8 @@ def _check_caps(args, *requests) -> None:
 def _seed(store: CacheStore, args, *requests) -> None:
     """Load or build the tables of every ``(kind, ns)`` request.  Every size
     of a capped kind is checked first, whether or not its file is cached, so
-    a refused run touches no table file; graded tables have no cap and are
-    always requested with char tables of the same sizes."""
+    a refused run touches no table file.  Graded tables have no cap: only
+    springer-scan and selftest request them, each with the char table of its n."""
     _check_caps(args, *requests)
     for kind, ns in requests:
         for n in ns:
@@ -198,9 +198,11 @@ def cmd_kronecker(args) -> int:
 def cmd_verify_flag(args) -> int:
     n = args.n
     verify.check_flag_size(n)
+    # the cap first: the degree filter is as large as the top degree
+    _check_caps(args, ("char", [n]))
     degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
     store = _store(args)
-    _seed(store, args, ("char", [n]), ("graded", [n]))
+    _seed(store, args, ("char", [n]))
     report = verify.verify_flag_log_concavity(n, degrees)
     return _finish(args, store, "verify-flag", {"n": n, "degrees": args.degrees}, report, [
         f"verify-flag n={n} degrees={len(report.degrees)} "
@@ -213,7 +215,7 @@ def cmd_unimodal(args) -> int:
     n = args.n
     verify.check_unimodality_size(n)
     store = _store(args)
-    _seed(store, args, ("char", [n]), ("graded", [n]))
+    _seed(store, args, ("char", [n]))
     report = verify.verify_d_unimodality(n)
     return _finish(args, store, "unimodal", {"n": n}, report, [
         f"unimodal n={n} sequences={len(report.sequences)} "

@@ -42,7 +42,7 @@ from .combinatorics import (
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import ONE, IntPoly, monomial, q_binomial
-from .verify import LogConcavityReport, ScanReport, d_matrices, d_matrix, d_row
+from .verify import LogConcavityReport, ScanReport, d_matrices, d_row
 
 
 @cache
@@ -162,7 +162,7 @@ def verify_springer_log_concavity(
     built); vacuous pass below two interior degrees."""
     if table is None:
         table = springer_graded_table(mu)
-    return LogConcavityReport(table.n, d_matrix(table))
+    return LogConcavityReport(table.n, d_matrices([table])[0])
 
 
 @dataclass(frozen=True)

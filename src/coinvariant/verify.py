@@ -1,29 +1,28 @@
 """Equivariant log-concavity and unimodality checks.
 
-For a graded multiplicity table (coinvariant ring or a Springer fiber) with
-rows m[lam][i] and degree-i graded character chi_i = sum over lam of
-m[lam][i] * chi_lam, the log-concavity statistic
+For a graded S_n-representation (coinvariant ring or a Springer fiber)
+with degree-i graded character chi_i, the log-concavity statistic
 d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
 
     (1/n!) sum over classes rho of |C_rho| * chi_nu(rho)
            * (chi_i(rho)^2 - chi_(i-1)(rho) * chi_(i+1)(rho))
 
 for interior degrees 1 <= i <= top-1: the decomposition of the class
-function chi_i^2 - chi_(i-1) chi_(i+1), which divides each class sum by n!
-once with an exactness check.  ``d_matrices`` checks every requested
-degree of every table of one n, then takes each table's graded
-characters chi_j from the character rows packed by class and decomposes
-the class functions of all degrees of all tables together, with one
-packed class sum per irreducible (see ``characters``): the digit widths
-follow from proven bounds, so each digit is exactly its class sum.
-``d_matrix`` is its one-table case.
+function chi_i^2 - chi_(i-1) chi_(i+1), with one packed class sum per
+irreducible for every degree, each divided by n! exactly (see
+``characters``).  Every requested degree is checked before any character
+is taken.  The coinvariant ring's chi_j are the closed form
+prod_{k<=n} (1 - q^k) / prod_j (1 - q^{rho_j}) at every class rho
+(``_graded_characters``), checked against the Betti numbers: ``d_matrix``
+for the full-degree scans, ``low_degree_matrix`` for the harness, on only
+the rows where d can be nonzero (see ``low_degree_harness``).  A graded
+multiplicity table (a Springer fiber, or the coinvariant ring's table as
+an audit) gives its chi_j from the character rows packed by class, every
+table of one n in one batch (``d_matrices``).
 Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
-independent audit route.  The low-degree harness needs no full table:
-``low_degree_matrix`` decomposes the same class functions (``_d_functions``)
-on a ``CharacterTable`` of only the rows where d can be nonzero, with a
-completeness guard that proves the rest zero (see ``low_degree_harness``).
+independent audit route.
 
 Degrees outside [0, top] of a graded table contribute zero.
 """
@@ -83,13 +82,23 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     return chars.multiplicity(tuple(map(mul, chi_i, chi_j)), nu)
 
 
-def d_matrix(
-    table: GradedMultiplicityTable,
-    degrees: Iterable[int] | None = None,
-) -> dict[int, tuple[int, ...]]:
-    """d vectors over nu, keyed by interior degree i (every interior
-    degree when ``degrees`` is None); see ``d_matrices``."""
-    return d_matrices([table], degrees)[0]
+def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
+    """d vectors over nu of the coinvariant ring of S_n, keyed by interior
+    degree i (every interior degree when ``degrees`` is None), from the
+    closed-form graded characters at every degree."""
+    c = top_degree(n)
+    scan = _interior(c, degrees)
+    chi = _checked_graded_characters(n, c + 1)
+    return dict(zip(scan, character_table(n)._decompose_all(_d_functions(chi, scan))))
+
+
+def _interior(top: int, degrees: Iterable[int] | None) -> Sequence[int]:
+    """``degrees`` (every interior degree when None), each checked to lie in [1, top - 1]."""
+    scan = range(1, top) if degrees is None else tuple(degrees)
+    for i in scan:
+        if not 1 <= i <= top - 1:
+            raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
+    return scan
 
 
 def d_matrices(
@@ -106,14 +115,7 @@ def d_matrices(
     if len({table.n for table in tables}) > 1:
         raise ValueError("d_matrices needs tables of one n")
     chosen = None if degrees is None else tuple(degrees)
-    scans = []
-    for table in tables:
-        top = table.top_degree
-        scan = range(1, top) if chosen is None else chosen
-        for i in scan:
-            if not 1 <= i <= top - 1:
-                raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-        scans.append(scan)
+    scans = [_interior(table.top_degree, chosen) for table in tables]
     if not tables:
         return []
     chars = character_table(tables[0].n)
@@ -137,9 +139,7 @@ def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> It
 def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
     row = character_table(n).index(check_partition(nu, n))
-    table = graded_table(n)
-    matrix = d_matrix(table)
-    return [matrix[i][row] for i in range(1, table.top_degree)]
+    return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def verify_flag_log_concavity(
 ) -> LogConcavityReport:
     """Scan d[nu][i] over the coinvariant ring of S_n; pass iff all >= 0."""
     check_flag_size(n)
-    return LogConcavityReport(n, d_matrix(graded_table(n), degree_filter))
+    return LogConcavityReport(n, d_matrix(n, degree_filter))
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +320,37 @@ def _truncated_quotient(coeffs: Sequence[int], parts: Partition, length: int) ->
     return out
 
 
-def _graded_characters(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
-    """chi_j at every class rho of S_n, in canonical order, for the degrees
-    j <= max_m + 1 and j >= c - max_m - 1: the q^j coefficients of
-    N(q) / prod_j (1 - q^{rho_j}), N = prod_{k<=n} (1 - q^k), of degree c.
-    The low ones are that quotient as a power series truncated after
-    q^(max_m + 1).  The top ones are the truncated series of the reversed
-    quotient, N's top coefficients over prod_j (q^{rho_j} - 1), not the
-    sign twist of the low ones, so the harness's mirror check compares two
+def _graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]]:
+    """chi_j at every class rho of S_n, in canonical order: the q^j
+    coefficients of N(q) / prod_j (1 - q^{rho_j}), N = prod_{k<=n} (1 - q^k),
+    of degree c.  The degrees j < ``length`` are that quotient as a power
+    series; the other degrees j > c - length are the series of the reversed
+    quotient, N's top coefficients over prod_j (q^{rho_j} - 1), not the sign
+    twist of the low ones, so the harness's mirror check compares two
     computations."""
     c = top_degree(n)
-    length = min(max_m + 2, c + 1)
+    top_length = max(0, min(length, c + 1 - length))
     numerator = one_minus_q_product(n).coeffs
     reversed_numerator = numerator[::-1]
     low, top = [], []
     for rho in partitions_of(n):
-        low.append(_truncated_quotient(numerator, rho, length))
+        low.append(_truncated_quotient(numerator, rho, min(length, c + 1)))
         sign = -1 if len(rho) % 2 else 1
-        top.append([sign * v for v in _truncated_quotient(reversed_numerator, rho, length)])
+        top.append([sign * v for v in _truncated_quotient(reversed_numerator, rho, top_length)])
     chi = {c - k: column for k, column in enumerate(zip(*top))}
     chi.update(enumerate(zip(*low)))
+    return chi
+
+
+def _checked_graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]]:
+    """``_graded_characters(n, length)``, every chi_j checked to be the
+    Betti number b_j at the identity class."""
+    chi = _graded_characters(n, length)
+    betti = poincare_polynomial(n).coeffs
+    for j, values in chi.items():
+        # the identity class (1^n) comes last in canonical order
+        if values[-1] != betti[j]:
+            raise AssertionError(f"chi_{j} at the identity is not the Betti number b_{j} of n={n}")
     return chi
 
 
@@ -350,12 +361,7 @@ def low_degree_matrix(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
     for the bound and the guards checked on the way."""
     c = top_degree(n)
     degrees = low_degree_window(max_m, c)
-    chi = _graded_characters(n, max_m)
-    betti = poincare_polynomial(n).coeffs
-    for j, values in chi.items():
-        # the identity class (1^n) comes last in canonical order
-        if values[-1] != betti[j]:
-            raise AssertionError(f"chi_{j} at the identity is not the Betti number b_{j} of n={n}")
+    chi = _checked_graded_characters(n, max_m + 2)
     rows = character_rows(n, low_degree_shapes(n, max_m))
     functions = list(_d_functions(chi, degrees))
     matrix = dict(zip(degrees, rows._decompose_all(functions)))
@@ -462,7 +468,7 @@ def check_unimodality_size(n: int) -> None:
 
 def verify_d_unimodality(n: int) -> UnimodalityReport:
     check_unimodality_size(n)
-    matrix = d_matrix(graded_table(n))
+    matrix = d_matrix(n)
     return UnimodalityReport(n, tuple(zip(partitions_of(n), zip(*matrix.values()))))
 
 
@@ -473,15 +479,9 @@ def betti_log_concavity(n: int) -> bool:
     betti = poincare_polynomial(n).coeffs
     if not is_log_concave(betti):
         return False
-    if n < 2:
-        return True
-    table = graded_table(n)
-    dims = [dimension(nu) for nu in table.partitions]
-    matrix = d_matrix(table)
-    c = table.top_degree
-    padded = list(betti) + [0] * (c + 1 - len(betti))
-    for i in range(1, c):
-        weighted = sum(d * v for d, v in zip(dims, matrix[i]))
-        if weighted != padded[i] ** 2 - padded[i - 1] * padded[i + 1]:
-            return False
-    return True
+    dims = [dimension(nu) for nu in partitions_of(n)]
+    matrix = d_matrices([graded_table(n)])[0]
+    return all(
+        sum(map(mul, dims, matrix[i])) == betti[i] ** 2 - betti[i - 1] * betti[i + 1]
+        for i in matrix
+    )

@@ -26,7 +26,7 @@ from coinvariant.springer import (
     springer_tables,
     verify_springer_log_concavity,
 )
-from coinvariant.verify import d_matrices, d_matrix
+from coinvariant.verify import d_matrices
 
 # the ten types up to S_10 whose Springer representation fails
 # equivariant log-concavity; everything below S_7 passes
@@ -204,11 +204,11 @@ class TestSpringerLogConcavity:
 
 class TestBatchedD:
     """``d_matrices`` over every type of one n, the sweep's route for the
-    tables it holds, against ``d_matrix`` of each table alone."""
+    tables it holds, against ``d_matrices`` of each table alone."""
 
     def test_every_type_up_to_10(self):
         for n in range(1, 11):
-            expected = [d_matrix(springer_graded_table(mu)) for mu in partitions_of(n)]
+            expected = [d_matrices([springer_graded_table(mu)])[0] for mu in partitions_of(n)]
             assert d_matrices(springer_tables(n)) == expected, n
 
     def test_tables_must_share_one_n(self):
@@ -249,7 +249,7 @@ class TestBatchedD:
                 d_matrices(batch)
             assert str(raised.value) == message, len(batch)
         good = [table for table in tables if table is not bad]
-        assert d_matrices(good) == [d_matrix(table) for table in good]
+        assert d_matrices(good) == [d_matrices([table])[0] for table in good]
 
 
 class TestCounterexampleSearch:

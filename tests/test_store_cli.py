@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coinvariant
-from coinvariant import cli, memo, springer
+from coinvariant import cli, memo, springer, verify
 from coinvariant.combinatorics import partitions_of
 from coinvariant.store import (
     _KINDS,
@@ -203,8 +203,9 @@ class TestCacheStore:
         commands = [
             ["unimodal", "--n", "5"], ["verify-flag", "--n", "4"], ["verify-flag", "--n", "5"],
         ]
-        if target.startswith("springer"):
-            # the first sweep rebuilds in the pool and the second reads warm
+        if target.startswith("springer") or "graded" in target + source:
+            # only springer-scan reads graded tables; the first sweep
+            # rebuilds in the pool and the second reads warm
             commands = [["springer-scan", "--n-max", "6", "--jobs", jobs] for jobs in "21"]
 
         def payloads(tag):
@@ -272,12 +273,13 @@ class TestCacheStore:
     def test_malformed_body_rebuilds(self, tmp_path, fresh_memo, caplog, capsys, name, malform):
         # a digest-valid file with the right envelope but a body of the wrong
         # shape; selftest reads the kron tables that verify-flag never needs,
-        # and only springer-scan reads the springer tables
+        # and only springer-scan reads the springer tables and, of the scans,
+        # the graded ones
         def run(tag):
             if name.startswith("kron"):
                 assert run_cli(tmp_path, "selftest", "--n-max", "5") == 0
                 return capsys.readouterr().out
-            if name.startswith("springer"):
+            if name.startswith(("springer", "graded")):
                 out = tmp_path / f"{tag}.json"
                 assert run_cli(tmp_path, "springer-scan", "--n-max", "6", "--out", str(out)) == 0
                 return payload_bytes(json.loads(out.read_bytes()))
@@ -660,6 +662,47 @@ class TestCli:
         cache = tmp_path / "cache"
         assert list(cache.glob("char-*.json"))
         assert list(cache.glob("kron-*.json")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-flag", "--n", "6"],
+            ["unimodal", "--n", "5"],
+            ["verify-flag", "--n", "6", "--degrees", "low:3"],
+        ],
+    )
+    def test_flag_scans_read_and_write_no_graded_table(self, tmp_path, fresh_memo, argv):
+        # graded characters come from their closed form: a cold cache gains
+        # no graded file, and a cached one is not read
+        n = argv[2]
+        cache = tmp_path / "cache"
+        out = tmp_path / "report.json"
+
+        def digests():
+            assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
+            return list(json.loads(out.read_text())["provenance"]["cache_digests"])
+
+        assert digests() == [f"char-{n}"]
+        assert list(cache.glob("graded-*.json")) == []
+        # springer-scan still writes graded files
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "6") == 0
+        assert (cache / f"graded-{n}.json").exists()
+        fresh_memo.clear()
+        assert digests() == [f"char-{n}"]
+
+    @pytest.mark.parametrize("n", ["15", "6000", "99999999999999999999"])
+    def test_verify_flag_checks_its_cap_before_the_degree_filter(
+        self, tmp_path, capsys, monkeypatch, n
+    ):
+        def unparsed(text, top):
+            raise AssertionError("degree filter parsed before the size cap")
+
+        monkeypatch.setattr(verify, "parse_degree_filter", unparsed)
+        assert run_cli(tmp_path, "verify-flag", "--n", n) == 1
+        assert capsys.readouterr().err == (
+            f"error [LimitExceeded]: char table size {n} outside [1, 14]\n"
+        )
+        assert not (tmp_path / "cache").exists() or list((tmp_path / "cache").iterdir()) == []
 
     def test_low_degree_harness_reads_and_writes_no_table_file(self, tmp_path):
         cache = tmp_path / "cache"

@@ -11,6 +11,7 @@ from coinvariant.kronecker import OnDemandKronecker, kronecker_table
 from coinvariant.springer import springer_graded_table
 from coinvariant.verify import (
     betti_log_concavity,
+    d_matrices,
     d_matrix,
     d_vector,
     low_degree_harness,
@@ -103,7 +104,7 @@ class TestDVector:
         table = graded_table(4)
         for i in (0, table.top_degree):
             with pytest.raises(ValueError, match=rf"^degree {i} outside interior range \[1, 5\]$"):
-                d_matrix(table, [i])
+                d_matrices([table], [i])[0]
 
     def test_d_matrix_checks_every_degree_before_any_class_sum(self, monkeypatch):
         table = graded_table(4)
@@ -113,7 +114,7 @@ class TestDVector:
 
         monkeypatch.setattr(verify, "character_table", no_class_sums)
         with pytest.raises(ValueError, match=r"^degree 6 outside interior range \[1, 5\]$"):
-            d_matrix(table, [1, 2, 6])
+            d_matrices([table], [1, 2, 6])[0]
 
     def test_symmetry_theorem(self):
         for n in range(3, 8):
@@ -121,6 +122,65 @@ class TestDVector:
             for nu in partitions_of(n):
                 seq = d_vector(n, nu)
                 assert seq == seq[::-1], (n, nu)
+
+
+class TestClosedFormRoute:
+    """The coinvariant ring's graded characters by their closed form, the
+    route of ``d_matrix``, against the graded table and the polynomials."""
+
+    def test_every_degree_matches_the_table_and_the_polynomials(self):
+        for n in range(1, 13):
+            c = top_degree(n)
+            table = graded_table(n)
+            chi = verify._graded_characters(n, c + 1)
+            assert sorted(chi) == list(range(c + 1)), n
+            combined = character_table(n)._combine_rows(list(table.supports))
+            assert [list(chi[j]) for j in range(c + 1)] == combined, n
+            for k, rho in enumerate(partitions_of(n)):
+                poly = graded_character_poly(n, rho)
+                assert [chi[j][k] for j in range(c + 1)] == [poly.coeff(j) for j in range(c + 1)]
+
+    def test_window_is_the_full_series_at_its_degrees(self):
+        for n in range(2, 15):
+            c = top_degree(n)
+            full = verify._graded_characters(n, c + 1)
+            for m in range(8):
+                length = m + 2
+                chi = verify._graded_characters(n, length)
+                assert set(chi) == {j for j in range(c + 1) if j < length or j > c - length}
+                assert chi == {j: full[j] for j in chi}, (n, m)
+
+    def test_d_matrix_matches_the_table_route(self):
+        for n in range(1, 13):
+            assert d_matrix(n) == d_matrices([graded_table(n)])[0], n
+        assert d_matrix(1) == {}
+        assert d_matrix(6, [1, 7, 14]) == d_matrices([graded_table(6)], [1, 7, 14])[0]
+
+    def test_d_matrix_checks_every_degree_before_any_character(self, monkeypatch):
+        def no_characters(*args):
+            raise AssertionError("characters taken before the degree check")
+
+        monkeypatch.setattr(verify, "character_table", no_characters)
+        monkeypatch.setattr(verify, "_graded_characters", no_characters)
+        for degrees in ([0], [5, 6], [1, 2, 6]):
+            bad = next(i for i in degrees if not 1 <= i <= 5)
+            with pytest.raises(ValueError, match=rf"^degree {bad} outside interior range \[1, 5\]$"):
+                d_matrix(4, degrees)
+
+    def test_perturbed_identity_value_fails_the_betti_guard(self, monkeypatch):
+        graded_characters = verify._graded_characters
+
+        def skewed(n, length):
+            chi = graded_characters(n, length)
+            chi[3] = (*chi[3][:-1], chi[3][-1] - 1)
+            return chi
+
+        monkeypatch.setattr(verify, "_graded_characters", skewed)
+        message = "chi_3 at the identity is not the Betti number b_3 of n=5"
+        with pytest.raises(AssertionError, match=message):
+            verify_flag_log_concavity(5)
+        with pytest.raises(AssertionError, match=message):
+            verify_d_unimodality(5)
 
 
 class TestFlagLogConcavity:
@@ -228,7 +288,7 @@ class TestLowDegreeRoute:
         for n in range(2, 15):
             table = graded_table(n)
             for m in range(1, 7):
-                expected = d_matrix(table, low_degree_window(m, table.top_degree))
+                expected = d_matrices([table], low_degree_window(m, table.top_degree))[0]
                 assert low_degree_matrix(n, m) == expected, (n, m)
                 # the audit route agrees that d is 0 outside the row bound
                 for row in expected.values():
@@ -334,7 +394,7 @@ class TestBettiLogConcavity:
     def test_dimension_identity_directly(self):
         for n in range(2, 7):
             table = graded_table(n)
-            matrix = d_matrix(table)
+            matrix = d_matrices([table])[0]
             betti = [
                 sum(dimension(lam) * table.row(lam)[i] for lam in table.partitions)
                 for i in range(table.top_degree + 1)
@@ -365,7 +425,7 @@ class TestCharacterRouteMatchesKronecker:
         for n in range(2, 10):
             table = graded_table(n)
             degrees = range(1, table.top_degree)
-            assert d_matrix(table) == d_by_kronecker(
+            assert d_matrices([table])[0] == d_by_kronecker(
                 table, kronecker_table(n), degrees
             ), n
 
@@ -377,7 +437,7 @@ class TestCharacterRouteMatchesKronecker:
                 if table.top_degree < 3:
                     continue
                 degrees = range(1, table.top_degree)
-                assert d_matrix(table) == d_by_kronecker(
+                assert d_matrices([table])[0] == d_by_kronecker(
                     table, kronecker_table(n), degrees
                 ), mu
                 checked += 1
@@ -389,4 +449,4 @@ class TestCharacterRouteMatchesKronecker:
             c = table.top_degree
             degrees = (1, 2, 3, c - 3, c - 2, c - 1)
             kron = OnDemandKronecker(character_table(n))
-            assert d_matrix(table, degrees) == d_by_kronecker(table, kron, degrees), n
+            assert d_matrices([table], degrees)[0] == d_by_kronecker(table, kron, degrees), n
