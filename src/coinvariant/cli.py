@@ -171,10 +171,11 @@ def _finish(args, store: CacheStore | None, command: str, parameters: dict, repo
     report status to the exit code; ``store`` is None for a run that reads
     and writes no table file."""
     if args.out:
+        # the entry rows go from report.rows() straight into the file
         document = report_document(
-            command, parameters, report.payload(), store, {"jobs": args.jobs}
+            command, parameters, report.payload(entries=[]), store, {"jobs": args.jobs}
         )
-        write_report(Path(args.out), document)
+        write_report(Path(args.out), document, report.row_keys, report.rows())
     for line in lines:
         print(line)
     return 0 if report.status == "pass" else 2
@@ -206,7 +207,8 @@ def cmd_verify_flag(args) -> int:
     report = verify.verify_flag_log_concavity(n, degrees)
     return _finish(args, store, "verify-flag", {"n": n, "degrees": args.degrees}, report, [
         f"verify-flag n={n} degrees={len(report.degrees)} "
-        f"entries={len(report.entries)} min_d={report.min_d} status={report.status}",
+        f"entries={sum(map(len, report.matrix.values()))} min_d={report.min_d} "
+        f"status={report.status}",
         *(f"  violation: nu={format_partition(nu)} i={i} d={d}" for nu, i, d in report.violations),
     ])
 

@@ -177,7 +177,8 @@ class SpringerScanReport(ScanReport):
     def types(self) -> list[Partition]:
         return [mu for mu, _ in self.counterexamples]
 
-    def body(self) -> dict:
+    def body(self, entries: list) -> dict:
+        # no entry rows: ``entries`` is always empty
         return {
             "n_range": [1, self.n_max],
             "counterexamples": [

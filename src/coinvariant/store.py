@@ -26,7 +26,8 @@ ints; every Springer table read is calibrated again
 (``springer._calibrate``), and one that fails is malformed too.  Every
 write goes to a unique temp file in the same directory and is renamed
 into place, and no file is shared between tables, so concurrent runs on
-one directory never see a half-written file.  Any n >= 1 is stored; size
+one directory never see a half-written file; every file written, table
+or report, gets the mode any new file gets under the umask.  Any n >= 1 is stored; size
 caps belong to the CLI.
 
 One route each way: ``read`` checks a file and adopts its table into the
@@ -37,30 +38,31 @@ Springer sweep calls them itself (see ``springer_counterexample_search``).
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
 provenance: payloads produced from the same inputs are byte-identical.
+``write_report`` writes a report's entry rows straight from the scan's
+own data (the d matrix of a flag scan, see ``ScanReport.rows``), one
+%-template per row, in chunks: the bytes are those of
+``json.dumps(document, indent=2)``, or of ``csv.DictWriter`` for a .csv
+path, which quotes a partition that contains a comma ("4,1" but 5).
+Only the rest of the document goes through ``json``.
 """
 
 from __future__ import annotations
 
-import csv
 import errno
 import hashlib
-import io
 import json
-import logging
 import os
 import tempfile
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__, memo, springer
 from .characters import CharacterTable, build_character_table
 from .combinatorics import format_partition, partitions_of
 from .graded import GradedMultiplicityTable, build_graded_table, top_degree
 from .kronecker import KroneckerTable, build_kronecker_table
-
-log = logging.getLogger("coinvariant.store")
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "COINVARIANT_CACHE_DIR"
@@ -82,14 +84,28 @@ def default_cache_dir() -> Path:
     return base / "coinvariant"
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write a unique temp file beside ``path``, then rename it into place;
-    an OS error names ``path``, never the temp file."""
+def _warn(message: str, *args) -> None:
+    # logging is imported only when a table file has to be rebuilt
+    import logging
+
+    logging.getLogger("coinvariant.store").warning(message, *args)
+
+
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a unique temp file beside ``path``, then rename it
+    into place with the mode any new file gets under the umask; an OS error
+    names ``path``, never the temp file, and leaves no temp file."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            # mkstemp makes the file 0600; reading the umask sets it for a
+            # moment, and the package starts no thread that could create a
+            # file meanwhile
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -235,26 +251,26 @@ class CacheStore:
         try:
             digest = json.loads(header)["sha256"]
         except (ValueError, KeyError, TypeError):
-            log.warning("cache %s-%s has no digest header; rebuilding", kind, n)
+            _warn("cache %s-%s has no digest header; rebuilding", kind, n)
             return None
         if _digest(body) != digest:
-            log.warning("cache %s-%s failed its digest; rebuilding", kind, n)
+            _warn("cache %s-%s failed its digest; rebuilding", kind, n)
             return None
         try:
             doc = json.loads(body)
         except ValueError:
             doc = None
         if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-            log.warning("cache %s-%s has a stale schema; rebuilding", kind, n)
+            _warn("cache %s-%s has a stale schema; rebuilding", kind, n)
             return None
         envelope = _envelope(kind, n)
         if {key: doc.get(key) for key in envelope} != envelope:
-            log.warning("cache %s-%s holds another table; rebuilding", kind, n)
+            _warn("cache %s-%s holds another table; rebuilding", kind, n)
             return None
         try:
             table = _KINDS[kind][2](doc)
         except (AssertionError, KeyError, TypeError, ValueError):
-            log.warning("cache %s-%s is malformed; rebuilding", kind, n)
+            _warn("cache %s-%s is malformed; rebuilding", kind, n)
             return None
         self._digests[(kind, n)] = digest
         return memo.adopt(kind, n, table)
@@ -272,7 +288,7 @@ class CacheStore:
         digest = _digest(body)
         self.root.mkdir(parents=True, exist_ok=True)
         header = (json.dumps({"sha256": digest}) + "\n").encode()
-        _atomic_write(self._path(kind, n), header + body)
+        _atomic_write(self._path(kind, n), (header, body))
         self._digests[(kind, n)] = digest
 
     def _path(self, kind: str, n: int) -> Path:
@@ -282,13 +298,9 @@ class CacheStore:
 # -- report documents --------------------------------------------------------
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def payload_bytes(document: dict) -> bytes:
     """Canonical serialization of just the payload (determinism contract)."""
-    return _json_bytes(document["payload"])
+    return (json.dumps(document["payload"], indent=2) + "\n").encode()
 
 
 def report_document(
@@ -329,23 +341,75 @@ def check_report_path(path: Path, has_entries: bool) -> None:
         raise ValueError("this report has no entry rows to export as CSV; write JSON instead")
 
 
-def write_report(path: Path, document: dict) -> None:
-    """JSON by default; entries-only CSV when the suffix is .csv, which
-    needs a payload with entry rows."""
+Rows = Iterable[tuple[tuple, Iterable[tuple[int, ...]]]]
+
+# where the rows go: the payload is the document's last field, and no field
+# of it after "entries" holds that key at this indent
+_EMPTY_ENTRIES = '\n    "entries": []'
+
+
+def write_report(path: Path, document: dict, keys: tuple[str, ...] = (), rows: Rows = ()) -> None:
+    """Write ``document`` as JSON, or only its entry rows as CSV when the
+    suffix is .csv, which needs ``keys``.  The entry rows, ``rows`` grouped
+    under ``keys`` as ``ScanReport.rows`` yields them, go into the payload's
+    "entries" list, which ``document`` holds empty.  The bytes are those of
+    ``json.dumps(document, indent=2) + "\n"`` with the rows in that list, or
+    of ``csv.DictWriter``, with no dict per row."""
     path = Path(path)
-    payload = document["payload"]
-    check_report_path(path, "entries" in payload)
+    check_report_path(path, bool(keys))
     if path.suffix.lower() == ".csv":
-        _atomic_write(path, _csv_bytes(payload["entries"]))
+        lines = _lines(keys, rows, ",".join(["%s"] * len(keys)) + "\r\n", _csv_field)
+        chunks = chain([",".join(map(_csv_field, keys)) + "\r\n"], _batches(lines, ""))
     else:
-        _atomic_write(path, _json_bytes(document))
+        chunks = _json_chunks(document, keys, rows)
+    _atomic_write(path, (chunk.encode() for chunk in chunks))
 
 
-def _csv_bytes(entries: list[dict]) -> bytes:
-    # the columns in the order their keys first appear
-    columns = list(dict.fromkeys(key for entry in entries for key in entry))
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns)
-    writer.writeheader()
-    writer.writerows(entries)
-    return buffer.getvalue().encode()
+def _json_chunks(document: dict, keys: tuple[str, ...], rows: Rows) -> Iterator[str]:
+    text = json.dumps(document, indent=2) + "\n"
+    if not keys:
+        yield text
+        return
+    # cut just before the "]" of the payload's empty entries list
+    cut = text.rindex(_EMPTY_ENTRIES) + len(_EMPTY_ENTRIES) - 1
+    yield text[:cut]
+    # a row as json.dumps(document, indent=2) lays it out in that list
+    fields = (f"        {_literal(json.dumps(key))}: %s" for key in keys)
+    lines = _lines(keys, rows, "{\n" + ",\n".join(fields) + "\n      }", json.dumps)
+    separator = "\n      "
+    for batch in _batches(lines, ",\n      "):
+        yield separator + batch
+        separator = ",\n      "
+    yield ("" if separator == "\n      " else "\n    ") + text[cut:]
+
+
+def _lines(keys: tuple[str, ...], rows: Rows, skeleton: str, encode: Callable) -> Iterator[str]:
+    """Every entry row as text.  The template of each distinct group head,
+    ``skeleton`` with a %s per key filled with the head's values encoded
+    and a %d per tail value, is made once and filled with each tail."""
+    templates: dict[tuple, str] = {}
+    for head, tails in rows:
+        template = templates.get(head)
+        if template is None:
+            cells = [_literal(encode(value)) for value in head]
+            template = templates[head] = skeleton % (*cells, *["%d"] * (len(keys) - len(cells)))
+        yield from map(template.__mod__, tails)
+
+
+def _batches(lines: Iterator[str], joiner: str) -> Iterator[str]:
+    """``lines`` joined by ``joiner``, a few thousand rows to a chunk."""
+    while batch := list(islice(lines, 4096)):
+        yield joiner.join(batch)
+
+
+def _literal(text: str) -> str:
+    """``text`` as literal text of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _csv_field(value) -> str:
+    """``value`` as a CSV field, quoted only where ``csv.QUOTE_MINIMAL`` quotes."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

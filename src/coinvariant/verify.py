@@ -148,17 +148,34 @@ def d_vector(n: int, nu: Partition) -> list[int]:
 
 class ScanReport:
     """Shared report shape: a scan fails exactly when one of the fields
-    named in ``failures`` is non-empty, and ``payload()`` wraps ``body()``
-    between the schema version and the status."""
+    named in ``failures`` is non-empty.  A report with entry rows names
+    their keys in ``row_keys`` and yields the rows from ``rows()``, the one
+    source of both ``payload()`` and the report file (``store.write_report``)."""
 
     failures: ClassVar[tuple[str, ...]] = ()
+    row_keys: ClassVar[tuple[str, ...]] = ()
 
     @property
     def status(self) -> str:
         return "fail" if any(getattr(self, name) for name in self.failures) else "pass"
 
-    def payload(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **self.body(), "status": self.status}
+    def rows(self) -> Iterator[tuple[tuple, Iterable[tuple[int, ...]]]]:
+        """The entry rows in groups ``(head, tails)``: ``head`` holds the
+        values of the leading keys, a partition already formatted, and each
+        tuple of ints in ``tails`` the values of the keys after them, one
+        tuple per row, so a writer encodes each head once."""
+        return iter(())
+
+    def payload(self, entries: list | None = None) -> dict:
+        """``body(entries)`` between the schema version and the status, the
+        entry rows as dicts from ``rows()`` unless ``entries`` stands in for them."""
+        if entries is None:
+            entries = [
+                dict(zip(self.row_keys, (*head, *tail)))
+                for head, tails in self.rows()
+                for tail in tails
+            ]
+        return {"schema_version": SCHEMA_VERSION, **self.body(entries), "status": self.status}
 
 
 def d_row(nu: Partition, i: int, d: int) -> dict:
@@ -171,8 +188,8 @@ class LogConcavityReport(ScanReport):
     """Full d table of one scan.
 
     The report holds only n and ``matrix``, the d vector over nu in
-    canonical order for each scanned interior degree; ``degrees``,
-    ``entries`` (ordered by nu, then by degree), ``violations`` (exactly
+    canonical order for each scanned interior degree; ``degrees``, the
+    entry rows (ordered by nu, then by degree), ``violations`` (exactly
     the d < 0 entries) and ``min_d`` are derived from it.
     """
 
@@ -180,33 +197,42 @@ class LogConcavityReport(ScanReport):
     matrix: Mapping[int, tuple[int, ...]]
 
     failures = ("violations",)
+    row_keys = ("nu", "i", "d")
 
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.matrix))
 
-    @cached_property
+    def _columns(self) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+        """Each nu in canonical order with its d values at ``degrees``."""
+        return zip(partitions_of(self.n), zip(*(self.matrix[i] for i in self.degrees)))
+
+    @property
     def entries(self) -> tuple[tuple[Partition, int, int], ...]:  # (nu, i, d)
         degrees = self.degrees
-        return tuple(
-            (nu, i, self.matrix[i][k])
-            for k, nu in enumerate(partitions_of(self.n))
-            for i in degrees
-        )
+        return tuple((nu, i, d) for nu, column in self._columns() for i, d in zip(degrees, column))
 
     @cached_property
     def violations(self) -> tuple[tuple[Partition, int, int], ...]:
-        return tuple(e for e in self.entries if e[2] < 0)
+        degrees = self.degrees
+        return tuple(
+            (nu, i, d) for nu, column in self._columns() for i, d in zip(degrees, column) if d < 0
+        )
 
     @property
     def min_d(self) -> int | None:
-        return min((d for _, _, d in self.entries), default=None)
+        return min(map(min, self.matrix.values()), default=None)
 
-    def body(self) -> dict:
+    def rows(self) -> Iterator[tuple[tuple[str], Iterable[tuple[int, int]]]]:
+        degrees = self.degrees
+        for nu, column in self._columns():
+            yield (format_partition(nu),), zip(degrees, column)
+
+    def body(self, entries: list) -> dict:
         return {
             "n": self.n,
             "kind": "flag-lc",
-            "entries": [d_row(*entry) for entry in self.entries],
+            "entries": entries,
             "violations": [d_row(*entry) for entry in self.violations],
         }
 
@@ -269,6 +295,7 @@ class LowDegreeReport(ScanReport):
     entries: tuple[tuple[int, Partition, int, int], ...]  # (n, nu, i, d)
 
     failures = ("violations", "mirror_mismatches")
+    row_keys = ("n", "nu", "i", "d")
 
     @cached_property
     def violations(self) -> tuple[tuple[int, Partition, int, int], ...]:
@@ -283,11 +310,18 @@ class LowDegreeReport(ScanReport):
             if m <= self.max_m and value != d[n, nu, top_degree(n) - m]
         )
 
-    def body(self) -> dict:
+    def rows(self) -> Iterator[tuple[tuple[int, str], Iterable[tuple[int, int]]]]:
+        # entries run over nu within each (n, i), so every row is its own group
+        names: dict[Partition, str] = {}
+        for n, nu, i, d in self.entries:
+            name = names.get(nu) or names.setdefault(nu, format_partition(nu))
+            yield (n, name), ((i, d),)
+
+    def body(self, entries: list) -> dict:
         return {
             "n": self.n_max,
             "kind": "low-degree",
-            "entries": [{"n": n, **d_row(nu, i, d)} for n, nu, i, d in self.entries],
+            "entries": entries,
             "violations": [
                 {"n": n, **d_row(nu, i, d)} for n, nu, i, d in self.violations
             ],
@@ -431,6 +465,7 @@ class UnimodalityReport(ScanReport):
     sequences: tuple[tuple[Partition, tuple[int, ...]], ...]
 
     failures = ("symmetric_failures", "unimodal_failures")
+    row_keys = ("nu", "i", "d")
 
     @property
     def symmetric_failures(self) -> tuple[Partition, ...]:
@@ -442,13 +477,15 @@ class UnimodalityReport(ScanReport):
     def unimodal_failures(self) -> tuple[Partition, ...]:
         return tuple(nu for nu, seq in self.sequences if not is_unimodal(seq))
 
-    def body(self) -> dict:
+    def rows(self) -> Iterator[tuple[tuple[str], Iterable[tuple[int, int]]]]:
+        for nu, seq in self.sequences:
+            yield (format_partition(nu),), enumerate(seq, 1)
+
+    def body(self, entries: list) -> dict:
         return {
             "n": self.n,
             "kind": "unimodal",
-            "entries": [
-                d_row(nu, i + 1, d) for nu, seq in self.sequences for i, d in enumerate(seq)
-            ],
+            "entries": entries,
             "violations": [
                 {"nu": format_partition(nu), "reason": "not-symmetric"}
                 for nu in self.symmetric_failures

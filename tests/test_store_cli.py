@@ -1,8 +1,11 @@
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +23,7 @@ from coinvariant.store import (
     default_cache_dir,
     payload_bytes,
     report_document,
+    write_report,
 )
 from coinvariant.springer import springer_graded_table
 
@@ -456,6 +460,131 @@ def run_cli(tmp_path, *args):
     return cli.run([*args, "--cache-dir", str(tmp_path / "cache")])
 
 
+def json_reference(document: dict) -> bytes:
+    """A JSON report as the generic encoder writes the whole document."""
+    return (json.dumps(document, indent=2) + "\n").encode()
+
+
+def csv_reference(entries: list[dict]) -> bytes:
+    """A CSV report as csv.DictWriter writes the entry dicts, the columns
+    in the order their keys first appear."""
+    columns = list(dict.fromkeys(key for entry in entries for key in entry))
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(entries)
+    return buffer.getvalue().encode()
+
+
+def negative_d(monkeypatch):
+    """d_matrix with d[(n-1, 1)] at the lowest scanned degree set to -2."""
+    compute = verify.d_matrix
+
+    def skewed(n, degrees=None):
+        matrix = compute(n, degrees)
+        i = min(matrix)
+        matrix[i] = (matrix[i][0], -2, *matrix[i][2:])
+        return matrix
+
+    monkeypatch.setattr(verify, "d_matrix", skewed)
+
+
+def mirror_mismatch(monkeypatch):
+    """low_degree_matrix with d[(4, 1)][9] at n = 5 raised by one, so it no
+    longer mirrors d[(4, 1)][1]."""
+    compute = verify.low_degree_matrix
+
+    def skewed(n, max_m):
+        matrix = compute(n, max_m)
+        if n == 5:
+            row = partitions_of(5).index((4, 1))
+            matrix[9] = tuple(d + (k == row) for k, d in enumerate(matrix[9]))
+        return matrix
+
+    monkeypatch.setattr(verify, "low_degree_matrix", skewed)
+
+
+class TestReportWriter:
+    """Report files are rendered row by row from each scan's own data; their
+    bytes must be those of the generic encoders over the whole payload."""
+
+    @pytest.mark.parametrize(
+        "argv, report, skew, status",
+        [
+            (["verify-flag", "--n", "5", "--degrees", "all"],
+             lambda: verify.verify_flag_log_concavity(5), None, "pass"),
+            (["verify-flag", "--n", "6", "--degrees", "2,5"],
+             lambda: verify.verify_flag_log_concavity(6, (2, 5)), None, "pass"),
+            (["verify-flag", "--n", "5", "--degrees", "low:2"],
+             lambda: verify.verify_flag_log_concavity(5, (1, 2, 8, 9)), negative_d, "fail"),
+            (["unimodal", "--n", "5"], lambda: verify.verify_d_unimodality(5), None, "pass"),
+            (["low-degree-harness", "--n-max", "6"],
+             lambda: verify.low_degree_harness(6), None, "pass"),
+            (["low-degree-harness", "--n-max", "6"],
+             lambda: verify.low_degree_harness(6), mirror_mismatch, "fail"),
+            (["springer-scan", "--n-max", "7"],
+             lambda: springer.springer_counterexample_search(7), None, "fail"),
+        ],
+        ids=["verify-flag-all", "verify-flag-subset", "verify-flag-violations", "unimodal",
+             "low-degree-harness", "low-degree-harness-mirror", "springer-scan"],
+    )
+    def test_bytes_equal_the_reference_encoders(
+        self, tmp_path, monkeypatch, argv, report, skew, status
+    ):
+        if skew is not None:
+            skew(monkeypatch)
+        report = report()
+        assert report.status == status
+        if status == "fail" and report.row_keys:
+            assert report.payload()["violations"] or report.payload()["mirror_mismatches"]
+        code = 0 if status == "pass" else 2
+        out = tmp_path / "report.json"
+        assert run_cli(tmp_path, *argv, "--out", str(out)) == code
+        written = out.read_bytes()
+        # the file's own provenance, the payload as payload() builds it
+        assert written == json_reference({**json.loads(written), "payload": report.payload()})
+        if report.row_keys:
+            out = tmp_path / "report.csv"
+            assert run_cli(tmp_path, *argv, "--out", str(out)) == code
+            assert out.read_bytes() == csv_reference(report.payload()["entries"])
+
+    def test_heads_needing_escapes_match_the_reference_encoders(self, tmp_path):
+        # a head holding a JSON escape, a CSV quote and comma, and a literal %
+        keys, rows = ("name", "i", "d"), [(('a%d,"b"\\',), [(1, -2), (3, 4)]), (("5",), [(6, 7)])]
+        entries = [dict(zip(keys, (*head, *tail))) for head, tails in rows for tail in tails]
+        document = report_document("x", {}, {"entries": [], "status": "pass"})
+        write_report(tmp_path / "r.json", document, keys, rows)
+        write_report(tmp_path / "r.csv", document, keys, rows)
+        reference = {**document, "payload": {"entries": entries, "status": "pass"}}
+        assert (tmp_path / "r.json").read_bytes() == json_reference(reference)
+        assert (tmp_path / "r.csv").read_bytes() == csv_reference(entries)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        outs = [tmp_path / "r.json", tmp_path / "r.csv"]
+        old = os.umask(umask)
+        try:
+            for out in outs:
+                assert run_cli(tmp_path, "verify-flag", "--n", "4", "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        for path in [*outs, tmp_path / "cache" / "char-4.json"]:
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+    def test_importing_the_cli_loads_neither_logging_nor_csv(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import coinvariant.cli\n"
+            "print(sorted({'logging', 'csv'} & (set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout.splitlines()[-1] == "[]", done.stderr
+
+
 class TestCli:
     def test_fake_degrees_prints_polynomial(self, tmp_path, capsys):
         assert run_cli(tmp_path, "fake-degrees", "--n", "3", "--lambda", "2,1") == 0
@@ -536,23 +665,26 @@ class TestCli:
         assert ".tmp" not in err
 
     @pytest.mark.parametrize(
-        "argv, header, rows",
+        "argv, header, rows, report",
         [
             # five partitions of 4, five interior degrees
-            (["verify-flag", "--n", "4"], "nu,i,d", 5 * 5),
-            (["unimodal", "--n", "4"], "nu,i,d", 5 * 5),
+            (["verify-flag", "--n", "4"], "nu,i,d", 5 * 5,
+             lambda: verify.verify_flag_log_concavity(4)),
+            (["unimodal", "--n", "4"], "nu,i,d", 5 * 5, lambda: verify.verify_d_unimodality(4)),
             # the degree <= 3 and co-degree window is empty for n = 2, 1..2
             # for n = 3 (three partitions), 1..5 for n = 4 (five partitions)
-            (["low-degree-harness", "--n-max", "4"], "n,nu,i,d", 31),
+            (["low-degree-harness", "--n-max", "4"], "n,nu,i,d", 31,
+             lambda: verify.low_degree_harness(4)),
         ],
         ids=["verify-flag", "unimodal", "low-degree-harness"],
     )
-    def test_csv_export(self, tmp_path, argv, header, rows):
+    def test_csv_export(self, tmp_path, argv, header, rows, report):
         out = tmp_path / "report.csv"
         assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == 1 + rows
+        assert out.read_bytes() == csv_reference(report().payload()["entries"])
 
     def test_csv_export_without_entries_is_refused(self, tmp_path, capsys):
         cache = tmp_path / "cache"
