@@ -34,7 +34,6 @@ not per type.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
 from math import factorial
@@ -126,7 +125,6 @@ def character_value(lam: Partition, rho: Partition) -> int:
     return _mn(lam, rho)
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """Character rows of S_n: ``values[k]`` is chi of ``shapes[k]`` at
     every class of S_n in canonical order.  ``shapes`` defaults to every
@@ -136,13 +134,20 @@ class CharacterTable:
     answers as the full table does at its shapes.
     """
 
-    n: int
-    values: tuple[tuple[int, ...], ...]
-    shapes: tuple[Partition, ...] | None = None
+    def __init__(
+        self, n: int, values: tuple[tuple[int, ...], ...], shapes: tuple[Partition, ...] | None = None
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "shapes", partitions_of(n) if shapes is None else shapes)
 
-    def __post_init__(self) -> None:
-        if self.shapes is None:
-            object.__setattr__(self, "shapes", partitions_of(self.n))
+    def __setattr__(self, name, value):
+        raise AttributeError("CharacterTable is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CharacterTable) and (self.n, self.values, self.shapes) == (
+            other.n, other.values, other.shapes
+        )
 
     @property
     def partitions(self) -> tuple[Partition, ...]:

@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import characters, graded, kronecker, springer, verify
 from .combinatorics import (
     check_partition,
     conjugate,
@@ -18,6 +17,7 @@ from .combinatorics import (
     kostka_number,
     parse_partition,
     partitions_of,
+    top_degree,
 )
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
@@ -182,26 +182,32 @@ def _finish(args, store: CacheStore | None, command: str, parameters: dict, repo
 
 
 def cmd_fake_degrees(args) -> int:
+    from .graded import fake_degree_hook
+
     lam = check_partition(parse_partition(args.lam), args.n)
-    print(graded.fake_degree_hook(lam))
+    print(fake_degree_hook(lam))
     return 0
 
 
 def cmd_kronecker(args) -> int:
+    from .kronecker import kronecker_coefficient
+
     n = args.n
     lam, mu, nu = (check_partition(parse_partition(t), n) for t in (args.lam, args.mu, args.nu))
     store = _store(args)
     _seed(store, args, ("char", [n]))
-    print(kronecker.kronecker_coefficient(lam, mu, nu))
+    print(kronecker_coefficient(lam, mu, nu))
     return 0
 
 
 def cmd_verify_flag(args) -> int:
+    from . import verify
+
     n = args.n
     verify.check_flag_size(n)
     # the cap first: the degree filter is as large as the top degree
     _check_caps(args, ("char", [n]))
-    degrees = verify.parse_degree_filter(args.degrees, graded.top_degree(n))
+    degrees = verify.parse_degree_filter(args.degrees, top_degree(n))
     store = _store(args)
     _seed(store, args, ("char", [n]))
     report = verify.verify_flag_log_concavity(n, degrees)
@@ -214,6 +220,8 @@ def cmd_verify_flag(args) -> int:
 
 
 def cmd_unimodal(args) -> int:
+    from . import verify
+
     n = args.n
     verify.check_unimodality_size(n)
     store = _store(args)
@@ -229,6 +237,8 @@ def cmd_unimodal(args) -> int:
 
 
 def cmd_low_degree(args) -> int:
+    from . import verify
+
     n_max = args.n_max
     verify.check_harness_range(n_max)
     cap = _cap(args, "harness")
@@ -243,6 +253,8 @@ def cmd_low_degree(args) -> int:
 
 
 def cmd_springer_scan(args) -> int:
+    from . import springer
+
     n_max = args.n_max
     store = _store(args)
     cap = _cap(args, "springer")
@@ -263,6 +275,8 @@ def cmd_springer_scan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import characters, graded, kronecker, springer, verify
+
     n_max = args.n_max
     if n_max < 2:
         raise ValueError("selftest needs --n-max at least 2")

@@ -138,6 +138,10 @@ def n_stat(lam: Partition) -> int:
     return sum(i * part for i, part in enumerate(lam))
 
 
+def top_degree(n: int) -> int:
+    return n * (n - 1) // 2
+
+
 def dominates(lam: Partition, mu: Partition) -> bool:
     """Dominance order: partial sums of ``lam`` weakly exceed those of ``mu``.
 

@@ -18,7 +18,7 @@ The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import memo
 from .characters import character_table
@@ -34,6 +34,7 @@ from .combinatorics import (
     n_stat,
     partition_index,
     partitions_of,
+    top_degree,
 )
 from .polynomials import (
     IntPoly,
@@ -42,10 +43,6 @@ from .polynomials import (
     one_minus_q_product,
     q_factorial as poincare_polynomial,
 )
-
-
-def top_degree(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 def graded_character_poly(n: int, rho: Partition) -> IntPoly:
@@ -90,7 +87,6 @@ def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
     return IntPoly(table.multiplicity(column, lam) for column in zip(*chis))
 
 
-@dataclass(frozen=True)
 class GradedMultiplicityTable:
     """b[lam][i] = multiplicity of V(lam) in the degree-i piece of a graded
     S_n-representation: the coinvariant ring, or a Springer fiber.
@@ -100,8 +96,15 @@ class GradedMultiplicityTable:
     ``top_degree`` and ``supports`` are derived from them.
     """
 
-    n: int
-    b: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, b: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedMultiplicityTable is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedMultiplicityTable) and (self.n, self.b) == (other.n, other.b)
 
     @property
     def partitions(self) -> tuple[Partition, ...]:
@@ -198,8 +201,7 @@ def check_duality(n: int) -> bool:
 # Representation-stability checks
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Padded degree-i multiplicities across n; stable means all constant.
 
     For a core partition mu, the padded shape at n is (n - |mu|, *mu).

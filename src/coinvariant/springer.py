@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, zip_longest
 
@@ -165,14 +164,18 @@ def verify_springer_log_concavity(
     return LogConcavityReport(table.n, d_matrices([table])[0])
 
 
-@dataclass(frozen=True)
 class SpringerScanReport(ScanReport):
     """Counterexample sweep over all nilpotent types up to n_max."""
 
-    n_max: int
-    counterexamples: tuple[tuple[Partition, tuple[tuple[Partition, int, int], ...]], ...]
-
     failures = ("counterexamples",)
+
+    def __init__(
+        self,
+        n_max: int,
+        counterexamples: tuple[tuple[Partition, tuple[tuple[Partition, int, int], ...]], ...],
+    ):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
     def types(self) -> list[Partition]:
         return [mu for mu, _ in self.counterexamples]

@@ -6,29 +6,30 @@ compact JSON with exact decimal integers.  The kinds are ``char`` (the
 character table of S_n), ``graded`` (the coinvariant ring's graded
 multiplicities), ``kron`` (Kronecker coefficients) and ``springer`` (the
 Springer table of every type mu of n, in canonical order, each row
-stored sparsely as flat (degree, multiplicity) pairs).  Every document
-opens with the same envelope, ``schema_version``, ``kind``, ``n`` and the
-canonical partitions of n (``_envelope``), followed by the fields of its
-kind.  A table is read back from n and the fields it holds; everything
-it derives (partitions, class sizes) is written for readers of the file
-only.  The digest covers the stored body bytes, so a body written
-indented by an older version still reads as it is.  A digest mismatch, a
-version mismatch, a file without the header or an envelope other than
-the one the file name promises (say ``graded-4`` copied over
-``graded-5``) or a body of the wrong shape triggers a rebuild, never a
-partial read.  The shapes: a char table needs p(n) rows of p(n) ints, a
-graded table p(n) rows of n(n-1)/2 + 1 ints, a kron table distinct
-entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and g > 0, and
-a springer table one entry per type, the types exactly the partitions of
-n in order, each with top = n(mu) and p(n) rows of even length whose
-degrees increase within [0, top] and whose multiplicities are positive
-ints; every Springer table read is calibrated again
+stored sparsely as flat (degree, multiplicity) pairs); the modules of a
+kron, graded or springer table load when such a table is first used.
+Every document opens with the same envelope, ``schema_version``,
+``kind``, ``n`` and the canonical partitions of n (``_envelope``),
+followed by the fields of its kind.  A table is read back from n and the
+fields it holds; everything it derives (partitions, class sizes) is
+written for readers of the file only.  The digest covers the stored body
+bytes, so a body written indented by an older version still reads as it
+is.  A digest mismatch, a version mismatch, a file without the header or
+an envelope other than the one the file name promises (say ``graded-4``
+copied over ``graded-5``) or a body of the wrong shape triggers a
+rebuild, never a partial read.  The shapes: a char table needs p(n) rows
+of p(n) ints, a graded table p(n) rows of n(n-1)/2 + 1 ints, a kron table
+distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and
+g > 0, and a springer table one entry per type, the types exactly the
+partitions of n in order, each with top = n(mu) and p(n) rows of even
+length whose degrees increase within [0, top] and whose multiplicities
+are positive ints; every Springer table read is calibrated again
 (``springer._calibrate``), and one that fails is malformed too.  Every
 write goes to a unique temp file in the same directory and is renamed
 into place, and no file is shared between tables, so concurrent runs on
-one directory never see a half-written file; every file written, table
-or report, gets the mode any new file gets under the umask.  Any n >= 1 is stored; size
-caps belong to the CLI.
+one directory never see a half-written file; every file written, table or
+report, gets the mode any new file gets under the umask.  Any n >= 1 is
+stored; size caps belong to the CLI.
 
 One route each way: ``read`` checks a file and adopts its table into the
 process memo, and ``write`` makes every body from list items that are
@@ -54,15 +55,18 @@ import json
 import os
 import tempfile
 from datetime import datetime, timezone
+from importlib import import_module
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from . import __version__, memo, springer
+from . import __version__, memo
 from .characters import CharacterTable, build_character_table
-from .combinatorics import format_partition, partitions_of
-from .graded import GradedMultiplicityTable, build_graded_table, top_degree
-from .kronecker import KroneckerTable, build_kronecker_table
+from .combinatorics import format_partition, partitions_of, top_degree
+
+if TYPE_CHECKING:
+    from .graded import GradedMultiplicityTable
+    from .kronecker import KroneckerTable
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "COINVARIANT_CACHE_DIR"
@@ -163,6 +167,8 @@ def _kron_doc(table: KroneckerTable) -> dict:
 def _kron_from_doc(doc: dict) -> KroneckerTable:
     """Distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n)
     and g > 0; ValueError otherwise."""
+    from .kronecker import KroneckerTable
+
     count = len(partitions_of(doc["n"]))
     entries = {(a, b, c): g for a, b, c, g in doc["entries"]}
     if (
@@ -179,10 +185,14 @@ def _graded_doc(table: GradedMultiplicityTable) -> dict:
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
+    from .graded import GradedMultiplicityTable
+
     return GradedMultiplicityTable(doc["n"], _rows(doc, "b", top_degree(doc["n"]) + 1))
 
 
 def _springer_doc(tables: tuple[GradedMultiplicityTable, ...]) -> dict:
+    from . import springer
+
     n = tables[0].n
     entries = [springer.table_entry(mu, t) for mu, t in zip(partitions_of(n), tables)]
     return {**_envelope("springer", n), "tables": entries}
@@ -192,6 +202,8 @@ def _springer_from_doc(doc: dict) -> tuple[GradedMultiplicityTable, ...]:
     """One entry per type of n, in canonical order (see
     ``springer.table_from_entry`` for the shape of each); ValueError
     otherwise, AssertionError if a table fails calibration."""
+    from . import springer
+
     types, entries = partitions_of(doc["n"]), doc["tables"]
     if len(entries) != len(types):
         raise ValueError("tables are not one entry per partition of n")
@@ -200,11 +212,17 @@ def _springer_from_doc(doc: dict) -> tuple[GradedMultiplicityTable, ...]:
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
+
+def _lazy(module: str, name: str) -> Callable:
+    """A builder calling ``module.name(n)``; ``module`` loads on its first call."""
+    return lambda n: getattr(import_module(f".{module}", __package__), name)(n)
+
+
 _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "char": (build_character_table, _char_doc, _char_from_doc),
-    "kron": (build_kronecker_table, _kron_doc, _kron_from_doc),
-    "graded": (build_graded_table, _graded_doc, _graded_from_doc),
-    "springer": (springer.springer_tables, _springer_doc, _springer_from_doc),
+    "kron": (_lazy("kronecker", "build_kronecker_table"), _kron_doc, _kron_from_doc),
+    "graded": (_lazy("graded", "build_graded_table"), _graded_doc, _graded_from_doc),
+    "springer": (_lazy("springer", "springer_tables"), _springer_doc, _springer_from_doc),
 }
 
 

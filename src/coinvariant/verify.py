@@ -29,11 +29,11 @@ Degrees outside [0, top] of a graded table contribute zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import factorial
-from operator import mul
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter, mul
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .characters import character_rows, character_table
 from .combinatorics import (
@@ -42,13 +42,18 @@ from .combinatorics import (
     dimension,
     format_partition,
     partitions_of,
+    top_degree,
 )
-from .graded import GradedMultiplicityTable, graded_table, poincare_polynomial, top_degree
-from .kronecker import KroneckerTable, OnDemandKronecker
 # unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
 # when the bench reads in-tree spans (ROADMAP item 1)
 from .parallel import parallel_map  # noqa: F401
-from .polynomials import is_log_concave, is_unimodal, one_minus_q_product, symmetric_about
+from .polynomials import (
+    is_log_concave, is_unimodal, one_minus_q_product, q_factorial, symmetric_about,
+)
+
+if TYPE_CHECKING:
+    from .graded import GradedMultiplicityTable
+    from .kronecker import KroneckerTable, OnDemandKronecker
 
 SCHEMA_VERSION = 1
 
@@ -75,6 +80,8 @@ def tensor_multiplicity_vector(
 
 def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     """Multiplicity of V(nu) in H^i (x) H^j of the coinvariant ring."""
+    from .graded import graded_table
+
     check_partition(nu, n)
     table = graded_table(n)
     chars = character_table(n)
@@ -138,6 +145,8 @@ def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> It
 
 def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
+    from .graded import graded_table
+
     row = character_table(n).index(check_partition(nu, n))
     return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
 
@@ -154,6 +163,9 @@ class ScanReport:
 
     failures: ClassVar[tuple[str, ...]] = ()
     row_keys: ClassVar[tuple[str, ...]] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def status(self) -> str:
@@ -183,7 +195,6 @@ def d_row(nu: Partition, i: int, d: int) -> dict:
     return {"nu": format_partition(nu), "i": i, "d": d}
 
 
-@dataclass(frozen=True)
 class LogConcavityReport(ScanReport):
     """Full d table of one scan.
 
@@ -193,11 +204,12 @@ class LogConcavityReport(ScanReport):
     the d < 0 entries) and ``min_d`` are derived from it.
     """
 
-    n: int
-    matrix: Mapping[int, tuple[int, ...]]
-
     failures = ("violations",)
     row_keys = ("nu", "i", "d")
+
+    def __init__(self, n: int, matrix: Mapping[int, tuple[int, ...]]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -284,18 +296,21 @@ def verify_flag_log_concavity(
 # Low-degree / co-degree harness
 
 
-@dataclass(frozen=True)
 class LowDegreeReport(ScanReport):
     """d checks at degrees m and co-degrees c-m, m <= max_m, for every
     n <= n_max; ``violations`` (d < 0) and ``mirror_mismatches`` (each
-    (n, nu, m) whose d differs from d[nu][c-m]) are derived from ``entries``."""
-
-    n_max: int
-    max_m: int
-    entries: tuple[tuple[int, Partition, int, int], ...]  # (n, nu, i, d)
+    (n, nu, m) whose d differs from d[nu][c-m]) are derived from ``entries``,
+    which run over every nu of n in canonical order within each (n, i)."""
 
     failures = ("violations", "mirror_mismatches")
     row_keys = ("n", "nu", "i", "d")
+
+    def __init__(
+        self, n_max: int, max_m: int, entries: tuple[tuple[int, Partition, int, int], ...]
+    ):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "max_m", max_m)
+        object.__setattr__(self, "entries", entries)  # (n, nu, i, d)
 
     @cached_property
     def violations(self) -> tuple[tuple[int, Partition, int, int], ...]:
@@ -303,11 +318,13 @@ class LowDegreeReport(ScanReport):
 
     @cached_property
     def mirror_mismatches(self) -> tuple[tuple[int, Partition, int], ...]:  # (n, nu, m)
-        d = {(n, nu, i): value for n, nu, i, value in self.entries}
+        blocks = {key: tuple(block) for key, block in groupby(self.entries, itemgetter(0, 2))}
         return tuple(
             (n, nu, m)
-            for n, nu, m, value in self.entries
-            if m <= self.max_m and value != d[n, nu, top_degree(n) - m]
+            for (n, m), block in blocks.items()
+            if m <= self.max_m
+            for (_, nu, _, d), (*_, mirror) in zip(block, blocks[n, top_degree(n) - m])
+            if d != mirror
         )
 
     def rows(self) -> Iterator[tuple[tuple[int, str], Iterable[tuple[int, int]]]]:
@@ -380,7 +397,7 @@ def _checked_graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]
     """``_graded_characters(n, length)``, every chi_j checked to be the
     Betti number b_j at the identity class."""
     chi = _graded_characters(n, length)
-    betti = poincare_polynomial(n).coeffs
+    betti = q_factorial(n).coeffs
     for j, values in chi.items():
         # the identity class (1^n) comes last in canonical order
         if values[-1] != betti[j]:
@@ -452,7 +469,6 @@ def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
 # Unimodality of the d sequences
 
 
-@dataclass(frozen=True)
 class UnimodalityReport(ScanReport):
     """Per-nu d sequences over interior degrees with symmetry/unimodality flags.
 
@@ -461,11 +477,12 @@ class UnimodalityReport(ScanReport):
     report holds only n and ``sequences``; both failure tuples are derived.
     """
 
-    n: int
-    sequences: tuple[tuple[Partition, tuple[int, ...]], ...]
-
     failures = ("symmetric_failures", "unimodal_failures")
     row_keys = ("nu", "i", "d")
+
+    def __init__(self, n: int, sequences: tuple[tuple[Partition, tuple[int, ...]], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sequences", sequences)
 
     @property
     def symmetric_failures(self) -> tuple[Partition, ...]:
@@ -513,7 +530,9 @@ def betti_log_concavity(n: int) -> bool:
     """Numeric log-concavity of the graded dimensions, cross-checked against
     the dimension-weighted d identity:
     sum_nu dim(nu) d[nu][i] == b_i^2 - b_{i-1} b_{i+1}."""
-    betti = poincare_polynomial(n).coeffs
+    from .graded import graded_table
+
+    betti = q_factorial(n).coeffs
     if not is_log_concave(betti):
         return False
     dims = [dimension(nu) for nu in partitions_of(n)]

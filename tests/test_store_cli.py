@@ -571,19 +571,6 @@ class TestReportWriter:
         for path in [*outs, tmp_path / "cache" / "char-4.json"]:
             assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
-    def test_importing_the_cli_loads_neither_logging_nor_csv(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
-        script = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import coinvariant.cli\n"
-            "print(sorted({'logging', 'csv'} & (set(sys.modules) - before)))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.stdout.splitlines()[-1] == "[]", done.stderr
-
 
 class TestCli:
     def test_fake_degrees_prints_polynomial(self, tmp_path, capsys):
@@ -947,6 +934,45 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+
+    # the modules every scan's route runs; springer-scan adds its own two
+    SCAN_ROUTE = {
+        "cli", "store", "characters", "combinatorics", "polynomials",
+        "verify", "memo", "errors", "parallel",
+    }
+
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (["verify-flag", "--n", "5"], SCAN_ROUTE),
+            (["unimodal", "--n", "5"], SCAN_ROUTE),
+            (["low-degree-harness", "--n-max", "5"], SCAN_ROUTE),
+            # one job: a cold sweep's pool imports concurrent.futures,
+            # which loads logging itself
+            (["springer-scan", "--n-max", "4", "--jobs", "1"], SCAN_ROUTE | {"springer", "graded"}),
+        ],
+        ids=["verify-flag", "unimodal", "low-degree-harness", "springer-scan"],
+    )
+    def test_each_command_loads_only_its_route(self, tmp_path, argv, route):
+        """No Kronecker module on any scan, no graded or Springer module
+        outside springer-scan, and neither dataclasses (with inspect) nor
+        logging or csv, which only a table rebuild or a .csv report needs."""
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        script = (
+            "import sys\n"
+            "import coinvariant.cli\n"
+            "status = coinvariant.cli.run(sys.argv[1:])\n"
+            "print(status, *sorted(sys.modules))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--cache-dir", str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        status, *loaded = done.stdout.splitlines()[-1].split()
+        assert status == "0", done.stderr
+        package = {name.partition(".")[2] for name in loaded if name.startswith("coinvariant.")}
+        assert package == route
+        assert not {"dataclasses", "inspect", "logging", "csv"} & set(loaded)
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ from coinvariant.combinatorics import centralizer_size, dimension, partitions_of
 from coinvariant.errors import NonIntegral
 from coinvariant.graded import graded_character_poly, graded_table, top_degree
 from coinvariant.kronecker import OnDemandKronecker, kronecker_table
-from coinvariant.springer import springer_graded_table
+from coinvariant.springer import springer_counterexample_search, springer_graded_table
 from coinvariant.verify import (
     betti_log_concavity,
     d_matrices,
@@ -450,3 +450,56 @@ class TestCharacterRouteMatchesKronecker:
             degrees = (1, 2, 3, c - 3, c - 2, c - 1)
             kron = OnDemandKronecker(character_table(n))
             assert d_matrices([table], degrees)[0] == d_by_kronecker(table, kron, degrees), n
+
+
+# n = 3 (c = 3): d[(2,1)] is -1 at degree 1 and 1 at degree 2, so both
+# cached failure tuples are non-empty and a fresh tuple per access would show
+FAILING_ENTRIES = tuple(
+    (3, nu, i, d)
+    for i, column in ((1, (0, -1, 0)), (2, (0, 1, 0)))
+    for nu, d in zip(partitions_of(3), column)
+)
+
+IMMUTABLE = {
+    # name: (make, a field, the cached properties)
+    "character-table": (lambda: character_table(5), "values", ("class_sizes", "_row_index")),
+    "graded-table": (lambda: graded_table(5), "b", ()),
+    "flag-report": (
+        lambda: verify.LogConcavityReport(3, {1: (0, -1, 0), 2: (0, 1, 0)}),
+        "matrix",
+        ("violations",),
+    ),
+    "low-degree-report": (
+        lambda: verify.LowDegreeReport(3, 3, FAILING_ENTRIES),
+        "entries",
+        ("violations", "mirror_mismatches"),
+    ),
+    "unimodal-report": (lambda: verify_d_unimodality(5), "sequences", ()),
+    "springer-report": (lambda: springer_counterexample_search(4), "counterexamples", ()),
+}
+
+
+class TestImmutability:
+    """Tables and reports are set once: assignment fails, and what they
+    derive is computed once."""
+
+    @pytest.mark.parametrize("name", sorted(IMMUTABLE))
+    def test_assignment_raises(self, name):
+        make, field, _ = IMMUTABLE[name]
+        obj = make()
+        held = getattr(obj, field)
+        for attr in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, None)
+        assert getattr(obj, field) is held
+        assert not hasattr(obj, "extra")
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (_, _, cached) in IMMUTABLE.items() if cached)
+    )
+    def test_cached_properties_return_one_object(self, name):
+        make, _, cached = IMMUTABLE[name]
+        obj = make()
+        for attr in cached:
+            first = getattr(obj, attr)
+            assert first and getattr(obj, attr) is first, attr
