@@ -26,9 +26,10 @@ orthogonality guards.  Combinations sum_k c_k chi_k (graded characters)
 are taken the same way from the rows packed by class, with bound
 max|chi| * sum_k |c_k|; a table keeps each row it has packed, per digit
 size, so the many Springer tables of one n pack each row once per size.
-The Springer sweep decomposes the class functions of every cached type
-of one n in one batch, so it takes one packed class sum per row per n,
-not per type.
+The Springer sweep decomposes the class functions of every type of one
+n in one batch, so it takes one packed class sum per row per n, not per
+type; the Kostka-Foulkes table of n takes its Hall-Littlewood Gram
+matrix from one more such batch.
 """
 
 from __future__ import annotations

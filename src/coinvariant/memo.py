@@ -4,10 +4,12 @@ Library lookups build a missing table on first use, at any n; a cache
 store adopts every table it reads or builds, so later library calls use
 the table the store holds, but never in place of a file its directory
 lacks.  Kind ``"springer"`` holds, per n, the Springer table of every
-type of n in canonical order; no lookup builds it, and a store adopts it
-as the Springer sweep reads its ``springer-n`` files.  That sweep checks
-every type of a held n in its own process; only the types of the other
-sizes go to a forked worker pool, whose workers inherit the memo.
+type of n in canonical order; a library lookup (``springer_tables``)
+builds all of them from one Kostka-Foulkes table, and a store adopts
+them as the Springer sweep reads its ``springer-n`` files.  That sweep
+checks every held n in its own process; only the other sizes go to a
+forked worker pool, one n per task, whose workers inherit the memo and
+build their tables without adopting them.
 """
 
 from __future__ import annotations

@@ -1,12 +1,40 @@
 """Graded Springer representations via Kostka-Foulkes polynomials.
 
-K(lam, mu)(q) is defined as the charge generating polynomial over
-semistandard tableaux of shape lam and content mu, and computed by the
-Kirillov-Reshetikhin fermionic (rigged-configuration) formula, which
-enumerates no tableaux; the charge route ``kostka_foulkes_poly_by_charge``
-is the audit that tests and ``selftest`` compare it with.  The degree-i
-multiplicity of V(lam) in the Springer fiber of nilpotent type mu is the
-coefficient of q^i in q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
+K(lam, mu)(q) is the charge generating polynomial over semistandard
+tableaux of shape lam and content mu.  The degree-i multiplicity of V(lam)
+in the Springer fiber of nilpotent type mu is the coefficient of q^i in
+q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
+
+Every K(lam, mu) of one n comes from one exact triangular factorisation
+(``kostka_foulkes_table``), by Hall-Littlewood orthogonality (Macdonald,
+*Symmetric Functions and Hall Polynomials*, III.2 and III.4; the identity
+behind the Lusztig-Shoji algorithm).  With phi_m(q) = prod_{j<=m} (1 - q^j),
+the graded multiplicity of V(lam) (x) V(nu) in the coinvariant ring,
+
+    P(lam, nu) = (1/n!) sum_rho |C_rho| chi_lam(rho) chi_nu(rho)
+                 phi_n(q) / prod_j (1 - q^{rho_j}),
+
+equals sum_mu K(lam, mu) E_mu K(nu, mu) with E_mu = phi_n / prod_i
+phi_{m_i(mu)}, and K is unitriangular in dominance.  Everything is taken
+at q = 2^B, one Python int per polynomial, and the columns are solved from
+the bottom of dominance (canonical order reversed):
+K(lam, mu) E_mu = P(lam, mu) - sum over solved kappa of
+K(lam, kappa) E_kappa K(mu, kappa), for every lam at or before mu in
+canonical order (no later lam dominates mu).  The coefficients of
+K(lam, mu) are >= 0 and sum to the Kostka number, which is at most
+f^lam = dim V(lam); so with B = bitlen(max_lam f^lam) + 1 every
+coefficient is one base-2^B digit below 2^(B-1), read back exactly, and
+the spare bit makes a negative coefficient show as a digit above f^lam.
+
+The guards: every n! class sum is exact (``NonIntegral``), every division
+by E_mu is exact (``NonExactDivision`` naming (lam, mu)), every diagonal
+K(mu, mu) E_mu comes out to exactly E_mu (AssertionError naming mu), and
+every K(lam, mu) is 0 unless lam dominates mu, has degree at most
+n(mu) - n(lam), and has digits summing to at most f^lam (AssertionError
+naming (lam, mu)).  The Kirillov-Reshetikhin fermionic (rigged-
+configuration) formula ``kostka_foulkes_poly`` and the charge route
+``kostka_foulkes_poly_by_charge`` are the audits that tests and
+``selftest`` compare this route with.
 
 Three calibration constraints pin this grading convention: the type (n)
 table must be the trivial representation, the type (1^n) table must equal
@@ -22,6 +50,8 @@ import json
 from collections import Counter
 from functools import cache, reduce
 from itertools import accumulate, zip_longest
+from math import prod
+from operator import mul
 
 from . import memo
 from .characters import character_table
@@ -30,6 +60,7 @@ from .combinatorics import (
     charge,
     check_partition,
     conjugate,
+    dimension,
     dominates,
     enumerate_ssyt,
     format_partition,
@@ -38,17 +69,88 @@ from .combinatorics import (
     partitions_of,
     reading_word,
 )
+from .errors import NonExactDivision
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import ONE, IntPoly, monomial, q_binomial
 from .verify import LogConcavityReport, ScanReport, d_matrices, d_row
 
 
+def kostka_foulkes_table(n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """K(lam, mu)(q) for every pair of partitions of n, at [r][s] for the
+    r-th lam and the s-th mu in canonical order, from one triangular
+    factorisation of the Hall-Littlewood Gram matrix at q = 2^B (see the
+    module docstring for the identity, the digit bound and the guards)."""
+    parts = partitions_of(n)
+    dims = [dimension(lam) for lam in parts]
+    tops = [n_stat(lam) for lam in parts]
+    bits = max(dims).bit_length() + 1
+    q = 1 << bits
+    phi = list(accumulate((1 - q**j for j in range(1, n + 1)), mul, initial=1))
+    chars = character_table(n)
+    # the graded character phi_n / prod_j (1 - q^{rho_j}) at every class
+    graded = [_exact_quotient(phi[n], prod(1 - q**p for p in rho), rho) for rho in parts]
+    gram = chars._decompose_all([list(map(mul, row, graded)) for row in chars.values])
+    weights = [_hall_weight(mu, phi) for mu in parts]
+    # columns[t]: (r, K(parts[r], parts[t]) at q) for each nonzero entry of
+    # a solved column, r increasing; rows[r]: the same entries by row
+    columns: list[list[tuple[int, int]]] = [[] for _ in parts]
+    rows: list[dict[int, int]] = [{} for _ in parts]
+    for s in reversed(range(len(parts))):
+        mu, weight = parts[s], weights[s]
+        residuals = list(gram[s][: s + 1])
+        for t, k in rows[s].items():
+            w = weights[t] * k
+            for r, value in columns[t]:
+                if r > s:
+                    break
+                residuals[r] -= value * w
+        for r, residual in enumerate(residuals):
+            value, rem = divmod(residual, weight)
+            if rem:
+                raise NonExactDivision(f"E_mu does not divide K({parts[r]}, {mu}) E_mu exactly")
+            if value:
+                columns[s].append((r, value))
+                rows[r][s] = value
+        if rows[s].get(s) != 1:
+            raise AssertionError(f"diagonal of mu={mu} is not E_mu")
+    mask = q - 1
+    table = [[IntPoly()] * len(parts) for _ in parts]
+    for s, mu in enumerate(parts):
+        for r, value in columns[s]:
+            lam, digits = parts[r], []
+            while value > 0:
+                digits.append(value & mask)
+                value >>= bits
+            if value or not dominates(lam, mu) or (
+                len(digits) > tops[s] - tops[r] + 1 or sum(digits) > dims[r]
+            ):
+                raise AssertionError(
+                    f"K({lam}, {mu}) breaks the degree bound n(mu) - n(lam) "
+                    "or the digit bound f^lam"
+                )
+            table[r][s] = IntPoly(digits)
+    return tuple(map(tuple, table))
+
+
+def _hall_weight(mu: Partition, phi: list[int]) -> int:
+    """E_mu = phi_n / prod_i phi_{m_i(mu)} at q, where phi[m] is phi_m at q."""
+    return _exact_quotient(phi[sum(mu)], prod(phi[m] for m in Counter(mu).values()), mu)
+
+
+def _exact_quotient(a: int, b: int, rho: Partition) -> int:
+    """a / b, a polynomial quotient for the partition rho taken at q, so exact."""
+    quotient, rem = divmod(a, b)
+    if rem:
+        raise NonExactDivision(f"the quotient for {rho} at q = 2^B is not exact")
+    return quotient
+
+
 @cache
 def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
-    """K(lam, mu)(q) by the fermionic formula, summed over configurations
-    nu^(k) of lam_{k+1} + lam_{k+2} + ... for k >= 1 with nu^(0) = mu (see
-    ``_tail``); zero unless lam dominates mu."""
+    """Audit route: K(lam, mu)(q) by the fermionic formula, summed over
+    configurations nu^(k) of lam_{k+1} + lam_{k+2} + ... for k >= 1 with
+    nu^(0) = mu (see ``_tail``); zero unless lam dominates mu."""
     check_partition(mu, sum(check_partition(lam)))
     if not dominates(lam, mu):
         return IntPoly()
@@ -116,19 +218,23 @@ def _binomial_product(binomials: tuple[tuple[int, int], ...]) -> IntPoly:
 
 def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:
     """Degree-reversed Kostka-Foulkes multiplicities for nilpotent type mu;
-    the top degree is n(mu)."""
-    n = sum(mu)
-    top = n_stat(mu)
-    rows = []
-    for lam in partitions_of(n):
-        poly = kostka_foulkes_poly(lam, mu)
-        if poly.is_zero:
-            rows.append((0,) * (top + 1))
-        else:
-            rows.append(poly.mirror(top).padded(top + 1))
-    table = GradedMultiplicityTable(n, tuple(rows))
-    _calibrate(table, mu)
-    return table
+    the top degree is n(mu).  Taken from ``springer_tables`` of |mu|."""
+    n = sum(check_partition(mu))
+    return springer_tables(n)[partition_index(n)[mu]]
+
+
+def build_springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
+    """The Springer table of every type of n, in canonical order, from
+    ``kostka_foulkes_table(n)``, each table calibrated."""
+    tables = []
+    for mu, column in zip(partitions_of(n), zip(*kostka_foulkes_table(n))):
+        # q^{n(mu)} K(1/q) over degrees 0 .. n(mu); deg K <= n(mu) is checked
+        top = n_stat(mu)
+        rows = tuple((0,) * (top + 1 - len(poly.coeffs)) + poly.coeffs[::-1] for poly in column)
+        table = GradedMultiplicityTable(n, rows)
+        _calibrate(table, mu)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
@@ -232,23 +338,31 @@ def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
 
 
 def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
-    """The Springer table of every type of n, in canonical order."""
-    return tuple(springer_graded_table(mu) for mu in partitions_of(n))
+    """Process-wide memoized tables of every type of n; a disk cache may seed them (see memo)."""
+    return memo.lookup("springer", n, build_springer_tables)
 
 
-def _build_one_type(item: tuple[Partition, bool]) -> tuple[Partition, tuple, str | None]:
-    """The d violations of type mu, whose table is built by Kostka-Foulkes;
-    with the table's ``table_entry`` as compact JSON when ``encode`` asks
-    for it, which the parent holds for every built type in far less memory
-    than the lists it encodes."""
-    mu, encode = item
-    table = springer_graded_table(mu)
-    violations = verify_springer_log_concavity(mu, table).violations
-    return mu, violations, _encoded(mu, table) if encode else None
+def _build_one_n(item: tuple[int, bool]) -> tuple[int, list, list[str] | None]:
+    """The d violations of every type of n, whose tables are built from one
+    Kostka-Foulkes table; with each table's ``table_entry`` as compact JSON
+    when ``encode`` asks for it, which the parent holds for every built n in
+    far less memory than the lists it encodes."""
+    n, encode = item
+    tables = build_springer_tables(n)
+    return n, _violations(n, tables), _encoded_all(n, tables) if encode else None
 
 
-def _encoded(mu: Partition, table: GradedMultiplicityTable) -> str:
-    return json.dumps(table_entry(mu, table), separators=(",", ":"))
+def _violations(n: int, tables: tuple[GradedMultiplicityTable, ...]) -> list:
+    """The d violations of every type of n, the d of all types in one batch."""
+    return [LogConcavityReport(n, matrix).violations for matrix in d_matrices(tables)]
+
+
+def _encoded_all(n: int, tables: tuple[GradedMultiplicityTable, ...]) -> list[str]:
+    """The ``table_entry`` of every type of n as compact JSON."""
+    return [
+        json.dumps(table_entry(mu, table), separators=(",", ":"))
+        for mu, table in zip(partitions_of(n), tables)
+    ]
 
 
 def check_scan_range(n_max: int) -> None:
@@ -263,17 +377,16 @@ def check_scan_range(n_max: int) -> None:
 def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> SpringerScanReport:
     """All types mu with |mu| <= n_max whose Springer representation fails
     equivariant log-concavity, grouped by n in canonical order.  Any
-    n_max >= 3 is scanned; the cost grows about 4x per step in n, and the
-    command line caps it.  The character tables are warmed first, and with
-    a cache ``store`` every ``springer-n`` file it holds is read into the
-    memo.  Every type of an n whose tables the memo then holds is checked
-    in this process, the d of all types of that n in one batch
-    (``d_matrices``), so a warm sweep forks nothing.  Only the types of
-    the other n go to the worker pool: each forked worker builds a table
-    by Kostka-Foulkes and returns its d violations and, with a store, its
-    entry encoded for disk.  Then one ``springer-n`` file is written per n
-    whose file the store lacked.  Without a store nothing is read or
-    written.
+    n_max >= 3 is scanned; the command line caps it.  The character tables
+    are warmed first, and with a cache ``store`` every ``springer-n`` file
+    it holds is read into the memo.  Every n whose tables the memo then
+    holds is checked in this process, so a warm sweep forks nothing.  The
+    other n go to the worker pool, largest first: each forked worker builds
+    the tables of its n from one Kostka-Foulkes table and returns their d
+    violations and, with a store, their entries encoded for disk.  Either
+    way the d of all types of one n is taken in one batch (``d_matrices``).
+    Then one ``springer-n`` file is written per n whose file the store
+    lacked.  Without a store nothing is read or written.
     """
     check_scan_range(n_max)
     for n in range(2, n_max + 1):
@@ -281,24 +394,22 @@ def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> Spr
     ns = range(1, n_max + 1)
     missing = set() if store is None else {n for n in ns if store.read("springer", n) is None}
     held = {n: memo.held("springer", n) for n in ns}
-    items = [(mu, n in missing) for n in ns if held[n] is None for mu in partitions_of(n)]
+    items = [(n, n in missing) for n in reversed(ns) if held[n] is None]
     violations = {}
-    entries = {n: [] for n in ns}
-    for mu, bad, entry in parallel_map(_build_one_type, items, jobs):
-        violations[mu] = bad
-        if entry is not None:
-            entries[sum(mu)].append(entry)
+    entries = {}
+    for n, bad, encoded in parallel_map(_build_one_n, items, jobs):
+        violations[n] = bad
+        if encoded is not None:
+            entries[n] = encoded
     for n, tables in held.items():
-        if tables is None:
-            continue
-        for mu, table, matrix in zip(partitions_of(n), tables, d_matrices(tables)):
-            violations[mu] = LogConcavityReport(n, matrix).violations
+        if tables is not None:
+            violations[n] = _violations(n, tables)
             if n in missing:
-                entries[n].append(_encoded(mu, table))
+                entries[n] = _encoded_all(n, tables)
     for n in ns:
-        if entries[n]:
+        if n in entries:
             store.write("springer", n, {"tables": entries[n]})
     counterexamples = tuple(
-        (mu, violations[mu]) for n in ns for mu in partitions_of(n) if violations[mu]
+        (mu, bad) for n in ns for mu, bad in zip(partitions_of(n), violations[n]) if bad
     )
     return SpringerScanReport(n_max, counterexamples)

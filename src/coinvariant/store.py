@@ -222,7 +222,7 @@ _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "char": (build_character_table, _char_doc, _char_from_doc),
     "kron": (_lazy("kronecker", "build_kronecker_table"), _kron_doc, _kron_from_doc),
     "graded": (_lazy("graded", "build_graded_table"), _graded_doc, _graded_from_doc),
-    "springer": (_lazy("springer", "springer_tables"), _springer_doc, _springer_from_doc),
+    "springer": (_lazy("springer", "build_springer_tables"), _springer_doc, _springer_from_doc),
 }
 
 

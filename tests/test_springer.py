@@ -1,9 +1,10 @@
 import math
 import operator
+import re
 
 import pytest
 
-from coinvariant import cli
+from coinvariant import cli, springer
 from coinvariant.characters import CharacterTable, character_table
 from coinvariant.combinatorics import (
     conjugate,
@@ -12,15 +13,18 @@ from coinvariant.combinatorics import (
     kostka_number,
     n_stat,
     partitions_of,
+    top_degree,
 )
-from coinvariant.errors import NonIntegral
+from coinvariant.errors import NonExactDivision, NonIntegral
 from coinvariant.graded import GradedMultiplicityTable, graded_table
 from coinvariant.parallel import parallel_map
 from coinvariant.polynomials import IntPoly
 from coinvariant.springer import (
     _calibrate,
+    build_springer_tables,
     kostka_foulkes_poly,
     kostka_foulkes_poly_by_charge,
+    kostka_foulkes_table,
     springer_counterexample_search,
     springer_graded_table,
     springer_tables,
@@ -103,6 +107,128 @@ class TestKostkaFoulkes:
                     poly = kostka_foulkes_poly(lam, mu)
                     if not poly.is_zero:
                         assert poly.degree == n_stat(mu) - n_stat(lam)
+
+
+def table_pairs(n):
+    """(lam, mu, K(lam, mu)) from ``kostka_foulkes_table(n)``, every pair of n."""
+    parts = partitions_of(n)
+    for lam, row in zip(parts, kostka_foulkes_table(n)):
+        for mu, poly in zip(parts, row):
+            yield lam, mu, poly
+
+
+class TestKostkaFoulkesTable:
+    """The Hall-Littlewood factorisation route against the fermionic and
+    charge routes, and each of its guards."""
+
+    def test_matches_fermionic_route_up_to_11(self):
+        for n in range(1, 12):
+            for lam, mu, poly in table_pairs(n):
+                assert poly == kostka_foulkes_poly(lam, mu), (lam, mu)
+
+    def test_matches_charge_route_up_to_9(self):
+        for n in range(1, 10):
+            for lam, mu, poly in table_pairs(n):
+                assert poly == kostka_foulkes_poly_by_charge(lam, mu), (lam, mu)
+
+    def test_table_shape(self):
+        table = kostka_foulkes_table(6)
+        assert len(table) == len(partitions_of(6))
+        assert {len(row) for row in table} == {len(partitions_of(6))}
+        with pytest.raises(ValueError, match="n must be positive"):
+            kostka_foulkes_table(0)
+
+    @staticmethod
+    def patch_weight(monkeypatch, mu, change):
+        """E_mu at q replaced by ``change(E_mu)`` for the one type mu."""
+        weight = springer._hall_weight
+
+        def patched(nu, phi):
+            e = weight(nu, phi)
+            return change(e) if nu == mu else e
+
+        monkeypatch.setattr(springer, "_hall_weight", patched)
+
+    def test_failing_diagonal_names_mu(self, monkeypatch):
+        # -E_mu divides every residual of the column, so every division is
+        # exact and only the diagonal K(mu, mu) = -1 is off
+        self.patch_weight(monkeypatch, (3, 2), operator.neg)
+        with pytest.raises(AssertionError, match=r"^diagonal of mu=\(3, 2\) is not E_mu$"):
+            kostka_foulkes_table(5)
+
+    def test_failing_division_names_the_pair(self, monkeypatch):
+        # K((5), (3, 2)) = q^4 is the column's first residual over E_mu;
+        # E_mu + 1 leaves a remainder there
+        self.patch_weight(monkeypatch, (3, 2), lambda e: e + 1)
+        with pytest.raises(
+            NonExactDivision,
+            match=r"^E_mu does not divide K\(\(5,\), \(3, 2\)\) E_mu exactly$",
+        ):
+            kostka_foulkes_table(5)
+
+    def test_failing_class_sum_raises_non_integral(self, monkeypatch):
+        # chi_(4,1) at the identity class one too large: row (5) of the Gram
+        # matrix then gains the graded character there, [5]_q!, which is odd
+        # at even q and so no multiple of 5!
+        chars = character_table(5)
+        values = [list(row) for row in chars.values]
+        values[chars.shapes.index((4, 1))][-1] += 1
+        patched = CharacterTable(5, tuple(map(tuple, values)))
+        monkeypatch.setattr(springer, "character_table", lambda n: patched)
+        with pytest.raises(NonIntegral, match=r"^class sum for \(5,\) is not divisible by 5!$"):
+            kostka_foulkes_table(5)
+
+    @pytest.mark.parametrize(
+        "n, lam, other, power, broken",
+        [
+            # K((3,1,1), (2,2,1)) gains q^(c+1): digit sum 2 <= f^lam = 6
+            (5, (3, 1, 1), (2, 2, 1), top_degree(5) + 1, "degree"),
+            # K((5), (4,1)) = q + 1: degree 1 is within the bound, f^(5) = 1
+            (5, (5,), (4, 1), 0, "digit sum"),
+            # (4,1,1) and (3,3) are incomparable, so K((4,1,1), (3,3)) = 1 is off
+            (6, (4, 1, 1), (3, 3), 0, "dominance"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_a_consistent_wrong_gram_matrix_fails_the_digit_check(
+        self, monkeypatch, n, lam, other, power, broken
+    ):
+        # the Gram matrix U P U^T with U = 1 + x e(lam, other), x = q^power,
+        # is the one of U K, whose rows lam before other in canonical order
+        # keep it triangular with unit diagonal: every division is exact and
+        # every diagonal holds, and only the digit check of row lam can fail
+        # q = 2^B, B = bitlen(max_lam f^lam) + 1, the point the table is taken at
+        q = 1 << (max(map(dimension, partitions_of(n))).bit_length() + 1)
+        x = q**power
+        r, r_other = partitions_of(n).index(lam), partitions_of(n).index(other)
+        decompose = CharacterTable._decompose_all
+
+        def lifted(self, functions):
+            gram = [list(row) for row in decompose(self, functions)]
+            for row in gram:
+                row[r] += x * row[r_other]
+            gram[r] = [a + x * b for a, b in zip(gram[r], gram[r_other])]
+            return gram
+
+        monkeypatch.setattr(CharacterTable, "_decompose_all", lifted)
+        with pytest.raises(
+            AssertionError, match=rf"^K\({re.escape(str(lam))}, {re.escape(str(other))}\) breaks"
+        ):
+            kostka_foulkes_table(n)
+
+    def test_every_built_table_is_calibrated(self, monkeypatch):
+        calibrated = []
+
+        def recording(table, mu):
+            calibrated.append(mu)
+            _calibrate(table, mu)
+
+        monkeypatch.setattr(springer, "_calibrate", recording)
+        for n in range(1, 8):
+            calibrated.clear()
+            tables = build_springer_tables(n)
+            assert calibrated == list(partitions_of(n)), n
+            assert [t.top_degree for t in tables] == [n_stat(mu) for mu in partitions_of(n)]
 
 
 class TestSpringerTable:
@@ -274,6 +400,18 @@ class TestCounterexampleSearch:
         assert len(pool_builds) == 1
         assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
         assert len(pool_builds) == 1
+
+    def test_pool_maps_over_n_largest_first(self, fresh_memo, monkeypatch):
+        mapped = []
+
+        def inline_map(fn, items, jobs):
+            mapped.append(items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(springer, "parallel_map", inline_map)
+        report = springer_counterexample_search(7, jobs=2)
+        assert mapped == [[(n, False) for n in range(7, 0, -1)]]
+        assert report.types() == [(4, 1, 1, 1)]
 
     def test_chunked_pool_keeps_submission_order(self):
         # the items go out in contiguous chunks, 6 each on two workers

@@ -25,7 +25,7 @@ from coinvariant.store import (
     report_document,
     write_report,
 )
-from coinvariant.springer import springer_graded_table
+from coinvariant.springer import build_springer_tables
 
 
 @pytest.fixture
@@ -40,6 +40,8 @@ GOLDEN_DIGESTS = {
     "kron-4": "sha256:d1b964f27ea1ec812a16d94e6dbdee6c4175f96ddd11653ae099cd4e4189b673",
     "springer-4": "sha256:850d2c0bd4d37c01d46f1daecf877318d7c6505eeb8d4b5b5a95bfb94ede2b04",
     "springer-6": "sha256:81365a625e3c8ac110998eae5696c6cb9637e54685d79d3a100c797683a40d9e",
+    "springer-9": "sha256:465ef114bebfbad83dd92350655651a8917c648fda93400a89af2614ea397042",
+    "springer-11": "sha256:0a59b690bced13c2e4342874694d3d39ff61e0be86c3db71d084fb5733a32e7a",
 }
 
 
@@ -323,9 +325,8 @@ class TestSpringerCache:
         store = CacheStore(tmp_path / "cache")
         built = CacheStore(tmp_path / "built")
         for n in range(1, 9):
-            assert store.read("springer", n) == tuple(
-                springer_graded_table(mu) for mu in partitions_of(n)
-            ), n
+            # read adopts its tables into the memo, so compare a fresh build
+            assert store.read("springer", n) == build_springer_tables(n), n
             # the store's own build writes the entries the workers returned
             built.get_or_build("springer", n)
             name = f"springer-{n}.json"
@@ -404,10 +405,11 @@ class TestSpringerCache:
         assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
         fresh_memo.clear()
 
-        def refuse(mu):
-            raise AssertionError(f"built the table of {mu} on a warm cache")
+        def refuse(key):
+            raise AssertionError(f"built the table of {key} on a warm cache")
 
         monkeypatch.setattr(springer, "springer_graded_table", refuse)
+        monkeypatch.setattr(springer, "build_springer_tables", refuse)
         assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
 
     def test_warm_sweep_forks_nothing(self, tmp_path, fresh_memo, monkeypatch):
@@ -427,12 +429,12 @@ class TestSpringerCache:
         mapped = []
 
         def inline_map(fn, items, jobs):
-            mapped.append([mu for mu, _ in items])
+            mapped.append([n for n, _ in items])
             return [fn(item) for item in items]
 
         monkeypatch.setattr(springer, "parallel_map", inline_map)
         assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "2") == 2
-        assert mapped == [list(partitions_of(7))]
+        assert mapped == [[7]]
         assert path.read_bytes() == data
 
     def test_library_search_without_a_store_writes_nothing(self, tmp_path, monkeypatch):
@@ -684,17 +686,17 @@ class TestCli:
         assert not out.exists()
         assert list(cache.iterdir()) == []
 
-    @pytest.mark.parametrize("n_max", ["13", "20"])
+    @pytest.mark.parametrize("n_max", ["14", "20"])
     def test_springer_scan_above_cap(self, tmp_path, capsys, n_max):
         assert run_cli(tmp_path, "springer-scan", "--n-max", n_max) == 1
         err = capsys.readouterr().err
-        assert err == f"error: n_max {n_max} above cap 12; raise the cap explicitly to go higher\n"
+        assert err == f"error: n_max {n_max} above cap 13; raise the cap explicitly to go higher\n"
 
     @pytest.mark.parametrize(
         "argv, error",
         [
             (["springer-scan", "--n-max", "20"],
-             "error: n_max 20 above cap 12; raise the cap explicitly to go higher"),
+             "error: n_max 20 above cap 13; raise the cap explicitly to go higher"),
             (["low-degree-harness", "--n-max", "40"],
              "error [LimitExceeded]: low-degree-harness n_max 40 above cap 16"),
             (["selftest", "--n-max", "13"],
@@ -847,7 +849,7 @@ class TestCli:
     def test_selftest(self, tmp_path, capsys):
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 0
         out = capsys.readouterr().out
-        assert "selftest Kostka-Foulkes two-route agreement: pass" in out.splitlines()
+        assert "selftest Kostka-Foulkes three-route agreement: pass" in out.splitlines()
         assert "selftest Betti log-concavity: pass" in out.splitlines()
         assert "all suites pass" in out
 
@@ -864,10 +866,29 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes two-route agreement: pass" in lines
+        assert "selftest Kostka-Foulkes three-route agreement: pass" in lines
         assert lines[-1] == "selftest: 1 suite(s) FAILED"
         assert captured.err == (
-            "selftest Kostka-Foulkes calibration: calibration broken for mu=(1, 1, 1)\n"
+            "selftest Kostka-Foulkes calibration: calibration broken for mu=(3,)\n"
+        )
+
+    def test_selftest_reports_a_failing_kostka_foulkes_guard(self, tmp_path, capsys, monkeypatch):
+        # -E_mu of (2, 1) breaks the diagonal of that column at n = 3
+        weight = springer._hall_weight
+
+        def negated(mu, phi):
+            return -weight(mu, phi) if mu == (2, 1) else weight(mu, phi)
+
+        monkeypatch.setattr(springer, "_hall_weight", negated)
+        assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "selftest Kostka-Foulkes calibration: FAIL" in lines
+        assert "selftest Kostka-Foulkes three-route agreement: FAIL" in lines
+        assert lines[-1] == "selftest: 2 suite(s) FAILED"
+        assert captured.err == "".join(
+            f"selftest Kostka-Foulkes {suite}: diagonal of mu=(2, 1) is not E_mu\n"
+            for suite in ("calibration", "three-route agreement")
         )
 
     def test_warm_and_cold_payloads_identical(self, tmp_path, fresh_memo):
