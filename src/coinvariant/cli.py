@@ -50,8 +50,8 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=None,
-        help="raise the built-in size caps (character and Kronecker tables, "
-        "the springer-scan sweep, the low-degree harness) to N; never lowers them",
+        help="raise the built-in size caps (character tables and fake-degrees, Kronecker "
+        "tables, the springer-scan sweep, the low-degree harness) to N; never lowers them",
     )
     return common
 
@@ -184,6 +184,7 @@ def _finish(args, store: CacheStore | None, command: str, parameters: dict, repo
 def cmd_fake_degrees(args) -> int:
     from .graded import fake_degree_hook
 
+    _check_caps(args, ("char", [args.n]))
     lam = check_partition(parse_partition(args.lam), args.n)
     print(fake_degree_hook(lam))
     return 0
@@ -223,7 +224,7 @@ def cmd_unimodal(args) -> int:
     from . import verify
 
     n = args.n
-    verify.check_unimodality_size(n)
+    verify.check_flag_size(n)
     store = _store(args)
     _seed(store, args, ("char", [n]))
     report = verify.verify_d_unimodality(n)
@@ -246,7 +247,7 @@ def cmd_low_degree(args) -> int:
         raise LimitExceeded(f"low-degree-harness n_max {n_max} above cap {cap}")
     report = verify.low_degree_harness(n_max)
     return _finish(args, None, "low-degree-harness", {"n_max": n_max}, report, [
-        f"low-degree-harness n_max={n_max} entries={len(report.entries)} "
+        f"low-degree-harness n_max={n_max} entries={sum(1 for _ in report.entries)} "
         f"violations={len(report.violations)} "
         f"mirror_mismatches={len(report.mirror_mismatches)} status={report.status}",
     ])

@@ -13,9 +13,9 @@ irreducible for every degree, each divided by n! exactly (see
 ``characters``).  Every requested degree is checked before any character
 is taken.  The coinvariant ring's chi_j are the closed form
 prod_{k<=n} (1 - q^k) / prod_j (1 - q^{rho_j}) at every class rho
-(``_graded_characters``), checked against the Betti numbers: ``d_matrix``
-for the full-degree scans, ``low_degree_matrix`` for the harness, on only
-the rows where d can be nonzero (see ``low_degree_harness``).  A graded
+(``_graded_characters``), checked against the Betti numbers, and one
+function, ``d_matrix``, decomposes them for every coinvariant scan, on
+the rows where d can be nonzero at the degrees asked for.  A graded
 multiplicity table (a Springer fiber, or the coinvariant ring's table as
 an audit) gives its chi_j from the character rows packed by class, every
 table of one n in one batch (``d_matrices``).
@@ -30,9 +30,8 @@ Degrees outside [0, top] of a graded table contribute zero.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby
 from math import factorial
-from operator import itemgetter, mul
+from operator import mul
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .characters import character_rows, character_table
@@ -90,13 +89,34 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
 
 
 def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
-    """d vectors over nu of the coinvariant ring of S_n, keyed by interior
-    degree i (every interior degree when ``degrees`` is None), from the
-    closed-form graded characters at every degree."""
+    """d vectors over every nu of the coinvariant ring of S_n, keyed by
+    interior degree i (every interior degree when ``degrees`` is None).
+
+    With m the largest min(i, c - i) asked for, chi_j is needed only within
+    m + 1 of either end, and d[nu][i] only on the rows n - nu_1 <= 2m
+    (``low_degree_shapes``; see ``low_degree_harness``).  If those are every
+    row, the memoized character table decomposes.  Otherwise those rows
+    alone do (``character_rows``), every other d is 0, and completeness is
+    checked, not assumed: by Parseval the sum of d^2 over every nu is
+    <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2 for f = chi_i^2 - chi_(i-1) chi_(i+1),
+    so the sum over the rows must equal it exactly."""
     c = top_degree(n)
     scan = _interior(c, degrees)
-    chi = _checked_graded_characters(n, c + 1)
-    return dict(zip(scan, character_table(n)._decompose_all(_d_functions(chi, scan))))
+    m = max((min(i, c - i) for i in scan), default=0)
+    chi = _checked_graded_characters(n, m + 2)
+    shapes = low_degree_shapes(n, m)
+    if len(shapes) == len(partitions_of(n)):
+        return dict(zip(scan, character_table(n)._decompose_all(_d_functions(chi, scan))))
+    rows = character_rows(n, shapes)
+    functions = list(_d_functions(chi, scan))
+    vectors = rows._decompose_all(functions)
+    for i, f, d in zip(scan, functions, vectors):
+        if factorial(n) * sum(x * x for x in d) != sum(map(mul, rows.class_sizes, map(mul, f, f))):
+            raise AssertionError(
+                f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
+            )
+    by_shape = [dict(zip(shapes, d)) for d in vectors]
+    return {i: tuple(d.get(nu, 0) for nu in partitions_of(n)) for i, d in zip(scan, by_shape)}
 
 
 def _interior(top: int, degrees: Iterable[int] | None) -> Sequence[int]:
@@ -195,16 +215,12 @@ def d_row(nu: Partition, i: int, d: int) -> dict:
     return {"nu": format_partition(nu), "i": i, "d": d}
 
 
-class LogConcavityReport(ScanReport):
-    """Full d table of one scan.
+class DMatrixReport(ScanReport):
+    """A report on one d matrix of S_n, as ``d_matrix`` gives it: the d
+    vector over nu in canonical order for each scanned interior degree.
+    The report holds only n and ``matrix``; ``degrees`` and the entry rows
+    (ordered by nu, then by degree) are derived from it."""
 
-    The report holds only n and ``matrix``, the d vector over nu in
-    canonical order for each scanned interior degree; ``degrees``, the
-    entry rows (ordered by nu, then by degree), ``violations`` (exactly
-    the d < 0 entries) and ``min_d`` are derived from it.
-    """
-
-    failures = ("violations",)
     row_keys = ("nu", "i", "d")
 
     def __init__(self, n: int, matrix: Mapping[int, tuple[int, ...]]):
@@ -218,6 +234,18 @@ class LogConcavityReport(ScanReport):
     def _columns(self) -> Iterator[tuple[Partition, tuple[int, ...]]]:
         """Each nu in canonical order with its d values at ``degrees``."""
         return zip(partitions_of(self.n), zip(*(self.matrix[i] for i in self.degrees)))
+
+    def rows(self) -> Iterator[tuple[tuple[str], Iterable[tuple[int, int]]]]:
+        degrees = self.degrees
+        for nu, column in self._columns():
+            yield (format_partition(nu),), zip(degrees, column)
+
+
+class LogConcavityReport(DMatrixReport):
+    """Full d table of one scan; ``violations`` (exactly the d < 0
+    entries) and ``min_d`` are derived from the matrix."""
+
+    failures = ("violations",)
 
     @property
     def entries(self) -> tuple[tuple[Partition, int, int], ...]:  # (nu, i, d)
@@ -234,11 +262,6 @@ class LogConcavityReport(ScanReport):
     @property
     def min_d(self) -> int | None:
         return min(map(min, self.matrix.values()), default=None)
-
-    def rows(self) -> Iterator[tuple[tuple[str], Iterable[tuple[int, int]]]]:
-        degrees = self.degrees
-        for nu, column in self._columns():
-            yield (format_partition(nu),), zip(degrees, column)
 
     def body(self, entries: list) -> dict:
         return {
@@ -279,9 +302,10 @@ def parse_degree_filter(text: str, top: int) -> tuple[int, ...]:
 
 
 def check_flag_size(n: int) -> None:
-    """ValueError unless n >= 2; checked before any degree filter is read."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    """ValueError unless the coinvariant ring of S_n has an interior degree
+    (n >= 3); ``verify-flag`` checks it before any degree filter is read."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
 
 
 def verify_flag_log_concavity(
@@ -298,19 +322,25 @@ def verify_flag_log_concavity(
 
 class LowDegreeReport(ScanReport):
     """d checks at degrees m and co-degrees c-m, m <= max_m, for every
-    n <= n_max; ``violations`` (d < 0) and ``mirror_mismatches`` (each
-    (n, nu, m) whose d differs from d[nu][c-m]) are derived from ``entries``,
-    which run over every nu of n in canonical order within each (n, i)."""
+    n <= n_max.  The report holds ``matrices``, the d matrix of each n as
+    ``d_matrix`` gives it; ``entries`` (over every nu of n in canonical
+    order within each (n, i)), ``violations`` (d < 0) and
+    ``mirror_mismatches`` (each (n, nu, m) whose d differs from d[nu][c-m])
+    are derived from them."""
 
     failures = ("violations", "mirror_mismatches")
     row_keys = ("n", "nu", "i", "d")
 
-    def __init__(
-        self, n_max: int, max_m: int, entries: tuple[tuple[int, Partition, int, int], ...]
-    ):
+    def __init__(self, n_max: int, max_m: int, matrices: Mapping[int, Mapping[int, tuple]]):
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "max_m", max_m)
-        object.__setattr__(self, "entries", entries)  # (n, nu, i, d)
+        object.__setattr__(self, "matrices", matrices)
+
+    @property
+    def entries(self) -> Iterator[tuple[int, Partition, int, int]]:  # (n, nu, i, d)
+        for n, matrix in self.matrices.items():
+            for i, row in matrix.items():
+                yield from ((n, nu, i, d) for nu, d in zip(partitions_of(n), row))
 
     @cached_property
     def violations(self) -> tuple[tuple[int, Partition, int, int], ...]:
@@ -318,21 +348,21 @@ class LowDegreeReport(ScanReport):
 
     @cached_property
     def mirror_mismatches(self) -> tuple[tuple[int, Partition, int], ...]:  # (n, nu, m)
-        blocks = {key: tuple(block) for key, block in groupby(self.entries, itemgetter(0, 2))}
         return tuple(
             (n, nu, m)
-            for (n, m), block in blocks.items()
+            for n, matrix in self.matrices.items()
+            for m in matrix
             if m <= self.max_m
-            for (_, nu, _, d), (*_, mirror) in zip(block, blocks[n, top_degree(n) - m])
+            for nu, d, mirror in zip(partitions_of(n), matrix[m], matrix[top_degree(n) - m])
             if d != mirror
         )
 
     def rows(self) -> Iterator[tuple[tuple[int, str], Iterable[tuple[int, int]]]]:
         # entries run over nu within each (n, i), so every row is its own group
-        names: dict[Partition, str] = {}
-        for n, nu, i, d in self.entries:
-            name = names.get(nu) or names.setdefault(nu, format_partition(nu))
-            yield (n, name), ((i, d),)
+        for n, matrix in self.matrices.items():
+            names = list(map(format_partition, partitions_of(n)))
+            for i, row in matrix.items():
+                yield from (((n, name), ((i, d),)) for name, d in zip(names, row))
 
     def body(self, entries: list) -> dict:
         return {
@@ -405,37 +435,16 @@ def _checked_graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]
     return chi
 
 
-def low_degree_matrix(n: int, max_m: int) -> dict[int, tuple[int, ...]]:
-    """d vectors over every nu of S_n at the degrees of
-    ``low_degree_window(max_m, c)``, computed on the rows of
-    ``low_degree_shapes`` alone and 0 elsewhere; see ``low_degree_harness``
-    for the bound and the guards checked on the way."""
-    c = top_degree(n)
-    degrees = low_degree_window(max_m, c)
-    chi = _checked_graded_characters(n, max_m + 2)
-    rows = character_rows(n, low_degree_shapes(n, max_m))
-    functions = list(_d_functions(chi, degrees))
-    matrix = dict(zip(degrees, rows._decompose_all(functions)))
-    nfact = factorial(n)
-    for i, f in zip(degrees, functions):
-        norm = sum(map(mul, rows.class_sizes, map(mul, f, f)))
-        if nfact * sum(d * d for d in matrix[i]) != norm:
-            raise AssertionError(
-                f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
-            )
-    by_shape = {i: dict(zip(rows.shapes, d)) for i, d in matrix.items()}
-    return {i: tuple(d.get(nu, 0) for nu in partitions_of(n)) for i, d in by_shape.items()}
-
-
 def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     """d >= 0 at degrees m in 1..max_m and co-degrees, for all n up to n_max.
 
     Stability makes n <= 4m sufficient for degree m at every n; the scan
     still runs all n <= n_max as direct evidence, in this process: the
     whole scan is too little work for a worker pool to pay for itself.
-    It builds no character or graded table and reads or writes no table
-    file: per n it computes only the graded characters chi_j with j within
-    max_m + 1 of either end and the character rows d can be nonzero on.
+    Per n, ``d_matrix`` takes only the graded characters chi_j with j within
+    max_m + 1 of either end and the character rows d can be nonzero on:
+    every row, from the memoized full table, for n <= 2 max_m + 1 (n <= 7
+    at max_m = 3).  It reads or writes no table file.
 
     The rows: n(lam) >= n - lam_1, so a constituent V(lam) of H^i, whose
     least major index is n(lam), has n - lam_1 <= i.  A constituent nu of
@@ -445,44 +454,40 @@ def low_degree_harness(n_max: int, max_m: int = 3) -> LowDegreeReport:
     is the sign twist of H^i, and the two sign twists in each tensor
     product cancel.
 
-    The guards, checked on every run (``low_degree_matrix``): every row
-    has norm n! and its identity-class value is dim V(nu); every chi_j is
-    the Betti number b_j at the identity class; every class sum clears n!
-    (``NonIntegral`` names its partition); and completeness: for each
-    class function f = chi_m^2 - chi_(m-1) chi_(m+1), the sum of d^2 over
-    the computed rows equals <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2
-    exactly.  By Parseval <f, f> is the sum of d^2 over every nu, so
-    every omitted d is 0: the row bound is checked, not assumed.
+    The guards, checked on every run (``d_matrix``): every row has norm n!
+    and its identity-class value is dim V(nu) (a full table is validated
+    as it is built); every chi_j is the Betti number b_j at the identity
+    class; every class sum clears n! (``NonIntegral`` names its
+    partition); and, where rows are omitted, completeness, which proves
+    every omitted d is 0.
 
     Co-degree values are computed directly, not mirrored, so the report's
     check of the duality d[nu][m] == d[nu][c-m] compares two computations.
     """
     check_harness_range(n_max)
-    entries = []
-    for n in range(2, n_max + 1):
-        for i, row in low_degree_matrix(n, max_m).items():
-            entries.extend((n, nu, i, d) for nu, d in zip(partitions_of(n), row))
-    return LowDegreeReport(n_max, max_m, tuple(entries))
+    return LowDegreeReport(n_max, max_m, {
+        n: d_matrix(n, low_degree_window(max_m, top_degree(n))) for n in range(2, n_max + 1)
+    })
 
 
 # ---------------------------------------------------------------------------
 # Unimodality of the d sequences
 
 
-class UnimodalityReport(ScanReport):
+class UnimodalityReport(DMatrixReport):
     """Per-nu d sequences over interior degrees with symmetry/unimodality flags.
 
     Symmetry (about the midpoint of [1, c-1]) is a theorem and must hold;
     unimodality is conjectural, so failures are findings, not errors.  The
-    report holds only n and ``sequences``; both failure tuples are derived.
+    report holds only n and the d matrix; ``sequences`` and both failure
+    tuples are derived from it.
     """
 
     failures = ("symmetric_failures", "unimodal_failures")
-    row_keys = ("nu", "i", "d")
 
-    def __init__(self, n: int, sequences: tuple[tuple[Partition, tuple[int, ...]], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sequences", sequences)
+    @cached_property
+    def sequences(self) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+        return tuple(self._columns())
 
     @property
     def symmetric_failures(self) -> tuple[Partition, ...]:
@@ -493,10 +498,6 @@ class UnimodalityReport(ScanReport):
     @property
     def unimodal_failures(self) -> tuple[Partition, ...]:
         return tuple(nu for nu, seq in self.sequences if not is_unimodal(seq))
-
-    def rows(self) -> Iterator[tuple[tuple[str], Iterable[tuple[int, int]]]]:
-        for nu, seq in self.sequences:
-            yield (format_partition(nu),), enumerate(seq, 1)
 
     def body(self, entries: list) -> dict:
         return {
@@ -514,16 +515,9 @@ class UnimodalityReport(ScanReport):
         }
 
 
-def check_unimodality_size(n: int) -> None:
-    """ValueError unless S_n has d sequences worth checking."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-
-
 def verify_d_unimodality(n: int) -> UnimodalityReport:
-    check_unimodality_size(n)
-    matrix = d_matrix(n)
-    return UnimodalityReport(n, tuple(zip(partitions_of(n), zip(*matrix.values()))))
+    check_flag_size(n)
+    return UnimodalityReport(n, d_matrix(n))
 
 
 def betti_log_concavity(n: int) -> bool:

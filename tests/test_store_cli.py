@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import coinvariant
-from coinvariant import cli, memo, springer, verify
+from coinvariant import cli, graded, memo, springer, verify
 from coinvariant.combinatorics import partitions_of
 from coinvariant.store import (
     _KINDS,
@@ -492,18 +492,18 @@ def negative_d(monkeypatch):
 
 
 def mirror_mismatch(monkeypatch):
-    """low_degree_matrix with d[(4, 1)][9] at n = 5 raised by one, so it no
-    longer mirrors d[(4, 1)][1]."""
-    compute = verify.low_degree_matrix
+    """d_matrix with d[(4, 1)][9] at n = 5 raised by one, so it no longer
+    mirrors d[(4, 1)][1]."""
+    compute = verify.d_matrix
 
-    def skewed(n, max_m):
-        matrix = compute(n, max_m)
+    def skewed(n, degrees=None):
+        matrix = compute(n, degrees)
         if n == 5:
             row = partitions_of(5).index((4, 1))
             matrix[9] = tuple(d + (k == row) for k, d in enumerate(matrix[9]))
         return matrix
 
-    monkeypatch.setattr(verify, "low_degree_matrix", skewed)
+    monkeypatch.setattr(verify, "d_matrix", skewed)
 
 
 class TestReportWriter:
@@ -581,6 +581,23 @@ class TestCli:
 
     def test_fake_degrees_rejects_wrong_size(self, tmp_path, capsys):
         assert run_cli(tmp_path, "fake-degrees", "--n", "4", "--lambda", "2,1") == 1
+
+    def test_fake_degrees_checks_the_char_cap_before_any_polynomial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unformed(lam):
+            raise AssertionError("fake degrees formed before the size cap")
+
+        monkeypatch.setattr(graded, "fake_degree_hook", unformed)
+        for n in ("400", "15", "0"):
+            assert run_cli(tmp_path, "fake-degrees", "--n", n, "--lambda", n) == 1
+            assert capsys.readouterr().err == (
+                f"error [LimitExceeded]: char table size {n} outside [1, 14]\n"
+            )
+        monkeypatch.undo()
+        argv = ["fake-degrees", "--n", "15", "--lambda", "15", "--max-n-override", "15"]
+        assert run_cli(tmp_path, *argv) == 0
+        assert capsys.readouterr().out == "1\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -705,7 +722,8 @@ class TestCli:
              "error: degree filter 'low:0' selects no interior degree of [1, 14]"),
             (["low-degree-harness", "--n-max", "3"], "error: n_max must be at least 4"),
             (["unimodal", "--n", "2"], "error: n must be at least 3"),
-            *((["verify-flag", "--n", n], "error: n must be at least 2") for n in ("1", "0", "-2")),
+            *((["verify-flag", "--n", n], "error: n must be at least 3")
+              for n in ("2", "1", "0", "-2")),
             *(
                 ([*argv, "--out", "missing/r.json"],
                  "error: [Errno 2] No such file or directory: 'missing/r.json'")
@@ -722,7 +740,7 @@ class TestCli:
             ),
         ],
         ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
-             "low-degree-harness-range", "unimodal-range", "verify-flag-n-1",
+             "low-degree-harness-range", "unimodal-range", "verify-flag-n-2", "verify-flag-n-1",
              "verify-flag-n-0", "verify-flag-n-minus-2", "springer-scan-out",
              "verify-flag-out", "unimodal-out", "low-degree-harness-out",
              "springer-scan-out-dir", "verify-flag-out-dir"],
@@ -750,8 +768,8 @@ class TestCli:
         assert capsys.readouterr() == ("", refusal)
 
     def test_harness_has_its_own_cap(self, tmp_path, capsys):
-        # the harness builds no character table, so the char cap (14) does
-        # not bound it; its own cap does
+        # the harness builds no character table above n = 7, so the char
+        # cap (14) does not bound it; its own cap does
         cache = tmp_path / "cache"
         assert run_cli(tmp_path, "low-degree-harness", "--n-max", "16") == 0
         assert "status=pass" in capsys.readouterr().out

@@ -15,7 +15,6 @@ from coinvariant.verify import (
     d_matrix,
     d_vector,
     low_degree_harness,
-    low_degree_matrix,
     low_degree_window,
     parse_degree_filter,
     tensor_multiplicity_vector,
@@ -154,7 +153,10 @@ class TestClosedFormRoute:
         for n in range(1, 13):
             assert d_matrix(n) == d_matrices([graded_table(n)])[0], n
         assert d_matrix(1) == {}
-        assert d_matrix(6, [1, 7, 14]) == d_matrices([graded_table(6)], [1, 7, 14])[0]
+        # every row at (1, 7, 14) and (1, 18); at (2,), (2, 34) and (3, 63)
+        # only the rows with n - nu_1 <= 2 min(i, c - i)
+        for n, degrees in [(6, (1, 7, 14)), (9, (1, 18)), (9, (2,)), (9, (2, 34)), (12, (3, 63))]:
+            assert d_matrix(n, degrees) == d_matrices([graded_table(n)], degrees)[0], (n, degrees)
 
     def test_d_matrix_checks_every_degree_before_any_character(self, monkeypatch):
         def no_characters(*args):
@@ -263,16 +265,16 @@ class TestLowDegreeHarness:
     def test_codegree_mismatch_fails_the_mirror_check(self, monkeypatch):
         # at n = 5 (c = 10) raise d[(4,1)][9] by one, so it no longer
         # mirrors d[(4,1)][1] but stays nonnegative
-        compute = verify.low_degree_matrix
+        compute = verify.d_matrix
 
-        def skewed(n, max_m):
-            matrix = compute(n, max_m)
+        def skewed(n, degrees=None):
+            matrix = compute(n, degrees)
             if n == 5:
                 row = partitions_of(5).index((4, 1))
                 matrix[9] = tuple(d + (k == row) for k, d in enumerate(matrix[9]))
             return matrix
 
-        monkeypatch.setattr(verify, "low_degree_matrix", skewed)
+        monkeypatch.setattr(verify, "d_matrix", skewed)
         report = low_degree_harness(6)
         assert report.mirror_mismatches == ((5, (4, 1), 1),)
         assert report.violations == ()
@@ -281,24 +283,44 @@ class TestLowDegreeHarness:
 
 
 class TestLowDegreeRoute:
-    """The harness's own route: graded characters as truncated series,
-    character rows with n - nu_1 <= 2m only, and a guard for each part."""
+    """``d_matrix`` at degrees within m of either end: graded characters as
+    truncated series, character rows with n - nu_1 <= 2m only, and a guard
+    for each part."""
 
     def test_matches_d_matrix_on_full_tables(self):
         for n in range(2, 15):
             table = graded_table(n)
             for m in range(1, 7):
                 expected = d_matrices([table], low_degree_window(m, table.top_degree))[0]
-                assert low_degree_matrix(n, m) == expected, (n, m)
+                assert d_matrix(n, low_degree_window(m, table.top_degree)) == expected, (n, m)
                 # the audit route agrees that d is 0 outside the row bound
                 for row in expected.values():
                     for nu, d in zip(partitions_of(n), row):
                         assert d == 0 or n - nu[0] <= 2 * m, (n, m, nu)
 
+    def test_full_rows_take_the_table_and_omitted_rows_take_rows_alone(self, monkeypatch):
+        def no_rows(n, shapes):
+            raise AssertionError("character_rows called for every row")
+
+        monkeypatch.setattr(verify, "character_rows", no_rows)
+        for n in range(3, 9):
+            d_matrix(n)
+        d_matrix(9, (1, 2, 3, 9, 33))
+        monkeypatch.undo()
+        table = verify.character_table
+
+        def small_tables_only(n):
+            assert n <= 7, f"character_table({n}) in the harness"
+            return table(n)
+
+        monkeypatch.setattr(verify, "character_table", small_tables_only)
+        assert low_degree_harness(10).status == "pass"
+
     def test_dropped_row_fails_the_completeness_guard(self, monkeypatch):
-        # rows with n - nu_1 = 6 are needed at m = 3: d[(3, 3, 3)][3] = 1
-        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, max_m: tuple(
-            nu for nu in partitions_of(n) if n - nu[0] <= 2 * max_m - 1
+        # the harness's rows at max_m = 3, less those with n - nu_1 = 6,
+        # which are needed at m = 3: d[(3, 3, 3)][3] = 1
+        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, m: tuple(
+            nu for nu in partitions_of(n) if n - nu[0] <= 5
         ))
         with pytest.raises(AssertionError, match=r"completeness fails at n=9, degree 3:"):
             low_degree_harness(9)
@@ -312,8 +334,8 @@ class TestLowDegreeRoute:
         ids=["norm", "dimension"],
     )
     def test_perturbed_mn_value_fails_the_row_guard(self, monkeypatch, rho, message):
-        # the harness stops at the perturbed row of n = 5, before any row
-        # that the recursion builds from (4, 1) could keep the perturbation
+        # degrees 1 and 9 of n = 5 need only the rows with n - nu_1 <= 2,
+        # (4, 1) among them, so d_matrix builds those rows alone
         mn_row = characters._mn_row
         column = partitions_of(5).index(rho)
 
@@ -325,7 +347,7 @@ class TestLowDegreeRoute:
 
         monkeypatch.setattr(characters, "_mn_row", skewed)
         with pytest.raises(AssertionError, match=message):
-            low_degree_harness(5)
+            d_matrix(5, (1, 9))
 
     def test_perturbed_graded_coefficient_fails_the_betti_guard(self, monkeypatch):
         graded_characters = verify._graded_characters
@@ -342,9 +364,10 @@ class TestLowDegreeRoute:
             low_degree_harness(5)
 
     def test_non_virtual_class_function_names_its_partition(self, monkeypatch):
-        # rows in reverse canonical order, so row 0 is (1^6), not (6)
+        # rows in reverse canonical order without (6), so d_matrix takes the
+        # rows alone and row 0 is (1^6), not (6)
         shapes = verify.low_degree_shapes
-        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, max_m: shapes(n, max_m)[::-1])
+        monkeypatch.setattr(verify, "low_degree_shapes", lambda n, m: shapes(n, m)[:0:-1])
         graded_characters = verify._graded_characters
 
         def skewed(n, max_m):
@@ -358,7 +381,7 @@ class TestLowDegreeRoute:
         monkeypatch.setattr(verify, "_graded_characters", skewed)
         message = r"class sum for \(1, 1, 1, 1, 1, 1\) is not divisible by 6!"
         with pytest.raises(NonIntegral, match=message):
-            low_degree_harness(6)
+            d_matrix(6, (1, 2, 3))
 
 
 class TestUnimodality:
@@ -454,11 +477,7 @@ class TestCharacterRouteMatchesKronecker:
 
 # n = 3 (c = 3): d[(2,1)] is -1 at degree 1 and 1 at degree 2, so both
 # cached failure tuples are non-empty and a fresh tuple per access would show
-FAILING_ENTRIES = tuple(
-    (3, nu, i, d)
-    for i, column in ((1, (0, -1, 0)), (2, (0, 1, 0)))
-    for nu, d in zip(partitions_of(3), column)
-)
+FAILING_MATRICES = {3: {1: (0, -1, 0), 2: (0, 1, 0)}}
 
 IMMUTABLE = {
     # name: (make, a field, the cached properties)
@@ -470,11 +489,11 @@ IMMUTABLE = {
         ("violations",),
     ),
     "low-degree-report": (
-        lambda: verify.LowDegreeReport(3, 3, FAILING_ENTRIES),
-        "entries",
+        lambda: verify.LowDegreeReport(3, 3, FAILING_MATRICES),
+        "matrices",
         ("violations", "mirror_mismatches"),
     ),
-    "unimodal-report": (lambda: verify_d_unimodality(5), "sequences", ()),
+    "unimodal-report": (lambda: verify_d_unimodality(5), "matrix", ("sequences",)),
     "springer-report": (lambda: springer_counterexample_search(4), "counterexamples", ()),
 }
 
