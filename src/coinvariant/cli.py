@@ -117,10 +117,12 @@ def run(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out needs a file name")
         if getattr(args, "out", None):
             check_report_path(Path(args.out), has_entries=args.command != "springer-scan")
         return args.func(args)
-    except (NonExactDivision, NonIntegral, LimitExceeded) as exc:
+    except (NonExactDivision, NonIntegral, LimitExceeded, AssertionError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
@@ -210,7 +212,8 @@ def cmd_verify_flag(args) -> int:
     _check_caps(args, ("char", [n]))
     degrees = verify.parse_degree_filter(args.degrees, top_degree(n))
     store = _store(args)
-    _seed(store, args, ("char", [n]))
+    if verify.needs_every_row(n, degrees):
+        _seed(store, args, ("char", [n]))
     report = verify.verify_flag_log_concavity(n, degrees)
     return _finish(args, store, "verify-flag", {"n": n, "degrees": args.degrees}, report, [
         f"verify-flag n={n} degrees={len(report.degrees)} "
@@ -334,10 +337,8 @@ def cmd_selftest(args) -> int:
         poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == kostka_number(lam, mu)
         for lam, mu, poly in kostka_foulkes()
     ))
-    check("Kostka-Foulkes three-route agreement", lambda: all(
-        poly
-        == springer.kostka_foulkes_poly(lam, mu)
-        == springer.kostka_foulkes_poly_by_charge(lam, mu)
+    check("Kostka-Foulkes two-route agreement", lambda: all(
+        poly == springer.kostka_foulkes_poly_by_charge(lam, mu)
         for lam, mu, poly in kostka_foulkes()
     ))
 

@@ -1,6 +1,6 @@
 """Dense univariate polynomials over the integers, plus q-analog helpers
-([k]_q, [n]_q!, Gaussian binomials, products of 1 - q^k) and the sequence
-predicates ``symmetric_about``, ``is_unimodal`` and ``is_log_concave``.
+([k]_q, [n]_q!, products of 1 - q^k) and the sequence predicates
+``symmetric_about``, ``is_unimodal`` and ``is_log_concave``.
 Nothing here knows about partitions: the q-hook fake degree is in ``graded``.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
@@ -186,17 +186,6 @@ def q_factorial(n: int) -> IntPoly:
     for k in range(1, n + 1):
         poly = poly * q_int(k)
     return poly
-
-
-@cache
-def q_binomial(n: int, k: int) -> IntPoly:
-    """Gaussian binomial [n choose k]_q by the Pascal recurrence
-    [n, k] = [n-1, k-1] + q^k [n-1, k]; zero for k outside [0, n]."""
-    if not 0 <= k <= n:
-        return ZERO
-    if k in (0, n):
-        return ONE
-    return q_binomial(n - 1, k - 1) + monomial(k) * q_binomial(n - 1, k)
 
 
 @cache

@@ -31,10 +31,9 @@ by E_mu is exact (``NonExactDivision`` naming (lam, mu)), every diagonal
 K(mu, mu) E_mu comes out to exactly E_mu (AssertionError naming mu), and
 every K(lam, mu) is 0 unless lam dominates mu, has degree at most
 n(mu) - n(lam), and has digits summing to at most f^lam (AssertionError
-naming (lam, mu)).  The Kirillov-Reshetikhin fermionic (rigged-
-configuration) formula ``kostka_foulkes_poly`` and the charge route
-``kostka_foulkes_poly_by_charge`` are the audits that tests and
-``selftest`` compare this route with.
+naming (lam, mu)).  Tests and ``selftest`` audit this route against the
+definition, ``kostka_foulkes_poly_by_charge``; ``kostka_foulkes_poly``
+reads one pair from the memoized Springer tables it gives.
 
 Three calibration constraints pin this grading convention: the type (n)
 table must be the trivial representation, the type (1^n) table must equal
@@ -48,8 +47,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import cache, reduce
-from itertools import accumulate, zip_longest
+from functools import cache
+from itertools import accumulate
 from math import prod
 from operator import mul
 
@@ -59,7 +58,6 @@ from .combinatorics import (
     Partition,
     charge,
     check_partition,
-    conjugate,
     dimension,
     dominates,
     enumerate_ssyt,
@@ -72,7 +70,7 @@ from .combinatorics import (
 from .errors import NonExactDivision
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
-from .polynomials import ONE, IntPoly, monomial, q_binomial
+from .polynomials import ONE, IntPoly
 from .verify import LogConcavityReport, ScanReport, d_matrices, d_row
 
 
@@ -146,16 +144,15 @@ def _exact_quotient(a: int, b: int, rho: Partition) -> int:
     return quotient
 
 
+# cached for perfbench/traced.py, which reads cache_info() until ROADMAP item 1b
 @cache
 def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
-    """Audit route: K(lam, mu)(q) by the fermionic formula, summed over
-    configurations nu^(k) of lam_{k+1} + lam_{k+2} + ... for k >= 1 with
-    nu^(0) = mu (see ``_tail``); zero unless lam dominates mu."""
+    """K(lam, mu)(q): row lam of the memoized Springer table of type mu,
+    read from its top degree n(mu) down; zero unless lam dominates mu."""
     check_partition(mu, sum(check_partition(lam)))
-    if not dominates(lam, mu):
-        return IntPoly()
-    sizes = tuple(sum(lam[k:]) for k in range(1, len(lam))) + (0,)
-    return sum((_tail(sizes[1:], mu, b) for b in partitions_of(sizes[0])), IntPoly())
+    if not mu:
+        return ONE
+    return IntPoly(reversed(springer_graded_table(mu).row(lam)))
 
 
 def kostka_foulkes_poly_by_charge(lam: Partition, mu: Partition) -> IntPoly:
@@ -167,53 +164,6 @@ def kostka_foulkes_poly_by_charge(lam: Partition, mu: Partition) -> IntPoly:
     for tableau in enumerate_ssyt(lam, mu):
         coeffs[charge(reading_word(tableau))] += 1
     return IntPoly(coeffs)
-
-
-@cache
-def _shape(rho: Partition) -> tuple[Partition, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Columns, Q_p = sum_j min(p, rho_j) for p <= rho_1, and (part, count) pairs."""
-    columns = conjugate(rho)
-    return columns, tuple(accumulate(columns, initial=0)), tuple(Counter(rho).items())
-
-
-@cache
-def _tail(sizes: tuple[int, ...], a: Partition, b: Partition) -> IntPoly:
-    """Sum over the levels below nu^(k) = b given nu^(k-1) = a; ``sizes``
-    are |nu^(k+1)|, |nu^(k+2)|, ..., ending with the first empty level.
-
-    Level k contributes q^binom(alpha_j(a) - alpha_j(b), 2) for every
-    column j of the wider of a and b, with binom(x, 2) = x(x-1)/2 (so
-    binom(-1, 2) = 1), and [P + m choose m]_q for each part p of b of
-    multiplicity m, where the vacancy P = Q_p(a) - 2 Q_p(b) + Q_p(c) must
-    be >= 0 and c = nu^(k+1).
-    """
-    cols_a, sums_a, _ = _shape(a)
-    cols_b, sums_b, parts_b = _shape(b)
-    step = sum((x - y) * (x - y - 1) // 2 for x, y in zip_longest(cols_a, cols_b, fillvalue=0))
-    if not b:
-        return monomial(step)
-    # each vacancy but its Q_p(c) term, which is all that depends on c
-    base = [(sums_a[min(p, len(sums_a) - 1)] - 2 * sums_b[p], p, m) for p, m in parts_b]
-    total = IntPoly()
-    for c in partitions_of(sizes[0]):
-        sums_c = _shape(c)[1]
-        last = len(sums_c) - 1
-        binomials = []
-        for partial, p, m in base:
-            vacancy = partial + sums_c[p if p < last else last]
-            if vacancy < 0:
-                break
-            binomials.append((vacancy + m, m))
-        else:
-            below = _tail(sizes[1:], b, c)
-            if below:
-                total = total + _binomial_product(tuple(binomials)) * below
-    return monomial(step) * total
-
-
-@cache
-def _binomial_product(binomials: tuple[tuple[int, int], ...]) -> IntPoly:
-    return reduce(IntPoly.__mul__, (q_binomial(n, k) for n, k in binomials), ONE)
 
 
 def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:

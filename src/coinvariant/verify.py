@@ -95,18 +95,18 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
     With m the largest min(i, c - i) asked for, chi_j is needed only within
     m + 1 of either end, and d[nu][i] only on the rows n - nu_1 <= 2m
     (``low_degree_shapes``; see ``low_degree_harness``).  If those are every
-    row, the memoized character table decomposes.  Otherwise those rows
-    alone do (``character_rows``), every other d is 0, and completeness is
-    checked, not assumed: by Parseval the sum of d^2 over every nu is
+    row (``needs_every_row``), the memoized character table decomposes.
+    Otherwise those rows alone do (``character_rows``), every other d is 0,
+    and completeness is checked, not assumed: by Parseval the sum of d^2 over every nu is
     <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2 for f = chi_i^2 - chi_(i-1) chi_(i+1),
     so the sum over the rows must equal it exactly."""
     c = top_degree(n)
     scan = _interior(c, degrees)
-    m = max((min(i, c - i) for i in scan), default=0)
+    m = _depth(c, scan)
     chi = _checked_graded_characters(n, m + 2)
-    shapes = low_degree_shapes(n, m)
-    if len(shapes) == len(partitions_of(n)):
+    if needs_every_row(n, scan):
         return dict(zip(scan, character_table(n)._decompose_all(_d_functions(chi, scan))))
+    shapes = low_degree_shapes(n, m)
     rows = character_rows(n, shapes)
     functions = list(_d_functions(chi, scan))
     vectors = rows._decompose_all(functions)
@@ -117,6 +117,19 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
             )
     by_shape = [dict(zip(shapes, d)) for d in vectors]
     return {i: tuple(d.get(nu, 0) for nu in partitions_of(n)) for i, d in zip(scan, by_shape)}
+
+
+def needs_every_row(n: int, degrees: Iterable[int]) -> bool:
+    """Whether d at the interior ``degrees`` of S_n may be nonzero on every
+    row (``low_degree_shapes`` is every partition), so that ``d_matrix``
+    decomposes with the memoized full character table."""
+    shapes = low_degree_shapes(n, _depth(top_degree(n), degrees))
+    return len(shapes) == len(partitions_of(n))
+
+
+def _depth(top: int, degrees: Iterable[int]) -> int:
+    """The largest min(i, top - i) over ``degrees``, 0 for none."""
+    return max((min(i, top - i) for i in degrees), default=0)
 
 
 def _interior(top: int, degrees: Iterable[int] | None) -> Sequence[int]:

@@ -347,8 +347,8 @@ class TestSemistandardTableaux:
                 assert kostka_number(lam, lam) == 1
 
     def test_every_pair_up_to_7(self):
-        # the count is checked against the fermionic formula, which does not
-        # enumerate tableaux
+        # the count is checked against K(lam, mu)(1) of the Hall-Littlewood
+        # factorisation (kostka_foulkes_table), which does not enumerate tableaux
         for n in range(8):
             for lam in partitions_of(n):
                 assert len(list(enumerate_syt(lam))) == dimension(lam)

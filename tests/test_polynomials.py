@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,6 @@ from coinvariant.polynomials import (
     monomial,
     one_minus_q_power,
     one_minus_q_product,
-    q_binomial,
     q_factorial,
     q_int,
     symmetric_about,
@@ -127,19 +124,6 @@ class TestQAnalogs:
         for n in range(1, 10):
             poly = poly * IntPoly([1, -1])
             assert one_minus_q_product(n) == q_factorial(n) * poly
-
-    def test_q_binomial_is_factorial_quotient(self):
-        for n in range(13):
-            for k in range(n + 1):
-                poly = q_binomial(n, k)
-                # Z[q] has no zero divisors, so this pins the quotient
-                assert poly * q_factorial(k) * q_factorial(n - k) == q_factorial(n)
-                assert poly(1) == math.comb(n, k)
-
-    def test_q_binomial_vanishes_outside_range(self):
-        assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
-        for n, k in ((3, -1), (3, 4), (0, 1), (-1, 0), (-2, -1)):
-            assert q_binomial(n, k) == ZERO
 
 
 class TestPredicates:

@@ -15,6 +15,7 @@ import pytest
 import coinvariant
 from coinvariant import cli, graded, memo, springer, verify
 from coinvariant.combinatorics import partitions_of
+from coinvariant.polynomials import monomial
 from coinvariant.store import (
     _KINDS,
     CacheStore,
@@ -738,12 +739,17 @@ class TestCli:
                 ([*argv, "--out", "."], "error: [Errno 21] Is a directory: '.'")
                 for argv in (["springer-scan", "--n-max", "6"], ["verify-flag", "--n", "6"])
             ),
+            *(
+                ([*argv, "--out", ""], "error: --out needs a file name")
+                for argv in (["springer-scan", "--n-max", "6"], ["verify-flag", "--n", "5"])
+            ),
         ],
         ids=["springer-scan", "low-degree-harness", "selftest", "verify-flag",
              "low-degree-harness-range", "unimodal-range", "verify-flag-n-2", "verify-flag-n-1",
              "verify-flag-n-0", "verify-flag-n-minus-2", "springer-scan-out",
              "verify-flag-out", "unimodal-out", "low-degree-harness-out",
-             "springer-scan-out-dir", "verify-flag-out-dir"],
+             "springer-scan-out-dir", "verify-flag-out-dir",
+             "springer-scan-out-empty", "verify-flag-out-empty"],
     )
     def test_refused_scan_leaves_no_table_file(
         self, tmp_path, capsys, monkeypatch, argv, error
@@ -851,6 +857,35 @@ class TestCli:
         assert list(cache.iterdir()) == []
         assert json.loads(out.read_text())["provenance"]["cache_digests"] == {}
 
+    def test_low_degree_verify_flag_reads_and_writes_no_table_file(self, tmp_path, fresh_memo):
+        # degrees 1 and 54 of n = 11 need only the rows with n - nu_1 <= 2,
+        # so no char-11 is seeded; a warm char-11 gives the same payload
+        argv = ["verify-flag", "--n", "11", "--degrees", "low:1"]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert run_cli(tmp_path, *argv, "--out", str(cold)) == 0
+        assert list(cache.iterdir()) == []
+        document = json.loads(cold.read_text())
+        assert document["provenance"]["cache_digests"] == {}
+        CacheStore(cache).get_or_build("char", 11)
+        fresh_memo.clear()
+        assert run_cli(tmp_path, *argv, "--out", str(warm)) == 0
+        assert payload_bytes(json.loads(warm.read_text())) == payload_bytes(document)
+
+    def test_build_guard_is_one_error_line(self, tmp_path, capsys, monkeypatch, fresh_memo):
+        # -E_mu of (3, 2) breaks only the diagonal of that column at n = 5
+        weight = springer._hall_weight
+
+        def negated(mu, phi):
+            return -weight(mu, phi) if mu == (3, 2) else weight(mu, phi)
+
+        monkeypatch.setattr(springer, "_hall_weight", negated)
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "5", "--jobs", "1") == 1
+        assert capsys.readouterr() == (
+            "", "error [AssertionError]: diagonal of mu=(3, 2) is not E_mu\n"
+        )
+
     def test_unknown_flag_is_operational_error(self, tmp_path):
         assert cli.run(["verify-flag", "--n", "5", "--bogus"]) == 1
 
@@ -867,7 +902,7 @@ class TestCli:
     def test_selftest(self, tmp_path, capsys):
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 0
         out = capsys.readouterr().out
-        assert "selftest Kostka-Foulkes three-route agreement: pass" in out.splitlines()
+        assert "selftest Kostka-Foulkes two-route agreement: pass" in out.splitlines()
         assert "selftest Betti log-concavity: pass" in out.splitlines()
         assert "all suites pass" in out
 
@@ -884,7 +919,7 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes three-route agreement: pass" in lines
+        assert "selftest Kostka-Foulkes two-route agreement: pass" in lines
         assert lines[-1] == "selftest: 1 suite(s) FAILED"
         assert captured.err == (
             "selftest Kostka-Foulkes calibration: calibration broken for mu=(3,)\n"
@@ -902,12 +937,26 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes three-route agreement: FAIL" in lines
+        assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
         assert lines[-1] == "selftest: 2 suite(s) FAILED"
         assert captured.err == "".join(
             f"selftest Kostka-Foulkes {suite}: diagonal of mu=(2, 1) is not E_mu\n"
-            for suite in ("calibration", "three-route agreement")
+            for suite in ("calibration", "two-route agreement")
         )
+
+    def test_selftest_reports_a_route_disagreement(self, tmp_path, capsys, monkeypatch):
+        charge_route = springer.kostka_foulkes_poly_by_charge
+
+        def skewed(lam, mu):
+            poly = charge_route(lam, mu)
+            return poly + monomial(1) if (lam, mu) == ((3, 1), (2, 1, 1)) else poly
+
+        monkeypatch.setattr(springer, "kostka_foulkes_poly_by_charge", skewed)
+        assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
+        assert "selftest Kostka-Foulkes calibration: pass" in lines
+        assert lines[-1] == "selftest: 1 suite(s) FAILED"
 
     def test_warm_and_cold_payloads_identical(self, tmp_path, fresh_memo):
         # one test over every scan command, each on its own cache directory;
