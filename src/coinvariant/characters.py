@@ -1,13 +1,17 @@
 """Exact irreducible characters of the symmetric group.
 
 Character rows are computed by the Murnaghan-Nakayama recursion over
-border strips, memoized per shape and taken a block of classes at a time
-with the cycle type consumed largest part first (``_mn_row``).  Full
-tables and the rows ``character_rows`` picks are one type,
-``CharacterTable``, and both come from ``_mn_row``.  A single
-value ``character_value`` takes the same rule one class at a time
-(``_mn``), the independent reference the rows are tested against.
-Everything is an exact Python int.
+border strips (Macdonald, I.7), taken a block of classes at a time with
+the cycle type consumed largest part first (``_mn_row``), on beta sets
+held as int bit masks: removing a k-strip lowers a set bit b to a free
+bit b - k, and its sign is the parity of the set bits between them.
+Rows are memoized per shape, on the mask without its trailing one bits
+(the zero parts), so the rows of smaller shapes are shared across n.
+Full tables and the rows ``character_rows`` picks are one type,
+``CharacterTable``, and both come from ``_mn_row``.  A single value
+``character_value`` takes the same rule one class at a time on beta-set
+tuples (``_border_strip_removals``, ``_mn``), the independent reference
+the rows are tested against.  Everything is an exact Python int.
 
 Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
@@ -22,10 +26,12 @@ Each digit read back is therefore exactly its class sum; every
 multiplicity is still divided by n! with a ``NonIntegral`` check, a whole
 row's digits at once by one division of its packed sum
 (``_exact_digits``), and the build keeps its dimension, twist and
-orthogonality guards.  Combinations sum_k c_k chi_k (graded characters)
-are taken the same way from the rows packed by class, with bound
-max|chi| * sum_k |c_k|; a table keeps each row it has packed, per digit
-size, so the many Springer tables of one n pack each row once per size.
+orthogonality guards.  A table read from a file passes its closed-form
+columns and the twist first (``check_stored_table``).  Combinations
+sum_k c_k chi_k (graded characters) are taken the same way from the rows
+packed by class, with bound max|chi| * sum_k |c_k|; a table keeps each
+row it has packed, per digit size, so the many Springer tables of one n
+pack each row once per size.
 The Springer sweep decomposes the class functions of every type of one
 n in one batch, so it takes one packed class sum per row per n, not per
 type; the Kostka-Foulkes table of n takes its Hall-Littlewood Gram
@@ -38,7 +44,7 @@ import struct
 from functools import cache, cached_property
 from itertools import repeat
 from math import factorial
-from operator import add, mul
+from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import memo
@@ -98,24 +104,48 @@ def _parts_at_most(m: int, k: int) -> int:
     return sum(1 for rho in partitions_of(m) if not rho or rho[0] <= k)
 
 
-@cache
 def _mn_row(lam: Partition) -> tuple[int, ...]:
-    """chi_lam at every class of |lam| in canonical order: the rule of
-    ``_mn`` applied a whole block of classes at a time.  The classes
-    whose largest part is k are (k, *rest) for the rests of |lam| - k with
-    no part above k, in canonical order; those rests end the canonical
-    order of |lam| - k, so the block is a sum of tails of the rows of the
-    shapes left by removing a k-strip from lam."""
-    n = sum(lam)
-    if len(lam) <= 1:
+    """chi_lam at every class of |lam| in canonical order (``_beta_row`` of
+    lam's beta set: bit lam_i + l - 1 - i for each of its l parts)."""
+    ell = len(lam)
+    return _beta_row(sum(1 << (part + ell - 1 - i) for i, part in enumerate(lam)), sum(lam))
+
+
+@cache
+def _beta_row(mask: int, n: int) -> tuple[int, ...]:
+    """The row of the shape of |lam| = n whose beta set is the set bits of
+    ``mask``, with no zero part: the rule of ``_mn`` applied a whole block
+    of classes at a time.  The classes whose largest part is k are
+    (k, *rest) for the rests of n - k with no part above k, in canonical
+    order; those rests end the canonical order of n - k, so the block is a
+    sum of tails of the rows of the shapes left by removing a k-strip.
+    Removing one lowers a set bit b to a free bit b - k, with sign (-1) to
+    the number of set bits between them.  A zero part is a trailing one bit,
+    so the smaller shape's mask drops those and every shape has one memo
+    entry, shared by every n that reaches it."""
+    if not mask & (mask - 1):
         return (1,) * len(partitions_of(n))
     row: list[int] = []
     for k in range(n, 0, -1):
         count = _parts_at_most(n - k, k)
-        block = [0] * count
-        for sign, smaller in _border_strip_removals(lam, k):
-            tail = _mn_row(smaller)[-count:]
-            block = [b + sign * v for b, v in zip(block, tail)]
+        # bit j of free: j + k is in the beta set and j is not
+        free = (mask & ~(mask << k)) >> k
+        if not free:
+            row += [0] * count
+            continue
+        block = None
+        while free:
+            low = free & -free
+            free ^= low
+            odd = ((mask >> low.bit_length()) & ((1 << (k - 1)) - 1)).bit_count() & 1
+            smaller = mask ^ low ^ (low << k)
+            # its trailing one bits are zero parts
+            smaller >>= ((smaller + 1) & ~smaller).bit_length() - 1
+            tail = _beta_row(smaller, n - k)[-count:]
+            if block is None:
+                block = list(map(neg, tail)) if odd else tail
+            else:
+                block = list(map(sub if odd else add, block, tail))
         row += block
     return tuple(row)
 
@@ -338,17 +368,42 @@ def build_character_table(n: int) -> CharacterTable:
 
 def _validate(table: CharacterTable) -> None:
     _check_dimensions(table)
-    n = table.n
+    _check_twist(table)
+    if not verify_orthogonality(table):
+        raise AssertionError(f"orthogonality fails for n={table.n}")
+
+
+def _check_twist(table: CharacterTable) -> None:
+    """chi_lam' = sign * chi_lam on a full table; AssertionError otherwise,
+    naming the first (lam, rho) in canonical order where it fails."""
     parts = table.partitions
-    idx = partition_index(n)
+    idx = partition_index(table.n)
     signs = [class_sign(rho) for rho in parts]
     for row, lam in zip(table.values, parts):
         twisted = table.values[idx[conjugate(lam)]]
         if twisted != tuple(map(mul, signs, row)):
             j = next(j for j, s in enumerate(signs) if twisted[j] != s * row[j])
             raise AssertionError(f"conjugation twist fails at ({lam}, {parts[j]})")
-    if not verify_orthogonality(table):
-        raise AssertionError(f"orthogonality fails for n={n}")
+
+
+def check_stored_table(table: CharacterTable) -> None:
+    """The guards a full table read from a file passes before it is used,
+    the columns with closed forms and the twist: the identity column is
+    dim V(lam) (hooks), the transposition column dim V(lam) * 2 * (sum of
+    the contents of lam) / (n(n-1)), whose sign tells lam from lam', and
+    chi_lam' = sign * chi_lam, the check the build also runs.
+    AssertionError otherwise, naming the first row that fails."""
+    n = table.n
+    # the transposition class, or at n = 1 any class: both sides are then 0
+    at = table.index((2,) + (1,) * (n - 2)) if n > 1 else 0
+    for lam, row in zip(table.shapes, table.values):
+        dim = dimension(lam)
+        if row[-1] != dim:
+            raise AssertionError(f"dimension column wrong at {lam}")
+        contents = sum(part * (part - 1) // 2 - i * part for i, part in enumerate(lam))
+        if row[at] * n * (n - 1) != 2 * dim * contents:
+            raise AssertionError(f"transposition column wrong at {lam}")
+    _check_twist(table)
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:

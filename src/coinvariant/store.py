@@ -23,8 +23,10 @@ distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and
 g > 0, and a springer table one entry per type, the types exactly the
 partitions of n in order, each with top = n(mu) and p(n) rows of even
 length whose degrees increase within [0, top] and whose multiplicities
-are positive ints; every Springer table read is calibrated again
-(``springer._calibrate``), and one that fails is malformed too.  Every
+are positive ints.  Every char table read passes its closed-form columns
+and the twist (``characters.check_stored_table``), and every Springer
+table read is calibrated again (``springer._calibrate``); one that fails
+is malformed too.  Every
 write goes to a unique temp file in the same directory and is renamed
 into place, and no file is shared between tables, so concurrent runs on
 one directory never see a half-written file; every file written, table or
@@ -61,7 +63,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import __version__, memo
-from .characters import CharacterTable, build_character_table
+from .characters import CharacterTable, build_character_table, check_stored_table
 from .combinatorics import format_partition, partitions_of, top_degree
 
 if TYPE_CHECKING:
@@ -156,7 +158,11 @@ def _rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _char_from_doc(doc: dict) -> CharacterTable:
-    return CharacterTable(doc["n"], _rows(doc, "values", len(partitions_of(doc["n"]))))
+    """p(n) rows of p(n) ints, ValueError otherwise, that pass the guards of
+    ``characters.check_stored_table``, AssertionError otherwise."""
+    table = CharacterTable(doc["n"], _rows(doc, "values", len(partitions_of(doc["n"]))))
+    check_stored_table(table)
+    return table
 
 
 def _kron_doc(table: KroneckerTable) -> dict:

@@ -99,24 +99,34 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
     Otherwise those rows alone do (``character_rows``), every other d is 0,
     and completeness is checked, not assumed: by Parseval the sum of d^2 over every nu is
     <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2 for f = chi_i^2 - chi_(i-1) chi_(i+1),
-    so the sum over the rows must equal it exactly."""
+    so the sum over the rows must equal it exactly, at every degree.  Each
+    distinct class function is decomposed once: f_(c-i) = f_i for this ring,
+    since chi_(c-j) = sign * chi_j, and the functions are compared, so no
+    degree's d is taken from another's unless their functions are equal."""
     c = top_degree(n)
     scan = _interior(c, degrees)
     m = _depth(c, scan)
     chi = _checked_graded_characters(n, m + 2)
+    # the position of each degree's function among the distinct ones
+    first: dict[tuple[int, ...], int] = {}
+    at = [first.setdefault(tuple(f), len(first)) for f in _d_functions(chi, scan)]
+    functions = list(first)
     if needs_every_row(n, scan):
-        return dict(zip(scan, character_table(n)._decompose_all(_d_functions(chi, scan))))
-    shapes = low_degree_shapes(n, m)
-    rows = character_rows(n, shapes)
-    functions = list(_d_functions(chi, scan))
-    vectors = rows._decompose_all(functions)
-    for i, f, d in zip(scan, functions, vectors):
-        if factorial(n) * sum(x * x for x in d) != sum(map(mul, rows.class_sizes, map(mul, f, f))):
-            raise AssertionError(
-                f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
-            )
-    by_shape = [dict(zip(shapes, d)) for d in vectors]
-    return {i: tuple(d.get(nu, 0) for nu in partitions_of(n)) for i, d in zip(scan, by_shape)}
+        vectors = character_table(n)._decompose_all(functions)
+    else:
+        shapes = low_degree_shapes(n, m)
+        rows = character_rows(n, shapes)
+        found = rows._decompose_all(functions)
+        for i, a in zip(scan, at):
+            f, d = functions[a], found[a]
+            norm = sum(map(mul, rows.class_sizes, map(mul, f, f)))
+            if factorial(n) * sum(x * x for x in d) != norm:
+                raise AssertionError(
+                    f"completeness fails at n={n}, degree {i}: some nu outside the rows has d != 0"
+                )
+        by_shape = (dict(zip(shapes, d)) for d in found)
+        vectors = [tuple(d.get(nu, 0) for nu in partitions_of(n)) for d in by_shape]
+    return {i: vectors[a] for i, a in zip(scan, at)}
 
 
 def needs_every_row(n: int, degrees: Iterable[int]) -> bool:

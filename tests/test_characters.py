@@ -362,7 +362,7 @@ class TestCharacterRows:
     """Rows of chosen shapes alone, by the row-at-a-time recursion."""
 
     def test_row_recursion_matches_the_table(self):
-        for n in range(0, 11):
+        for n in range(0, 13):
             for lam in partitions_of(n):
                 assert _mn_row(lam) == tuple(
                     character_value(lam, rho) for rho in partitions_of(n)
@@ -473,6 +473,30 @@ def with_values(table: CharacterTable, values) -> CharacterTable:
         n=table.n,
         values=tuple(tuple(row) for row in values),
     )
+
+
+class TestTwistPreservingDefects:
+    """Row k gains chi_mu and its conjugate row k' gains sign * chi_mu =
+    chi_mu': the twist still holds, so orthogonality must see the defect,
+    for every such pair and mu, as the reference does."""
+
+    def test_pair_defect_fails(self):
+        for n in range(3, 7):
+            table = character_table(n)
+            parts = table.partitions
+            for k, lam in enumerate(parts):
+                twin = table.index(conjugate(lam))
+                if twin <= k:
+                    continue
+                for mu in parts:
+                    values = [list(row) for row in table.values]
+                    values[k] = list(map(operator.add, values[k], table.row(mu)))
+                    values[twin] = list(map(operator.add, values[twin], table.row(conjugate(mu))))
+                    broken = with_values(table, values)
+                    assert not verify_orthogonality(broken), (lam, mu)
+                    assert not reference_orthogonality(broken)
+                    with pytest.raises(AssertionError):
+                        _validate(broken)
 
 
 class TestBuildGuards:

@@ -14,7 +14,7 @@ import pytest
 
 import coinvariant
 from coinvariant import cli, graded, memo, springer, verify
-from coinvariant.combinatorics import partitions_of
+from coinvariant.combinatorics import format_partition, partitions_of
 from coinvariant.polynomials import monomial
 from coinvariant.store import (
     _KINDS,
@@ -39,6 +39,8 @@ GOLDEN_DIGESTS = {
     "char-4": "sha256:3cf15ab0ecd9d99a29e6164cba9f87eaf2409b37d760007d5c8fbf7bac01d0b1",
     "graded-4": "sha256:47101346b2af8c92532a4701c00e5d44eab4b29f59c2038b6a318bdaf77ec7b8",
     "kron-4": "sha256:d1b964f27ea1ec812a16d94e6dbdee6c4175f96ddd11653ae099cd4e4189b673",
+    "char-12": "sha256:f401fbb6929bd2a527b08d8663103778d05b355c94cd7ef770a1b44a4eb6dd2d",
+    "char-14": "sha256:72ada5e91afd3737da42578932a3c8207136c97afb73371af4ad47bcaa67e9c3",
     "springer-4": "sha256:850d2c0bd4d37c01d46f1daecf877318d7c6505eeb8d4b5b5a95bfb94ede2b04",
     "springer-6": "sha256:81365a625e3c8ac110998eae5696c6cb9637e54685d79d3a100c797683a40d9e",
     "springer-9": "sha256:465ef114bebfbad83dd92350655651a8917c648fda93400a89af2614ea397042",
@@ -306,6 +308,43 @@ class TestCacheStore:
         with caplog.at_level("WARNING", logger="coinvariant.store"):
             assert run("malformed") == cold
         assert [r.getMessage() for r in caplog.records] == [f"cache {name} is malformed; rebuilding"]
+        assert path.read_bytes() == true_file
+
+    @pytest.mark.parametrize(
+        "lam, other",
+        [((5, 1), (4, 2)), ((5, 1), (2, 1, 1, 1, 1))],
+        ids=["rows-of-two-dimensions", "conjugate-rows"],
+    )
+    def test_swapped_char_rows_rebuild(self, tmp_path, fresh_memo, caplog, capsys, lam, other):
+        # a digest-valid char-6 of true rows in the wrong places: the
+        # dimension column tells (5,1) from (4,2), and only the transposition
+        # column tells (5,1) from its conjugate, since the swap keeps the
+        # dimensions, the twist and orthogonality
+        commands = [["verify-flag", "--n", "6"], ["unimodal", "--n", "6"],
+                    ["springer-scan", "--n-max", "6"]]
+
+        def payloads(tag):
+            found = []
+            for k, argv in enumerate(commands):
+                out = tmp_path / f"{tag}-{k}.json"
+                assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
+                printed = capsys.readouterr()
+                assert "status=pass" in printed.out and "error" not in printed.err, argv
+                found.append(payload_bytes(json.loads(out.read_bytes())))
+            return found
+
+        cold = payloads("cold")
+        path = tmp_path / "cache" / "char-6.json"
+        true_file = path.read_bytes()
+        _, body = digest_and_body(path)
+        doc = json.loads(body)
+        swap(doc["values"], *(doc["partitions"].index(format_partition(p)) for p in (lam, other)))
+        body = json.dumps(doc, separators=(",", ":")).encode()
+        write_table_file(path, sha256(body), body)
+        fresh_memo.clear()
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            assert payloads("swapped") == cold
+        assert [r.getMessage() for r in caplog.records] == ["cache char-6 is malformed; rebuilding"]
         assert path.read_bytes() == true_file
 
     def test_unknown_kind(self, store):

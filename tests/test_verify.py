@@ -282,6 +282,43 @@ class TestLowDegreeHarness:
         assert report.payload()["mirror_mismatches"] == [{"n": 5, "nu": "4,1", "m": 1}]
 
 
+class TestDistinctClassFunctions:
+    """``d_matrix`` decomposes each distinct class function once; a
+    co-degree function that differs from its degree's is decomposed apart."""
+
+    @staticmethod
+    def skew_codegree(monkeypatch):
+        # chi_(c-1) of n = 6 gains chi_(4,2) - chi_(2,2,1,1), 0 at the
+        # identity, so the Betti guard holds and f_(c-2), f_(c-1) change
+        graded_characters = verify._graded_characters
+        table = character_table(6)
+        delta = [a - b for a, b in zip(table.row((4, 2)), table.row((2, 2, 1, 1)))]
+
+        def skewed(n, length):
+            chi = graded_characters(n, length)
+            if n == 6:
+                chi[14] = tuple(map(sum, zip(chi[14], delta)))
+            return chi
+
+        monkeypatch.setattr(verify, "_graded_characters", skewed)
+
+    def test_codegree_functions_equal_their_degrees(self):
+        for n in range(3, 10):
+            c = top_degree(n)
+            matrix = d_matrix(n)
+            assert all(matrix[i] == matrix[c - i] for i in range(1, c)), n
+
+    def test_skewed_codegree_character_changes_its_d(self, monkeypatch):
+        clean = verify_flag_log_concavity(6).matrix
+        self.skew_codegree(monkeypatch)
+        skewed = verify_flag_log_concavity(6).matrix
+        assert skewed[14] != clean[14] and skewed[14] != skewed[1]
+        assert {i for i in clean if skewed[i] != clean[i]} == {13, 14}
+        report = low_degree_harness(6)
+        assert report.status == "fail"
+        assert {(n, m) for n, _, m in report.mirror_mismatches} == {(6, 1), (6, 2)}
+
+
 class TestLowDegreeRoute:
     """``d_matrix`` at degrees within m of either end: graded characters as
     truncated series, character rows with n - nu_1 <= 2m only, and a guard
