@@ -31,11 +31,11 @@ columns and the twist first (``check_stored_table``).  Combinations
 sum_k c_k chi_k (graded characters) are taken the same way from the rows
 packed by class, with bound max|chi| * sum_k |c_k|; a table keeps each
 row it has packed, per digit size, so the many Springer tables of one n
-pack each row once per size.
-The Springer sweep decomposes the class functions of every type of one
-n in one batch, so it takes one packed class sum per row per n, not per
-type; the Kostka-Foulkes table of n takes its Hall-Littlewood Gram
-matrix from one more such batch.
+pack each row once per size.  A batch packs each distinct class function
+once and gives every function its own vector (``_decompose_all``), so no
+caller dedupes: the coinvariant d (f_(c-i) = f_i), the Springer sweep's
+one batch per n (its functions repeat across types) and the
+Kostka-Foulkes Gram matrix all share the rule.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import cache, cached_property
 from itertools import repeat
 from math import factorial
 from operator import add, mul, neg, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import memo
 from .combinatorics import (
@@ -219,13 +219,18 @@ class CharacterTable:
         return self._exact(sum(map(mul, weighted, self.values[k])), k)
 
     def _decompose_all(self, functions: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-        """The multiplicities at every row of every class function in
-        ``functions``, from one packed class sum per row: digit i of row
-        k's sum is sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and
-        every packed value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)|
-        in size.  Only the weighted values |C_rho| f_i(rho) are kept, so
-        ``functions`` may be a generator that drops each f once it is read."""
-        weighted = [tuple(map(mul, self.class_sizes, f)) for f in functions]
+        """The multiplicities at every row of each class function in
+        ``functions``, in input order, each distinct function decomposed
+        once: its weighted values |C_rho| f(rho), equal exactly when the
+        functions are (every |C_rho| > 0), are kept once, in first-seen
+        order, and packed into one class sum per row.  Digit i of row k's
+        sum is sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and every
+        packed value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)| in
+        size.  ``functions`` may be a generator that drops each f once read."""
+        # each distinct function's weighted values, with their position
+        weighted: dict[tuple[int, ...], int] = {}
+        sizes = self.class_sizes
+        at = [weighted.setdefault(tuple(map(mul, sizes, f)), len(weighted)) for f in functions]
         per_class = sum(max(map(abs, column)) for column in zip(*weighted))
         layout = _digit_layout(self._max_abs_value * per_class, len(weighted))
         totals = self._packed_class_sums(weighted, layout)
@@ -233,7 +238,8 @@ class CharacterTable:
         # a large batch never holds both
         del weighted
         sums = [self._exact_digits(total, k, layout) for k, total in enumerate(totals)]
-        return list(zip(*sums))
+        vectors = list(zip(*sums))
+        return [vectors[a] for a in at]
 
     def _exact_digits(self, total: int, k: int, layout: _Layout) -> list[int]:
         """Every digit of the k-th row's packed ``total`` divided by n!,
@@ -249,7 +255,7 @@ class CharacterTable:
                 return digits
         return [self._exact(digit, k) for digit in _unpack(total, layout)]
 
-    def _packed_class_sums(self, weighted: Sequence[Sequence[int]], layout: _Layout) -> list[int]:
+    def _packed_class_sums(self, weighted: Collection[Sequence[int]], layout: _Layout) -> list[int]:
         """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
         weighted[i][rho] into digit i: one big-integer multiply-add per
         (row, class) does the class sums of every i at once."""
@@ -394,14 +400,13 @@ def check_stored_table(table: CharacterTable) -> None:
     chi_lam' = sign * chi_lam, the check the build also runs.
     AssertionError otherwise, naming the first row that fails."""
     n = table.n
+    _check_dimensions(table)
     # the transposition class, or at n = 1 any class: both sides are then 0
     at = table.index((2,) + (1,) * (n - 2)) if n > 1 else 0
     for lam, row in zip(table.shapes, table.values):
-        dim = dimension(lam)
-        if row[-1] != dim:
-            raise AssertionError(f"dimension column wrong at {lam}")
         contents = sum(part * (part - 1) // 2 - i * part for i, part in enumerate(lam))
-        if row[at] * n * (n - 1) != 2 * dim * contents:
+        # row[-1] is dim V(lam), checked above
+        if row[at] * n * (n - 1) != 2 * row[-1] * contents:
             raise AssertionError(f"transposition column wrong at {lam}")
     _check_twist(table)
 

@@ -96,7 +96,9 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     )
 
 
+@cache
 def hook_product(lam: Partition) -> int:
+    """The product of the hook lengths of ``lam``, memoized per shape."""
     prod = 1
     for h in hook_lengths(lam):
         prod *= h
@@ -104,7 +106,8 @@ def hook_product(lam: Partition) -> int:
 
 
 def dimension(lam: Partition) -> int:
-    """Number of standard tableaux of shape ``lam`` (hook length formula)."""
+    """Number of standard tableaux of shape ``lam`` (hook length formula),
+    n! over the memoized hook product, checked exact on every call."""
     n = sum(lam)
     dim, rem = divmod(factorial(n), hook_product(lam))
     if rem:

@@ -18,6 +18,7 @@ The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from . import memo
@@ -154,16 +155,17 @@ def build_graded_table(n: int) -> GradedMultiplicityTable:
 
 def _duality_failure(table: GradedMultiplicityTable) -> Partition | None:
     """First row lam with b[lam][c-i] != b[conjugate(lam)][i] for some i."""
-    c = table.top_degree
     idx = partition_index(table.n)
-    for r, lam in enumerate(table.partitions):
-        conj_row = table.b[idx[conjugate(lam)]]
-        if any(table.b[r][c - i] != conj_row[i] for i in range(c + 1)):
+    for row, lam in zip(table.b, table.partitions):
+        if row[::-1] != table.b[idx[conjugate(lam)]]:
             return lam
     return None
 
 
 def _validate(table: GradedMultiplicityTable) -> None:
+    """The guards of a table built or read from a file: row sums, duality,
+    the Betti columns, and each row lam starting at degree n(lam) with
+    multiplicity 1, the one that tells lam from lam'; AssertionError otherwise."""
     n, c = table.n, table.top_degree
     dims = [dimension(lam) for lam in table.partitions]
     for r, lam in enumerate(table.partitions):
@@ -173,9 +175,13 @@ def _validate(table: GradedMultiplicityTable) -> None:
     if lam is not None:
         raise AssertionError(f"duality fails on row {lam}")
     betti = poincare_polynomial(n).padded(c + 1)
-    for i in range(c + 1):
-        if sum(d * row[i] for d, row in zip(dims, table.b)) != betti[i]:
+    for i, column in enumerate(zip(*table.b)):
+        if sum(map(mul, dims, column)) != betti[i]:
             raise AssertionError(f"column {i} does not match Poincare coefficient")
+    for lam, row in zip(table.partitions, table.b):
+        low = n_stat(lam)
+        if any(row[:low]) or row[low] != 1:
+            raise AssertionError(f"row {lam} does not start at degree n(lam) with multiplicity 1")
 
 
 def graded_table(n: int) -> GradedMultiplicityTable:

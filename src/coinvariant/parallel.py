@@ -1,10 +1,10 @@
 """Deterministic work-pool helper.
 
 Results always come back in submission order, so output never depends on
-the scheduling of workers or on how the items are sent to them in
-contiguous chunks; ``jobs=1`` or at most one item runs inline, so a
-Springer sweep whose tables are all cached starts no pool, and no pool
-has more workers than the CPU count: a worker beyond it adds no CPU.
+the scheduling of workers.  A pool has min(jobs, items, CPU count)
+workers (one beyond the CPU count adds no CPU), sent one item at a time,
+and the map runs inline when that is one: at ``jobs=1``, for at most one
+item (a Springer sweep whose tables are all cached), or on one CPU.
 ``multiprocessing`` and the process pool are imported only on the fork
 path, so a run that never forks does not load them.  Workers are forked,
 so process-wide memo caches that are already warm carry over for free.
@@ -24,9 +24,10 @@ def default_jobs() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map; inline when jobs <= 1 or there is at most one item,
-    otherwise over at most ``default_jobs()`` forked workers."""
-    if jobs <= 1 or len(items) <= 1:
+    """Order-preserving map over min(jobs, len(items), ``default_jobs()``)
+    forked workers, inline when that is at most one."""
+    workers = min(jobs, len(items), default_jobs())
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here so that runs which never fork skip their import cost
     import multiprocessing
@@ -36,10 +37,5 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
         context = multiprocessing.get_context("fork")
     except ValueError:
         context = multiprocessing.get_context()
-    workers = min(jobs, len(items), default_jobs())
-    # about eight chunks per worker: fewer round trips for many cheap
-    # items, while the last chunk to finish stays small; the Springer
-    # sweep's few items (one per n, largest first) go one at a time
-    chunksize = max(1, len(items) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))

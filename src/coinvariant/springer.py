@@ -210,13 +210,9 @@ def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
         )
 
 
-def verify_springer_log_concavity(
-    mu: Partition, table: GradedMultiplicityTable | None = None
-) -> LogConcavityReport:
-    """d-scan of the Springer table of type mu (``table`` when given, else
-    built); vacuous pass below two interior degrees."""
-    if table is None:
-        table = springer_graded_table(mu)
+def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
+    """d-scan of the Springer table of type mu; vacuous below two interior degrees."""
+    table = springer_graded_table(mu)
     return LogConcavityReport(table.n, d_matrices([table])[0])
 
 

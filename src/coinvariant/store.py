@@ -24,7 +24,8 @@ g > 0, and a springer table one entry per type, the types exactly the
 partitions of n in order, each with top = n(mu) and p(n) rows of even
 length whose degrees increase within [0, top] and whose multiplicities
 are positive ints.  Every char table read passes its closed-form columns
-and the twist (``characters.check_stored_table``), and every Springer
+and the twist (``characters.check_stored_table``), every graded table
+read the guards of its build (``graded._validate``), and every Springer
 table read is calibrated again (``springer._calibrate``); one that fails
 is malformed too.  Every
 write goes to a unique temp file in the same directory and is renamed
@@ -191,9 +192,12 @@ def _graded_doc(table: GradedMultiplicityTable) -> dict:
 
 
 def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
-    from .graded import GradedMultiplicityTable
+    """The ``_rows`` of field b, passing the build's guards (``graded._validate``)."""
+    from .graded import GradedMultiplicityTable, _validate
 
-    return GradedMultiplicityTable(doc["n"], _rows(doc, "b", top_degree(doc["n"]) + 1))
+    table = GradedMultiplicityTable(doc["n"], _rows(doc, "b", top_degree(doc["n"]) + 1))
+    _validate(table)
+    return table
 
 
 def _springer_doc(tables: tuple[GradedMultiplicityTable, ...]) -> dict:

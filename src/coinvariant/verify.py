@@ -9,9 +9,9 @@ d[nu][i] = mult(nu, H^i (x) H^i) - mult(nu, H^(i-1) (x) H^(i+1)) is
 
 for interior degrees 1 <= i <= top-1: the decomposition of the class
 function chi_i^2 - chi_(i-1) chi_(i+1), with one packed class sum per
-irreducible for every degree, each divided by n! exactly (see
-``characters``).  Every requested degree is checked before any character
-is taken.  The coinvariant ring's chi_j are the closed form
+irreducible for every distinct function of a batch, each divided by n!
+exactly (see ``characters``).  Every requested degree is checked before
+any character is taken.  The coinvariant ring's chi_j are the closed form
 prod_{k<=n} (1 - q^k) / prod_j (1 - q^{rho_j}) at every class rho
 (``_graded_characters``), checked against the Betti numbers, and one
 function, ``d_matrix``, decomposes them for every coinvariant scan, on
@@ -99,26 +99,25 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
     Otherwise those rows alone do (``character_rows``), every other d is 0,
     and completeness is checked, not assumed: by Parseval the sum of d^2 over every nu is
     <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2 for f = chi_i^2 - chi_(i-1) chi_(i+1),
-    so the sum over the rows must equal it exactly, at every degree.  Each
-    distinct class function is decomposed once: f_(c-i) = f_i for this ring,
-    since chi_(c-j) = sign * chi_j, and the functions are compared, so no
-    degree's d is taken from another's unless their functions are equal."""
+    so the sum over the rows must equal it exactly, at every degree.  The
+    kernel decomposes each distinct class function once, comparing them
+    (``CharacterTable._decompose_all``): f_(c-i) = f_i for this ring, since
+    chi_(c-j) = sign * chi_j, and functions that differ are each decomposed."""
     c = top_degree(n)
-    scan = _interior(c, degrees)
+    scan = range(1, c) if degrees is None else tuple(degrees)
+    for i in scan:
+        if not 1 <= i <= c - 1:
+            raise ValueError(f"degree {i} outside interior range [1, {c - 1}]")
     m = _depth(c, scan)
     chi = _checked_graded_characters(n, m + 2)
-    # the position of each degree's function among the distinct ones
-    first: dict[tuple[int, ...], int] = {}
-    at = [first.setdefault(tuple(f), len(first)) for f in _d_functions(chi, scan)]
-    functions = list(first)
+    functions = list(_d_functions(chi, scan))
     if needs_every_row(n, scan):
         vectors = character_table(n)._decompose_all(functions)
     else:
         shapes = low_degree_shapes(n, m)
         rows = character_rows(n, shapes)
         found = rows._decompose_all(functions)
-        for i, a in zip(scan, at):
-            f, d = functions[a], found[a]
+        for i, f, d in zip(scan, functions, found):
             norm = sum(map(mul, rows.class_sizes, map(mul, f, f)))
             if factorial(n) * sum(x * x for x in d) != norm:
                 raise AssertionError(
@@ -126,7 +125,7 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
                 )
         by_shape = (dict(zip(shapes, d)) for d in found)
         vectors = [tuple(d.get(nu, 0) for nu in partitions_of(n)) for d in by_shape]
-    return {i: vectors[a] for i, a in zip(scan, at)}
+    return dict(zip(scan, vectors))
 
 
 def needs_every_row(n: int, degrees: Iterable[int]) -> bool:
@@ -142,32 +141,18 @@ def _depth(top: int, degrees: Iterable[int]) -> int:
     return max((min(i, top - i) for i in degrees), default=0)
 
 
-def _interior(top: int, degrees: Iterable[int] | None) -> Sequence[int]:
-    """``degrees`` (every interior degree when None), each checked to lie in [1, top - 1]."""
-    scan = range(1, top) if degrees is None else tuple(degrees)
-    for i in scan:
-        if not 1 <= i <= top - 1:
-            raise ValueError(f"degree {i} outside interior range [1, {top - 1}]")
-    return scan
-
-
-def d_matrices(
-    tables: Sequence[GradedMultiplicityTable],
-    degrees: Iterable[int] | None = None,
-) -> list[dict[int, tuple[int, ...]]]:
-    """The d matrix of every table of ``tables``, all of one n, at
-    ``degrees`` (or each table's every interior degree).  Every degree of
-    every table is checked before any class sum is taken; then the class
-    functions chi_i^2 - chi_(i-1) chi_(i+1) of every degree of every table
-    are decomposed together, in one packed class sum per irreducible.  A
-    table's graded characters are dropped before the next table's are
-    taken, so the batch holds only the weighted class functions."""
+def d_matrices(tables: Sequence[GradedMultiplicityTable]) -> list[dict[int, tuple[int, ...]]]:
+    """The d matrix of every table of ``tables``, all of one n, at its every
+    interior degree: the functions chi_i^2 - chi_(i-1) chi_(i+1) of every
+    table in one batch, one packed class sum per irreducible, each distinct
+    function once (``CharacterTable._decompose_all``; the functions of one n
+    repeat across types).  A table's graded characters are dropped before the
+    next table's are taken, so the batch holds only its weighted functions."""
     if len({table.n for table in tables}) > 1:
         raise ValueError("d_matrices needs tables of one n")
-    chosen = None if degrees is None else tuple(degrees)
-    scans = [_interior(table.top_degree, chosen) for table in tables]
     if not tables:
         return []
+    scans = [range(1, table.top_degree) for table in tables]
     chars = character_table(tables[0].n)
 
     def functions():

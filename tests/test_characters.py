@@ -234,9 +234,18 @@ class TestDecompose:
 
 
 class TestPackedKernel:
-    """``CharacterTable._decompose_all`` against one class sum per row."""
+    """``CharacterTable._decompose_all`` against one class sum per row; it
+    packs each distinct function once and gives every input its vector."""
 
-    def test_every_product_matches_reference(self):
+    def test_every_product_matches_reference(self, monkeypatch):
+        packed = []
+        class_sums = CharacterTable._packed_class_sums
+
+        def recording(self, weighted, layout):
+            packed.append(list(weighted))
+            return class_sums(self, weighted, layout)
+
+        monkeypatch.setattr(CharacterTable, "_packed_class_sums", recording)
         for n in range(1, 9):
             table = character_table(n)
             products = [
@@ -244,9 +253,16 @@ class TestPackedKernel:
                 for a, row_a in enumerate(table.values)
                 for row_b in table.values[a:]
             ]
-            assert table._decompose_all(products) == [
-                reference_decompose(table, product) for product in products
+            # every product again in reverse, and the first once more: the
+            # products repeat already (chi_sign chi_lam = chi_lam'), and
+            # only their distinct weighted values, in first-seen order, are packed
+            batch = products + products[::-1] + products[:1]
+            distinct = list(dict.fromkeys(products))
+            packed.clear()
+            assert table._decompose_all(batch) == [
+                reference_decompose(table, product) for product in batch
             ], n
+            assert packed == [[tuple(map(operator.mul, table.class_sizes, f)) for f in distinct]], n
 
     @given(
         st.integers(1, 7).flatmap(
@@ -269,6 +285,8 @@ class TestPackedKernel:
         table = character_table(n)
         functions = [virtual_character(table, c) for c in coefficients]
         assert table._decompose_all(functions) == [tuple(c) for c in coefficients]
+        repeated = coefficients + coefficients[::-1]
+        assert table._decompose_all(functions + functions[::-1]) == list(map(tuple, repeated))
 
     def test_digits_at_the_width_bound(self):
         # at n = 2, c times an irreducible has class sums 2c and 0, and 2|c|
@@ -293,10 +311,12 @@ class TestPackedKernel:
             with pytest.raises(NonIntegral) as expected:
                 reference_decompose(table, bad)
             assert str(expected.value) == message
-            batch = [*table.values, virtual_character(table, range(len(table.values))), bad]
-            with pytest.raises(NonIntegral) as raised:
-                table._decompose_all(batch)
-            assert str(raised.value) == message, n
+            virtual = virtual_character(table, range(len(table.values)))
+            # alone, repeated, and repeated among virtual characters
+            for batch in ([bad], [bad, bad], [bad, *table.values, virtual, bad, virtual, bad]):
+                with pytest.raises(NonIntegral) as raised:
+                    table._decompose_all(batch)
+                assert str(raised.value) == message, (n, len(batch))
 
     def test_empty_batch(self):
         assert character_table(4)._decompose_all([]) == []

@@ -251,6 +251,22 @@ class TestBuildGuards:
         ):
             _validate(broken)
 
+    def test_lowest_degree_only_defect(self):
+        # the rows of (5,1) and its conjugate (2,1,1,1,1) are each other's
+        # mirror, so swapping them keeps every row sum, duality and every
+        # weighted column; only the lowest degree n(lam) tells them apart
+        table = graded_table(6)
+        b = list(table.b)
+        a, z = table.index((5, 1)), table.index((2, 1, 1, 1, 1))
+        b[a], b[z] = b[z], b[a]
+        broken = GradedMultiplicityTable(6, tuple(b))
+        assert guards_held(broken) == (True, True, True)
+        with pytest.raises(
+            AssertionError,
+            match=r"^row \(5, 1\) does not start at degree n\(lam\) with multiplicity 1$",
+        ):
+            _validate(broken)
+
 
 class TestStabilization:
     def test_degree_one_pattern(self):

@@ -1,5 +1,7 @@
+import json
 import math
 import operator
+import os
 import re
 
 import pytest
@@ -412,8 +414,22 @@ class TestCounterexampleSearch:
         assert mapped == [[(n, False) for n in range(7, 0, -1)]]
         assert report.types() == [(4, 1, 1, 1)]
 
+    def test_one_cpu_starts_no_pool(self, pool_builds, fresh_memo, monkeypatch, tmp_path):
+        # min(jobs, items, CPUs) = 1 worker, so the cold sweep maps inline
+        def payload(jobs):
+            cache, out = tmp_path / f"cache-{jobs}", tmp_path / f"scan-{jobs}.json"
+            argv = ["springer-scan", "--n-max", "7", "--jobs", jobs, "--cache-dir", str(cache)]
+            fresh_memo.clear()
+            assert cli.run([*argv, "--out", str(out)]) == 2
+            return json.loads(out.read_bytes())["payload"]
+
+        reference = payload("1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert payload("2") == reference
+        assert pool_builds == []
+
     def test_chunked_pool_keeps_submission_order(self):
-        # the items go out in contiguous chunks, 6 each on two workers
+        # the items go out one at a time, 100 of them over two workers
         items = list(range(100))
         assert parallel_map(math.factorial, items, 2) == [math.factorial(k) for k in items]
 

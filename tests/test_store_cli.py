@@ -347,6 +347,47 @@ class TestCacheStore:
         assert [r.getMessage() for r in caplog.records] == ["cache char-6 is malformed; rebuilding"]
         assert path.read_bytes() == true_file
 
+    @pytest.mark.parametrize(
+        "lam, other",
+        [((5, 1), (4, 2)), ((5, 1), (2, 1, 1, 1, 1))],
+        ids=["rows-of-two-dimensions", "conjugate-rows"],
+    )
+    def test_swapped_graded_rows_rebuild(self, tmp_path, fresh_memo, caplog, capsys, lam, other):
+        # a digest-valid graded-6 of true rows in the wrong places, with
+        # springer-6 gone so that the sweep builds it against the graded
+        # table: the row sums tell (5,1) from (4,2), and only the lowest
+        # degree n(lam) tells (5,1) from its conjugate, since that swap
+        # keeps the row sums, duality and the Betti columns
+        def scan():
+            out = tmp_path / "scan.json"
+            assert run_cli(tmp_path, "springer-scan", "--n-max", "6", "--out", str(out)) == 0
+            assert "error" not in capsys.readouterr().err
+            return payload_bytes(json.loads(out.read_bytes()))
+
+        def selftest():
+            assert run_cli(tmp_path, "selftest", "--n-max", "6") == 0
+            printed = capsys.readouterr()
+            assert "error" not in printed.err
+            return printed.out
+
+        cold = [scan(), selftest()]
+        path = tmp_path / "cache" / "graded-6.json"
+        true_file = path.read_bytes()
+        _, body = digest_and_body(path)
+        doc = json.loads(body)
+        swap(doc["b"], *(doc["partitions"].index(format_partition(p)) for p in (lam, other)))
+        body = json.dumps(doc, separators=(",", ":")).encode()
+        for run, expected in zip((scan, selftest), cold):
+            write_table_file(path, sha256(body), body)
+            (tmp_path / "cache" / "springer-6.json").unlink(missing_ok=True)
+            fresh_memo.clear()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="coinvariant.store"):
+                assert run() == expected
+            messages = [r.getMessage() for r in caplog.records]
+            assert messages == ["cache graded-6 is malformed; rebuilding"], run.__name__
+            assert path.read_bytes() == true_file
+
     def test_unknown_kind(self, store):
         with pytest.raises(ValueError):
             store.get_or_build("bogus", 3)

@@ -100,20 +100,21 @@ class TestDVector:
                 d_vector(3, nu)
 
     def test_d_matrix_rejects_boundary_degrees(self):
+        # d_matrices takes every interior degree of a table and no other
         table = graded_table(4)
+        assert sorted(d_matrices([table])[0]) == list(range(1, table.top_degree))
         for i in (0, table.top_degree):
             with pytest.raises(ValueError, match=rf"^degree {i} outside interior range \[1, 5\]$"):
-                d_matrices([table], [i])[0]
+                d_matrix(4, [i])
 
     def test_d_matrix_checks_every_degree_before_any_class_sum(self, monkeypatch):
-        table = graded_table(4)
-
-        def no_class_sums(n):
-            raise AssertionError("character table looked up before the degree check")
+        def no_class_sums(*args):
+            raise AssertionError("character rows looked up before the degree check")
 
         monkeypatch.setattr(verify, "character_table", no_class_sums)
+        monkeypatch.setattr(verify, "character_rows", no_class_sums)
         with pytest.raises(ValueError, match=r"^degree 6 outside interior range \[1, 5\]$"):
-            d_matrices([table], [1, 2, 6])[0]
+            d_matrix(4, [1, 2, 6])
 
     def test_symmetry_theorem(self):
         for n in range(3, 8):
@@ -156,7 +157,8 @@ class TestClosedFormRoute:
         # every row at (1, 7, 14) and (1, 18); at (2,), (2, 34) and (3, 63)
         # only the rows with n - nu_1 <= 2 min(i, c - i)
         for n, degrees in [(6, (1, 7, 14)), (9, (1, 18)), (9, (2,)), (9, (2, 34)), (12, (3, 63))]:
-            assert d_matrix(n, degrees) == d_matrices([graded_table(n)], degrees)[0], (n, degrees)
+            full = d_matrices([graded_table(n)])[0]
+            assert d_matrix(n, degrees) == {i: full[i] for i in degrees}, (n, degrees)
 
     def test_d_matrix_checks_every_degree_before_any_character(self, monkeypatch):
         def no_characters(*args):
@@ -327,8 +329,9 @@ class TestLowDegreeRoute:
     def test_matches_d_matrix_on_full_tables(self):
         for n in range(2, 15):
             table = graded_table(n)
+            full = d_matrices([table])[0]
             for m in range(1, 7):
-                expected = d_matrices([table], low_degree_window(m, table.top_degree))[0]
+                expected = {i: full[i] for i in low_degree_window(m, table.top_degree)}
                 assert d_matrix(n, low_degree_window(m, table.top_degree)) == expected, (n, m)
                 # the audit route agrees that d is 0 outside the row bound
                 for row in expected.values():
@@ -509,7 +512,8 @@ class TestCharacterRouteMatchesKronecker:
             c = table.top_degree
             degrees = (1, 2, 3, c - 3, c - 2, c - 1)
             kron = OnDemandKronecker(character_table(n))
-            assert d_matrices([table], degrees)[0] == d_by_kronecker(table, kron, degrees), n
+            full = d_matrices([table])[0]
+            assert {i: full[i] for i in degrees} == d_by_kronecker(table, kron, degrees), n
 
 
 # n = 3 (c = 3): d[(2,1)] is -1 at degree 1 and 1 at degree 2, so both
