@@ -119,6 +119,8 @@ def run(argv=None) -> int:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if getattr(args, "out", None) == "":
             raise ValueError("--out needs a file name")
+        if args.cache_dir == "":
+            raise ValueError("--cache-dir needs a directory name")
         if getattr(args, "out", None):
             check_report_path(Path(args.out), has_entries=args.command != "springer-scan")
         return args.func(args)
@@ -136,10 +138,6 @@ def main(argv=None) -> None:
 
 # ---------------------------------------------------------------------------
 # command implementations
-
-
-def _store(args) -> CacheStore:
-    return CacheStore(Path(args.cache_dir)) if args.cache_dir else CacheStore()
 
 
 def _cap(args, kind: str) -> int:
@@ -197,7 +195,7 @@ def cmd_kronecker(args) -> int:
 
     n = args.n
     lam, mu, nu = (check_partition(parse_partition(t), n) for t in (args.lam, args.mu, args.nu))
-    store = _store(args)
+    store = CacheStore(args.cache_dir)
     _seed(store, args, ("char", [n]))
     print(kronecker_coefficient(lam, mu, nu))
     return 0
@@ -211,7 +209,7 @@ def cmd_verify_flag(args) -> int:
     # the cap first: the degree filter is as large as the top degree
     _check_caps(args, ("char", [n]))
     degrees = verify.parse_degree_filter(args.degrees, top_degree(n))
-    store = _store(args)
+    store = CacheStore(args.cache_dir)
     if verify.needs_every_row(n, degrees):
         _seed(store, args, ("char", [n]))
     report = verify.verify_flag_log_concavity(n, degrees)
@@ -228,7 +226,7 @@ def cmd_unimodal(args) -> int:
 
     n = args.n
     verify.check_flag_size(n)
-    store = _store(args)
+    store = CacheStore(args.cache_dir)
     _seed(store, args, ("char", [n]))
     report = verify.verify_d_unimodality(n)
     return _finish(args, store, "unimodal", {"n": n}, report, [
@@ -260,7 +258,7 @@ def cmd_springer_scan(args) -> int:
     from . import springer
 
     n_max = args.n_max
-    store = _store(args)
+    store = CacheStore(args.cache_dir)
     cap = _cap(args, "springer")
     if n_max > cap:
         raise ValueError(f"n_max {n_max} above cap {cap}; raise the cap explicitly to go higher")
@@ -284,7 +282,7 @@ def cmd_selftest(args) -> int:
     n_max = args.n_max
     if n_max < 2:
         raise ValueError("selftest needs --n-max at least 2")
-    store = _store(args)
+    store = CacheStore(args.cache_dir)
     failures = 0
 
     def check(name: str, suite) -> None:

@@ -36,7 +36,8 @@ def check_partition(parts: tuple[int, ...], n: int | None = None) -> Partition:
     if not is_partition(parts):
         raise ValueError(f"not a partition: {parts!r}")
     if n is not None and sum(parts) != n:
-        raise ValueError(f"{format_partition(parts)} is not a partition of {n}")
+        name = format_partition(parts) if parts else "the empty partition"
+        raise ValueError(f"{name} is not a partition of {n}")
     return parts
 
 

@@ -7,9 +7,10 @@ lacks.  Kind ``"springer"`` holds, per n, the Springer table of every
 type of n in canonical order; a library lookup (``springer_tables``)
 builds all of them from one Kostka-Foulkes table, and a store adopts
 them as the Springer sweep reads its ``springer-n`` files.  That sweep
-checks every held n in its own process; only the other sizes go to a
+checks every n it read in its own process; only the other sizes go to a
 forked worker pool, one n per task, whose workers inherit the memo and
-build their tables without adopting them.
+build their tables through a store of their own, which adopts them into
+the memo of the process it runs in.
 """
 
 from __future__ import annotations

@@ -39,18 +39,19 @@ Three calibration constraints pin this grading convention: the type (n)
 table must be the trivial representation, the type (1^n) table must equal
 the coinvariant-ring table, and K(lam, mu)(0) must be delta(lam, mu).  If
 any ever fails the build stops; conventions are never auto-flipped.  A
-table read back from a ``springer-n`` cache file (``table_from_entry``)
-is calibrated again, and one that fails is rebuilt.
+table read back from a ``springer-n`` cache file
+(``store.table_from_entry``) is calibrated again, and one that fails is
+rebuilt.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import cache
 from itertools import accumulate
 from math import prod
 from operator import mul
+from pathlib import Path
 
 from . import memo
 from .characters import character_table
@@ -71,6 +72,7 @@ from .errors import NonExactDivision
 from .graded import GradedMultiplicityTable, graded_table
 from .parallel import parallel_map
 from .polynomials import ONE, IntPoly
+from .store import CacheStore
 from .verify import LogConcavityReport, ScanReport, d_matrices, d_row
 
 
@@ -247,68 +249,27 @@ class SpringerScanReport(ScanReport):
         }
 
 
-def table_entry(mu: Partition, table: GradedMultiplicityTable) -> dict:
-    """The ``springer-n`` file entry of type mu: the type, the top degree
-    and each row as flat (degree, multiplicity) pairs of its nonzero
-    entries, degrees increasing."""
-    return {
-        "mu": format_partition(mu),
-        "top": table.top_degree,
-        "rows": [[x for i, m in enumerate(row) if m for x in (i, m)] for row in table.b],
-    }
-
-
-def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
-    """The table of ``table_entry(mu, table)``, calibrated again.  ValueError
-    unless the entry names mu, its top is n(mu), and it has p(n) rows of
-    even length whose degrees increase within [0, top] with positive int
-    multiplicities; AssertionError if the table fails calibration."""
-    n, top, rows = sum(mu), entry["top"], entry["rows"]
-    if entry["mu"] != format_partition(mu) or type(top) is not int or top != n_stat(mu):
-        raise ValueError(f"entry is not the type {format_partition(mu)} with top n(mu)")
-    if len(rows) != len(partitions_of(n)) or any(len(row) % 2 for row in rows):
-        raise ValueError("rows are not p(n) lists of (degree, multiplicity) pairs")
-    dense = []
-    for row in rows:
-        values = [0] * (top + 1)
-        last = -1
-        for i, m in zip(row[::2], row[1::2]):
-            if type(i) is not int or type(m) is not int or not last < i <= top or m < 1:
-                raise ValueError("a pair is not an increasing degree in [0, top] and a positive int")
-            values[i] = m
-            last = i
-        dense.append(tuple(values))
-    table = GradedMultiplicityTable(n, tuple(dense))
-    _calibrate(table, mu)
-    return table
-
-
 def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
     """Process-wide memoized tables of every type of n; a disk cache may seed them (see memo)."""
     return memo.lookup("springer", n, build_springer_tables)
 
 
-def _build_one_n(item: tuple[int, bool]) -> tuple[int, list, list[str] | None]:
+def _build_one_n(item: tuple[int, Path | None]) -> tuple[int, list, str | None]:
     """The d violations of every type of n, whose tables are built from one
-    Kostka-Foulkes table; with each table's ``table_entry`` as compact JSON
-    when ``encode`` asks for it, which the parent holds for every built n in
-    far less memory than the lists it encodes."""
-    n, encode = item
-    tables = build_springer_tables(n)
-    return n, _violations(n, tables), _encoded_all(n, tables) if encode else None
+    Kostka-Foulkes table; given a cache directory, a store on it builds
+    them (``CacheStore.build``), writing their ``springer-n`` file, and the
+    digest of that file comes back too."""
+    n, root = item
+    if root is None:
+        return n, _violations(n, build_springer_tables(n)), None
+    store = CacheStore(root)
+    tables = store.build("springer", n)
+    return n, _violations(n, tables), store.digests()[f"springer-{n}"]
 
 
 def _violations(n: int, tables: tuple[GradedMultiplicityTable, ...]) -> list:
     """The d violations of every type of n, the d of all types in one batch."""
     return [LogConcavityReport(n, matrix).violations for matrix in d_matrices(tables)]
-
-
-def _encoded_all(n: int, tables: tuple[GradedMultiplicityTable, ...]) -> list[str]:
-    """The ``table_entry`` of every type of n as compact JSON."""
-    return [
-        json.dumps(table_entry(mu, table), separators=(",", ":"))
-        for mu, table in zip(partitions_of(n), tables)
-    ]
 
 
 def check_scan_range(n_max: int) -> None:
@@ -324,37 +285,31 @@ def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> Spr
     """All types mu with |mu| <= n_max whose Springer representation fails
     equivariant log-concavity, grouped by n in canonical order.  Any
     n_max >= 3 is scanned; the command line caps it.  The character tables
-    are warmed first, and with a cache ``store`` every ``springer-n`` file
-    it holds is read into the memo.  Every n whose tables the memo then
-    holds is checked in this process, so a warm sweep forks nothing.  The
-    other n go to the worker pool, largest first: each forked worker builds
-    the tables of its n from one Kostka-Foulkes table and returns their d
-    violations and, with a store, their entries encoded for disk.  Either
-    way the d of all types of one n is taken in one batch (``d_matrices``).
-    Then one ``springer-n`` file is written per n whose file the store
-    lacked.  Without a store nothing is read or written.
+    are warmed first.  The sizes whose tables a cache ``store`` reads from
+    its ``springer-n`` files, or without one the memo holds, are checked in
+    this process, so a warm sweep forks nothing.  The other n go to the
+    worker pool, largest first: each worker builds the tables of its n from
+    one Kostka-Foulkes table, with a store through ``CacheStore.build`` on
+    its directory, which writes the file at once, and returns their d
+    violations and that file's digest, which ``store`` records.  So a
+    sweep that fails keeps the files of the sizes already done.  Either way
+    the d of all types of one n is taken in one batch (``d_matrices``).
     """
     check_scan_range(n_max)
     for n in range(2, n_max + 1):
         character_table(n)
     ns = range(1, n_max + 1)
-    missing = set() if store is None else {n for n in ns if store.read("springer", n) is None}
-    held = {n: memo.held("springer", n) for n in ns}
-    items = [(n, n in missing) for n in reversed(ns) if held[n] is None]
+    read = memo.held if store is None else store.read
+    held = {n: read("springer", n) for n in ns}
+    items = [(n, store and store.root) for n in reversed(ns) if held[n] is None]
     violations = {}
-    entries = {}
-    for n, bad, encoded in parallel_map(_build_one_n, items, jobs):
+    for n, bad, digest in parallel_map(_build_one_n, items, jobs):
         violations[n] = bad
-        if encoded is not None:
-            entries[n] = encoded
+        if digest is not None:
+            store.record("springer", n, digest)
     for n, tables in held.items():
         if tables is not None:
             violations[n] = _violations(n, tables)
-            if n in missing:
-                entries[n] = _encoded_all(n, tables)
-    for n in ns:
-        if n in entries:
-            store.write("springer", n, {"tables": entries[n]})
     counterexamples = tuple(
         (mu, bad) for n in ns for mu, bad in zip(partitions_of(n), violations[n]) if bad
     )

@@ -34,10 +34,13 @@ one directory never see a half-written file; every file written, table or
 report, gets the mode any new file gets under the umask.  Any n >= 1 is
 stored; size caps belong to the CLI.
 
-One route each way: ``read`` checks a file and adopts its table into the
-process memo, and ``write`` makes every body from list items that are
-compact JSON already.  ``get_or_build`` calls both around a build; the
-Springer sweep calls them itself (see ``springer_counterexample_search``).
+One route each way for every kind: ``read`` checks a file and adopts its
+table into the process memo, and ``build`` builds a table, writes its
+file, its body spliced from list items encoded one by one, and adopts
+the table.  ``get_or_build`` is ``read``, else ``build``.  The Springer
+sweep reads in its own process and builds in its workers, each on a
+store of its own whose digests the sweep's store ``record``s (see
+``springer_counterexample_search``).
 
 Reports are wrapped in a document {schema_version, command, parameters,
 provenance, payload}.  Timestamps and machine facts live only in
@@ -65,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import __version__, memo
 from .characters import CharacterTable, build_character_table, check_stored_table
-from .combinatorics import format_partition, partitions_of, top_degree
+from .combinatorics import Partition, format_partition, n_stat, partitions_of, top_degree
 
 if TYPE_CHECKING:
     from .graded import GradedMultiplicityTable
@@ -200,24 +203,59 @@ def _graded_from_doc(doc: dict) -> GradedMultiplicityTable:
     return table
 
 
-def _springer_doc(tables: tuple[GradedMultiplicityTable, ...]) -> dict:
-    from . import springer
+def table_entry(mu: Partition, table: GradedMultiplicityTable) -> dict:
+    """The ``springer-n`` file entry of type mu: the type, the top degree
+    and each row as flat (degree, multiplicity) pairs of its nonzero
+    entries, degrees increasing."""
+    return {
+        "mu": format_partition(mu),
+        "top": table.top_degree,
+        "rows": [[x for i, m in enumerate(row) if m for x in (i, m)] for row in table.b],
+    }
 
+
+def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
+    """The table of ``table_entry(mu, table)``, calibrated again
+    (``springer._calibrate``).  ValueError unless the entry names mu, its
+    top is n(mu), and it has p(n) rows of even length whose degrees
+    increase within [0, top] with positive int multiplicities;
+    AssertionError if the table fails calibration."""
+    from .graded import GradedMultiplicityTable
+    from .springer import _calibrate
+
+    n, top, rows = sum(mu), entry["top"], entry["rows"]
+    if entry["mu"] != format_partition(mu) or type(top) is not int or top != n_stat(mu):
+        raise ValueError(f"entry is not the type {format_partition(mu)} with top n(mu)")
+    if len(rows) != len(partitions_of(n)) or any(len(row) % 2 for row in rows):
+        raise ValueError("rows are not p(n) lists of (degree, multiplicity) pairs")
+    dense = []
+    for row in rows:
+        values = [0] * (top + 1)
+        last = -1
+        for i, m in zip(row[::2], row[1::2]):
+            if type(i) is not int or type(m) is not int or not last < i <= top or m < 1:
+                raise ValueError("a pair is not an increasing degree in [0, top] and a positive int")
+            values[i] = m
+            last = i
+        dense.append(tuple(values))
+    table = GradedMultiplicityTable(n, tuple(dense))
+    _calibrate(table, mu)
+    return table
+
+
+def _springer_doc(tables: tuple[GradedMultiplicityTable, ...]) -> dict:
     n = tables[0].n
-    entries = [springer.table_entry(mu, t) for mu, t in zip(partitions_of(n), tables)]
+    entries = [table_entry(mu, t) for mu, t in zip(partitions_of(n), tables)]
     return {**_envelope("springer", n), "tables": entries}
 
 
 def _springer_from_doc(doc: dict) -> tuple[GradedMultiplicityTable, ...]:
-    """One entry per type of n, in canonical order (see
-    ``springer.table_from_entry`` for the shape of each); ValueError
-    otherwise, AssertionError if a table fails calibration."""
-    from . import springer
-
+    """One ``table_from_entry`` per type of n, in canonical order;
+    ValueError otherwise, AssertionError if a table fails calibration."""
     types, entries = partitions_of(doc["n"]), doc["tables"]
     if len(entries) != len(types):
         raise ValueError("tables are not one entry per partition of n")
-    return tuple(springer.table_from_entry(mu, entry) for mu, entry in zip(types, entries))
+    return tuple(table_from_entry(mu, entry) for mu, entry in zip(types, entries))
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -236,6 +274,13 @@ _KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
+def _kind(kind: str) -> tuple[Callable, Callable, Callable]:
+    """The builder, encoder and decoder of ``kind``; ValueError if unknown."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown cache kind {kind!r}")
+    return _KINDS[kind]
+
+
 class CacheStore:
     """Digest-checked table cache rooted at one directory."""
 
@@ -248,29 +293,34 @@ class CacheStore:
         """kind-n -> digest map for report provenance."""
         return {f"{kind}-{n}": d for (kind, n), d in sorted(self._digests.items())}
 
-    def get_or_build(self, kind: str, n: int):
-        """Digest-valid cached table, else build + validate + persist.
+    def record(self, kind: str, n: int, digest: str) -> None:
+        """Note the digest of a (kind, n) file read or written in this directory."""
+        self._digests[(kind, n)] = digest
 
-        Either way the table is adopted into the process memo, which never
-        stands in for a missing or invalid file in this directory.
-        """
+    def get_or_build(self, kind: str, n: int):
+        """``read``, else ``build``: either way the table is adopted into the
+        process memo, which never stands in for a missing or invalid file."""
         table = self.read(kind, n)
-        if table is None:
-            builder, to_doc, _ = _KINDS[kind]
-            table = builder(n)
-            doc = to_doc(table)
-            field, items = doc.popitem()
-            self.write(kind, n, {**doc, field: map(_ENCODER.encode, items)})
-            table = memo.adopt(kind, n, table)
-        return table
+        return self.build(kind, n) if table is None else table
+
+    def build(self, kind: str, n: int):
+        """Build the (kind, n) table, write its file without reading one, its
+        last field's items encoded one by one and spliced in (a whole
+        document encoded at once holds a string per value), and adopt it."""
+        builder, to_doc, _ = _kind(kind)
+        table = builder(n)
+        doc = to_doc(table)
+        field, items = doc.popitem()
+        text = _ENCODER.encode({**doc, field: []})
+        self._write(kind, n, (text[:-2] + ",".join(map(_ENCODER.encode, items)) + "]}").encode())
+        return memo.adopt(kind, n, table)
 
     def read(self, kind: str, n: int):
         """The (kind, n) table of its file if its header digest, schema,
         envelope and body shape hold, adopted into the process memo (the
         held table when one is), else None, with a warning unless the file
         is missing."""
-        if kind not in _KINDS:
-            raise ValueError(f"unknown cache kind {kind!r}")
+        from_doc = _kind(kind)[2]
         try:
             data = self._path(kind, n).read_bytes()
         except FileNotFoundError:
@@ -296,28 +346,19 @@ class CacheStore:
             _warn("cache %s-%s holds another table; rebuilding", kind, n)
             return None
         try:
-            table = _KINDS[kind][2](doc)
+            table = from_doc(doc)
         except (AssertionError, KeyError, TypeError, ValueError):
             _warn("cache %s-%s is malformed; rebuilding", kind, n)
             return None
-        self._digests[(kind, n)] = digest
+        self.record(kind, n, digest)
         return memo.adopt(kind, n, table)
-
-    def write(self, kind: str, n: int, fields: dict) -> None:
-        """Persist the (kind, n) envelope and ``fields``, whose last value
-        yields list items that are compact JSON already, spliced in as they
-        are: encoding a whole document at once holds a string per value."""
-        doc = {**_envelope(kind, n), **fields}
-        field, items = doc.popitem()
-        text = _ENCODER.encode({**doc, field: []})
-        self._write(kind, n, (text[:-2] + ",".join(items) + "]}").encode())
 
     def _write(self, kind: str, n: int, body: bytes) -> None:
         digest = _digest(body)
         self.root.mkdir(parents=True, exist_ok=True)
         header = (json.dumps({"sha256": digest}) + "\n").encode()
         _atomic_write(self._path(kind, n), (header, body))
-        self._digests[(kind, n)] = digest
+        self.record(kind, n, digest)
 
     def _path(self, kind: str, n: int) -> Path:
         return self.root / f"{kind}-{n}.json"

@@ -115,7 +115,8 @@ def test_every_argv_exits_cleanly(case):
         argv = [*argv, "--cache-dir", "" if path is None else str(path)]
         if out is not None:
             argv += ["--out", out_path(root, out)]
-        # an empty --cache-dir means the default directory, here under root
+        # an empty --cache-dir is refused, so the default directory, here
+        # under root, must be left as it was
         default = root / "default-cache"
         watched = default if path is None else path
         err = io.StringIO()

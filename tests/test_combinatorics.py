@@ -120,6 +120,11 @@ class TestCheckPartition:
         with pytest.raises(ValueError, match="^2,1 is not a partition of 4$"):
             check_partition((2, 1), 4)
 
+    def test_empty_partition_is_named(self):
+        with pytest.raises(ValueError, match="^the empty partition is not a partition of 5$"):
+            check_partition((), 5)
+        assert check_partition((), 0) == ()
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -411,7 +411,8 @@ class TestCounterexampleSearch:
 
         monkeypatch.setattr(springer, "parallel_map", inline_map)
         report = springer_counterexample_search(7, jobs=2)
-        assert mapped == [[(n, False) for n in range(7, 0, -1)]]
+        # without a store each item carries no cache directory
+        assert mapped == [[(n, None) for n in range(7, 0, -1)]]
         assert report.types() == [(4, 1, 1, 1)]
 
     def test_one_cpu_starts_no_pool(self, pool_builds, fresh_memo, monkeypatch, tmp_path):

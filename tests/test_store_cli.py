@@ -392,14 +392,35 @@ class TestCacheStore:
         with pytest.raises(ValueError):
             store.get_or_build("bogus", 3)
 
+    def test_build_refuses_an_unknown_kind_as_read_does(self, store):
+        for route in (store.read, store.build):
+            with pytest.raises(ValueError, match="^unknown cache kind 'bogus'$"):
+                route("bogus", 3)
+        assert not store.root.exists()
+
+    def test_build_never_reads(self, store, fresh_memo, caplog):
+        # a bad file is not read, so no warning: build writes over it
+        reference = CacheStore(store.root.parent / "reference")
+        reference.get_or_build("graded", 5)
+        store.root.mkdir()
+        path = store.root / "graded-5.json"
+        path.write_bytes(b"not a table file\n")
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            table = store.build("graded", 5)
+        assert caplog.records == []
+        assert memo.held("graded", 5) is table
+        assert path.read_bytes() == (reference.root / "graded-5.json").read_bytes()
+        assert store.digests() == reference.digests()
+
     def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "viaenv"))
         assert default_cache_dir() == tmp_path / "viaenv"
 
 
 class TestSpringerCache:
-    """The ``springer-n`` files the sweep reads before it forks and writes
-    after its pool is done."""
+    """The ``springer-n`` files the sweep reads before it forks and its
+    workers write through ``CacheStore.build``, each as soon as its n is
+    built."""
 
     def test_round_trip_every_type_up_to_8(self, tmp_path, fresh_memo):
         assert run_cli(tmp_path, "springer-scan", "--n-max", "8", "--jobs", "2") == 2
@@ -422,9 +443,11 @@ class TestSpringerCache:
             write(self, kind, n, body)
 
         monkeypatch.setattr(CacheStore, "_write", recording_write)
-        assert run_cli(tmp_path, "springer-scan", "--n-max", "7") == 2
+        # a forked worker's writes are not recorded here, so the cold sweep
+        # maps inline, largest n first
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--jobs", "1") == 2
         assert [name for name in written if name.startswith("springer")] == [
-            f"springer-{n}" for n in range(1, 8)
+            f"springer-{n}" for n in range(7, 0, -1)
         ]
         cache = tmp_path / "cache"
         files = {path.name: path.read_bytes() for path in cache.glob("springer-*.json")}
@@ -443,6 +466,65 @@ class TestSpringerCache:
         assert payload_bytes(json.loads(warm.read_bytes())) == payload_bytes(
             json.loads(cold.read_bytes())
         )
+
+    def test_reports_record_the_digest_of_every_file_the_workers_write(
+        self, tmp_path, fresh_memo, pool_builds, monkeypatch
+    ):
+        # two CPUs, so --jobs 2 maps the cold sweep over a real pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs, pools in (("1", 0), ("2", 1)):
+            cache = tmp_path / jobs
+
+            def recorded(run):
+                fresh_memo.clear()
+                out = tmp_path / f"{jobs}-{run}.json"
+                argv = ["springer-scan", "--n-max", "7", "--jobs", jobs, "--out", str(out)]
+                assert cli.run([*argv, "--cache-dir", str(cache)]) == 2
+                return json.loads(out.read_bytes())["provenance"]["cache_digests"]
+
+            cold = recorded("cold")
+            assert len(pool_builds) == pools, jobs
+            for n in range(1, 8):
+                name = f"springer-{n}"
+                assert cold[name] == digest_and_body(cache / f"{name}.json")[0], (jobs, name)
+            assert recorded("warm") == cold, jobs
+
+    def test_a_failure_in_the_pool_keeps_the_files_already_written(
+        self, tmp_path, fresh_memo, pool_builds, capfd, monkeypatch
+    ):
+        calibrate = springer._calibrate
+
+        def refuse_six(table, mu):
+            if table.n == 6:
+                raise AssertionError("calibration refused at n = 6")
+            calibrate(table, mu)
+
+        # the forked workers inherit both patches
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(springer, "_calibrate", refuse_six)
+        cache = tmp_path / "cache"
+        argv = ["springer-scan", "--n-max", "7", "--jobs", "2"]
+        assert cli.run([*argv, "--cache-dir", str(cache)]) == 1
+        assert len(pool_builds) == 1
+        assert capfd.readouterr() == ("", "error [AssertionError]: calibration refused at n = 6\n")
+        monkeypatch.undo()
+        fresh_memo.clear()
+        # the map yields n = 7 before the error of n = 6, so its file is
+        # written; which smaller sizes ran before the pool stopped varies
+        left = sorted(cache.glob("springer-*.json"))
+        names = {path.name for path in left}
+        assert "springer-7.json" in names and "springer-6.json" not in names
+        store = CacheStore(cache)
+        for path in left:
+            n = int(path.stem.split("-")[1])
+            assert store.read("springer", n) == build_springer_tables(n), path.name
+        payloads = []
+        for name in ("cache", "cold"):
+            fresh_memo.clear()
+            out = tmp_path / f"{name}.json"
+            assert cli.run([*argv, "--cache-dir", str(tmp_path / name), "--out", str(out)]) == 2
+            payloads.append(payload_bytes(json.loads(out.read_bytes())))
+        assert payloads[0] == payloads[1]
 
     def test_memo_never_stands_in_for_a_missing_file(self, tmp_path, fresh_memo):
         def sweep(name):
@@ -964,6 +1046,28 @@ class TestCli:
         assert run_cli(tmp_path, "springer-scan", "--n-max", "5", "--jobs", "1") == 1
         assert capsys.readouterr() == (
             "", "error [AssertionError]: diagonal of mu=(3, 2) is not E_mu\n"
+        )
+
+    def test_empty_cache_dir_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the default directory is refused too, not read or written
+        default = tmp_path / "default"
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(default))
+        assert cli.run(["verify-flag", "--n", "5", "--cache-dir", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --cache-dir needs a directory name\n")
+        assert not default.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fake-degrees", "--n", "5", "--lambda", ""],
+            ["kronecker", "--n", "3", "--lambda", "", "--mu", "2,1", "--nu", "3"],
+        ],
+    )
+    def test_empty_partition_is_named(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 1
+        n = argv[2]
+        assert capsys.readouterr() == (
+            "", f"error: the empty partition is not a partition of {n}\n"
         )
 
     def test_unknown_flag_is_operational_error(self, tmp_path):
