@@ -278,6 +278,7 @@ def cmd_springer_scan(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import characters, graded, kronecker, springer, verify
+    from .polynomials import IntPoly
 
     n_max = args.n_max
     if n_max < 2:
@@ -320,18 +321,17 @@ def cmd_selftest(args) -> int:
         kronecker.verify_kronecker_identities(kronecker.kronecker_table(n)) for n in ns[1:]
     ))
     def kostka_foulkes():
-        """(lam, mu, K(lam, mu)) of the production route at every pair of
-        every n, taken inside a suite so that its guards fail the suite."""
+        """(lam, mu, K(lam, mu)) at every pair of every n, row lam of type mu's
+        table reversed, each n's tables built inside the suite so that their
+        guards fail it (the cache of ``kostka_foulkes_poly`` outlives a run)."""
         for n in ns:
             parts = partitions_of(n)
-            for lam, row in zip(parts, springer.kostka_foulkes_table(n)):
-                yield from ((lam, mu, poly) for mu, poly in zip(parts, row))
+            for mu, table in zip(parts, springer.build_springer_tables(n)):
+                yield from ((lam, mu, IntPoly(reversed(row))) for lam, row in zip(parts, table.b))
 
     # build_springer_tables raises unless every type passes its calibration;
     # K(lam, mu)(0) is delta(lam, mu) and K(lam, mu)(1) counts SSYT(lam, mu)
     check("Kostka-Foulkes calibration", lambda: all(
-        springer.build_springer_tables(n) for n in ns
-    ) and all(
         poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == kostka_number(lam, mu)
         for lam, mu, poly in kostka_foulkes()
     ))

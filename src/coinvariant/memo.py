@@ -5,7 +5,7 @@ store adopts every table it reads or builds, so later library calls use
 the table the store holds, but never in place of a file its directory
 lacks.  Kind ``"springer"`` holds, per n, the Springer table of every
 type of n in canonical order; a library lookup (``springer_tables``)
-builds all of them from one Kostka-Foulkes table, and a store adopts
+builds all of them from one Hall-Littlewood solve, and a store adopts
 them as the Springer sweep reads its ``springer-n`` files.  That sweep
 checks every n it read in its own process; only the other sizes go to a
 forked worker pool, one n per task, whose workers inherit the memo and

@@ -6,7 +6,7 @@ in the Springer fiber of nilpotent type mu is the coefficient of q^i in
 q^{n(mu)} K(lam, mu)(1/q); the top degree is n(mu).
 
 Every K(lam, mu) of one n comes from one exact triangular factorisation
-(``kostka_foulkes_table``), by Hall-Littlewood orthogonality (Macdonald,
+(``build_springer_tables``), by Hall-Littlewood orthogonality (Macdonald,
 *Symmetric Functions and Hall Polynomials*, III.2 and III.4; the identity
 behind the Lusztig-Shoji algorithm).  With phi_m(q) = prod_{j<=m} (1 - q^j),
 the graded multiplicity of V(lam) (x) V(nu) in the coinvariant ring,
@@ -76,11 +76,13 @@ from .store import CacheStore
 from .verify import LogConcavityReport, ScanReport, d_matrices, d_row
 
 
-def kostka_foulkes_table(n: int) -> tuple[tuple[IntPoly, ...], ...]:
-    """K(lam, mu)(q) for every pair of partitions of n, at [r][s] for the
-    r-th lam and the s-th mu in canonical order, from one triangular
-    factorisation of the Hall-Littlewood Gram matrix at q = 2^B (see the
-    module docstring for the identity, the digit bound and the guards)."""
+def build_springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
+    """The Springer table of every type of n, in canonical order, from one
+    triangular factorisation of the Hall-Littlewood Gram matrix at q = 2^B
+    (see the module docstring for the identity, the digit bound and the
+    guards).  Row lam of type mu's table is K(lam, mu) from its top degree
+    n(mu) down; every zero row of a table is one shared tuple, and each
+    table is calibrated."""
     parts = partitions_of(n)
     dims = [dimension(lam) for lam in parts]
     tops = [n_stat(lam) for lam in parts]
@@ -115,8 +117,9 @@ def kostka_foulkes_table(n: int) -> tuple[tuple[IntPoly, ...], ...]:
         if rows[s].get(s) != 1:
             raise AssertionError(f"diagonal of mu={mu} is not E_mu")
     mask = q - 1
-    table = [[IntPoly()] * len(parts) for _ in parts]
+    tables = []
     for s, mu in enumerate(parts):
+        b = [(0,) * (tops[s] + 1)] * len(parts)
         for r, value in columns[s]:
             lam, digits = parts[r], []
             while value > 0:
@@ -129,8 +132,12 @@ def kostka_foulkes_table(n: int) -> tuple[tuple[IntPoly, ...], ...]:
                     f"K({lam}, {mu}) breaks the degree bound n(mu) - n(lam) "
                     "or the digit bound f^lam"
                 )
-            table[r][s] = IntPoly(digits)
-    return tuple(map(tuple, table))
+            # q^{n(mu)} K(1/q) over degrees 0 .. n(mu)
+            b[r] = (0,) * (tops[s] + 1 - len(digits)) + tuple(reversed(digits))
+        table = GradedMultiplicityTable(n, tuple(b))
+        _calibrate(table, mu)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _hall_weight(mu: Partition, phi: list[int]) -> int:
@@ -146,7 +153,7 @@ def _exact_quotient(a: int, b: int, rho: Partition) -> int:
     return quotient
 
 
-# cached for perfbench/traced.py, which reads cache_info() until ROADMAP item 1b
+# cached for perfbench/traced.py, which reads cache_info() until ROADMAP item 1
 @cache
 def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
     """K(lam, mu)(q): row lam of the memoized Springer table of type mu,
@@ -173,20 +180,6 @@ def springer_graded_table(mu: Partition) -> GradedMultiplicityTable:
     the top degree is n(mu).  Taken from ``springer_tables`` of |mu|."""
     n = sum(check_partition(mu))
     return springer_tables(n)[partition_index(n)[mu]]
-
-
-def build_springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
-    """The Springer table of every type of n, in canonical order, from
-    ``kostka_foulkes_table(n)``, each table calibrated."""
-    tables = []
-    for mu, column in zip(partitions_of(n), zip(*kostka_foulkes_table(n))):
-        # q^{n(mu)} K(1/q) over degrees 0 .. n(mu); deg K <= n(mu) is checked
-        top = n_stat(mu)
-        rows = tuple((0,) * (top + 1 - len(poly.coeffs)) + poly.coeffs[::-1] for poly in column)
-        table = GradedMultiplicityTable(n, rows)
-        _calibrate(table, mu)
-        tables.append(table)
-    return tuple(tables)
 
 
 def _calibrate(table: GradedMultiplicityTable, mu: Partition) -> None:
@@ -256,7 +249,7 @@ def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
 
 def _build_one_n(item: tuple[int, Path | None]) -> tuple[int, list, str | None]:
     """The d violations of every type of n, whose tables are built from one
-    Kostka-Foulkes table; given a cache directory, a store on it builds
+    Hall-Littlewood solve; given a cache directory, a store on it builds
     them (``CacheStore.build``), writing their ``springer-n`` file, and the
     digest of that file comes back too."""
     n, root = item
@@ -289,7 +282,7 @@ def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> Spr
     its ``springer-n`` files, or without one the memo holds, are checked in
     this process, so a warm sweep forks nothing.  The other n go to the
     worker pool, largest first: each worker builds the tables of its n from
-    one Kostka-Foulkes table, with a store through ``CacheStore.build`` on
+    one Hall-Littlewood solve, with a store through ``CacheStore.build`` on
     its directory, which writes the file at once, and returns their d
     violations and that file's digest, which ``store`` records.  So a
     sweep that fails keeps the files of the sizes already done.  Either way

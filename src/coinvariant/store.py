@@ -215,11 +215,11 @@ def table_entry(mu: Partition, table: GradedMultiplicityTable) -> dict:
 
 
 def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
-    """The table of ``table_entry(mu, table)``, calibrated again
-    (``springer._calibrate``).  ValueError unless the entry names mu, its
-    top is n(mu), and it has p(n) rows of even length whose degrees
-    increase within [0, top] with positive int multiplicities;
-    AssertionError if the table fails calibration."""
+    """The table of ``table_entry(mu, table)``, its zero rows one shared
+    tuple as in a built table, calibrated again (``springer._calibrate``).
+    ValueError unless the entry names mu, its top is n(mu), and it has p(n)
+    rows of even length whose degrees increase within [0, top] with
+    positive int multiplicities; AssertionError if it fails calibration."""
     from .graded import GradedMultiplicityTable
     from .springer import _calibrate
 
@@ -228,8 +228,12 @@ def table_from_entry(mu: Partition, entry: dict) -> GradedMultiplicityTable:
         raise ValueError(f"entry is not the type {format_partition(mu)} with top n(mu)")
     if len(rows) != len(partitions_of(n)) or any(len(row) % 2 for row in rows):
         raise ValueError("rows are not p(n) lists of (degree, multiplicity) pairs")
+    zero = (0,) * (top + 1)
     dense = []
     for row in rows:
+        if not row:
+            dense.append(zero)
+            continue
         values = [0] * (top + 1)
         last = -1
         for i, m in zip(row[::2], row[1::2]):

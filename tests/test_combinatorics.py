@@ -353,7 +353,7 @@ class TestSemistandardTableaux:
 
     def test_every_pair_up_to_7(self):
         # the count is checked against K(lam, mu)(1) of the Hall-Littlewood
-        # factorisation (kostka_foulkes_table), which does not enumerate tableaux
+        # factorisation (build_springer_tables), which does not enumerate tableaux
         for n in range(8):
             for lam in partitions_of(n):
                 assert len(list(enumerate_syt(lam))) == dimension(lam)

@@ -26,12 +26,12 @@ from coinvariant.springer import (
     build_springer_tables,
     kostka_foulkes_poly,
     kostka_foulkes_poly_by_charge,
-    kostka_foulkes_table,
     springer_counterexample_search,
     springer_graded_table,
     springer_tables,
     verify_springer_log_concavity,
 )
+from coinvariant.store import table_entry, table_from_entry
 from coinvariant.verify import d_matrices
 
 # the ten types up to S_10 whose Springer representation fails
@@ -111,11 +111,12 @@ class TestKostkaFoulkes:
 
 
 def table_pairs(n):
-    """(lam, mu, K(lam, mu)) from ``kostka_foulkes_table(n)``, every pair of n."""
+    """(lam, mu, K(lam, mu)) from ``build_springer_tables(n)``, row lam of
+    type mu's table reversed, every pair of n."""
     parts = partitions_of(n)
-    for lam, row in zip(parts, kostka_foulkes_table(n)):
-        for mu, poly in zip(parts, row):
-            yield lam, mu, poly
+    for mu, table in zip(parts, build_springer_tables(n)):
+        for lam, row in zip(parts, table.b):
+            yield lam, mu, IntPoly(reversed(row))
 
 
 class TestKostkaFoulkesTable:
@@ -133,11 +134,13 @@ class TestKostkaFoulkesTable:
                 assert poly == kostka_foulkes_poly_by_charge(lam, mu), (lam, mu)
 
     def test_table_shape(self):
-        table = kostka_foulkes_table(6)
-        assert len(table) == len(partitions_of(6))
-        assert {len(row) for row in table} == {len(partitions_of(6))}
+        tables = build_springer_tables(6)
+        assert len(tables) == len(partitions_of(6))
+        for mu, table in zip(partitions_of(6), tables):
+            assert len(table.b) == len(partitions_of(6))
+            assert {len(row) for row in table.b} == {n_stat(mu) + 1}
         with pytest.raises(ValueError, match="n must be positive"):
-            kostka_foulkes_table(0)
+            build_springer_tables(0)
 
     @staticmethod
     def patch_weight(monkeypatch, mu, change):
@@ -155,7 +158,7 @@ class TestKostkaFoulkesTable:
         # exact and only the diagonal K(mu, mu) = -1 is off
         self.patch_weight(monkeypatch, (3, 2), operator.neg)
         with pytest.raises(AssertionError, match=r"^diagonal of mu=\(3, 2\) is not E_mu$"):
-            kostka_foulkes_table(5)
+            build_springer_tables(5)
 
     def test_failing_division_names_the_pair(self, monkeypatch):
         # K((5), (3, 2)) = q^4 is the column's first residual over E_mu;
@@ -165,7 +168,7 @@ class TestKostkaFoulkesTable:
             NonExactDivision,
             match=r"^E_mu does not divide K\(\(5,\), \(3, 2\)\) E_mu exactly$",
         ):
-            kostka_foulkes_table(5)
+            build_springer_tables(5)
 
     def test_failing_class_sum_raises_non_integral(self, monkeypatch):
         # chi_(4,1) at the identity class one too large: row (5) of the Gram
@@ -177,30 +180,32 @@ class TestKostkaFoulkesTable:
         patched = CharacterTable(5, tuple(map(tuple, values)))
         monkeypatch.setattr(springer, "character_table", lambda n: patched)
         with pytest.raises(NonIntegral, match=r"^class sum for \(5,\) is not divisible by 5!$"):
-            kostka_foulkes_table(5)
+            build_springer_tables(5)
 
     @pytest.mark.parametrize(
-        "n, lam, other, power, broken",
+        "n, lam, other, lift, broken",
         [
             # K((3,1,1), (2,2,1)) gains q^(c+1): digit sum 2 <= f^lam = 6
-            (5, (3, 1, 1), (2, 2, 1), top_degree(5) + 1, "degree"),
+            (5, (3, 1, 1), (2, 2, 1), lambda q: q ** (top_degree(5) + 1), "degree"),
             # K((5), (4,1)) = q + 1: degree 1 is within the bound, f^(5) = 1
-            (5, (5,), (4, 1), 0, "digit sum"),
+            (5, (5,), (4, 1), lambda q: 1, "digit sum"),
             # (4,1,1) and (3,3) are incomparable, so K((4,1,1), (3,3)) = 1 is off
-            (6, (4, 1, 1), (3, 3), 0, "dominance"),
+            (6, (4, 1, 1), (3, 3), lambda q: 1, "dominance"),
+            # K((4,1,1), (3,3)) = -1 at q, a value no digits read back
+            (6, (4, 1, 1), (3, 3), lambda q: -1, "negative"),
         ],
         ids=lambda value: value if isinstance(value, str) else None,
     )
     def test_a_consistent_wrong_gram_matrix_fails_the_digit_check(
-        self, monkeypatch, n, lam, other, power, broken
+        self, monkeypatch, n, lam, other, lift, broken
     ):
-        # the Gram matrix U P U^T with U = 1 + x e(lam, other), x = q^power,
+        # the Gram matrix U P U^T with U = 1 + x e(lam, other), x = lift(q),
         # is the one of U K, whose rows lam before other in canonical order
         # keep it triangular with unit diagonal: every division is exact and
         # every diagonal holds, and only the digit check of row lam can fail
         # q = 2^B, B = bitlen(max_lam f^lam) + 1, the point the table is taken at
         q = 1 << (max(map(dimension, partitions_of(n))).bit_length() + 1)
-        x = q**power
+        x = lift(q)
         r, r_other = partitions_of(n).index(lam), partitions_of(n).index(other)
         decompose = CharacterTable._decompose_all
 
@@ -215,7 +220,7 @@ class TestKostkaFoulkesTable:
         with pytest.raises(
             AssertionError, match=rf"^K\({re.escape(str(lam))}, {re.escape(str(other))}\) breaks"
         ):
-            kostka_foulkes_table(n)
+            build_springer_tables(n)
 
     def test_every_built_table_is_calibrated(self, monkeypatch):
         calibrated = []
@@ -273,6 +278,16 @@ class TestSpringerTable:
             for part in mu:
                 denom *= math.factorial(part)
             assert total == math.factorial(n) // denom
+
+    def test_zero_rows_are_one_tuple(self):
+        # a built table and the same table read back from its springer-n
+        # entry each hold all their zero rows as one object
+        for mu, built in zip(partitions_of(7), build_springer_tables(7)):
+            read = table_from_entry(mu, json.loads(json.dumps(table_entry(mu, built))))
+            assert read == built
+            for table in (built, read):
+                zeros = [row for row in table.b if not any(row)]
+                assert len({id(row) for row in zeros}) == min(len(zeros), 1), mu
 
 
 def with_row(table, lam, row):

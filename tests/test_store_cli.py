@@ -1102,11 +1102,13 @@ class TestCli:
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
+        # both suites read K from calibrated tables, so both fail
         assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes two-route agreement: pass" in lines
-        assert lines[-1] == "selftest: 1 suite(s) FAILED"
-        assert captured.err == (
-            "selftest Kostka-Foulkes calibration: calibration broken for mu=(3,)\n"
+        assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
+        assert lines[-1] == "selftest: 2 suite(s) FAILED"
+        assert captured.err == "".join(
+            f"selftest Kostka-Foulkes {suite}: calibration broken for mu=(3,)\n"
+            for suite in ("calibration", "two-route agreement")
         )
 
     def test_selftest_reports_a_failing_kostka_foulkes_guard(self, tmp_path, capsys, monkeypatch):
