@@ -9,8 +9,9 @@ coefficient sequence, for each n in range.
 import argparse
 import sys
 
+from coinvariant.audit import find_nonunimodal_fake_degrees
 from coinvariant.combinatorics import format_partition
-from coinvariant.graded import fake_degree_hook, find_nonunimodal_fake_degrees
+from coinvariant.graded import fake_degree_hook
 
 
 def main() -> int:

@@ -8,10 +8,10 @@ bit b - k, and its sign is the parity of the set bits between them.
 Rows are memoized per shape, on the mask without its trailing one bits
 (the zero parts), so the rows of smaller shapes are shared across n.
 Full tables and the rows ``character_rows`` picks are one type,
-``CharacterTable``, and both come from ``_mn_row``.  A single value
-``character_value`` takes the same rule one class at a time on beta-set
-tuples (``_border_strip_removals``, ``_mn``), the independent reference
-the rows are tested against.  Everything is an exact Python int.
+``CharacterTable``, and both come from ``_mn_row``.  The independent
+reference the rows are tested against, the same rule one class at a time
+on beta-set tuples, is ``audit.character_value``.  Everything is an exact
+Python int.
 
 Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
@@ -62,42 +62,6 @@ from .errors import NonIntegral
 
 
 @cache
-def _border_strip_removals(lam: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
-    """All ways to remove a border strip of size k: (sign, smaller shape).
-
-    Works on the beta-set (first-column hook lengths): removing a strip of
-    size k means lowering one beta value by k onto an unoccupied value; the
-    strip height is the number of beta values jumped over.
-    """
-    ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    occupied = set(beta)
-    removals: list[tuple[int, Partition]] = []
-    for i, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((occupied - {b}) | {nb}, reverse=True)
-        shape = tuple(new_beta[j] - (ell - 1 - j) for j in range(ell))
-        while shape and shape[-1] == 0:
-            shape = shape[:-1]
-        removals.append((-1 if height % 2 else 1, shape))
-    return tuple(removals)
-
-
-@cache
-def _mn(lam: Partition, rho: Partition) -> int:
-    if not lam:
-        return 1
-    total = 0
-    k, rest = rho[0], rho[1:]
-    for sign, smaller in _border_strip_removals(lam, k):
-        total += sign * _mn(smaller, rest)
-    return total
-
-
-@cache
 def _parts_at_most(m: int, k: int) -> int:
     """How many partitions of m have no part above k: those end the
     canonical order of m."""
@@ -114,8 +78,8 @@ def _mn_row(lam: Partition) -> tuple[int, ...]:
 @cache
 def _beta_row(mask: int, n: int) -> tuple[int, ...]:
     """The row of the shape of |lam| = n whose beta set is the set bits of
-    ``mask``, with no zero part: the rule of ``_mn`` applied a whole block
-    of classes at a time.  The classes whose largest part is k are
+    ``mask``, with no zero part: the rule of ``audit._mn`` applied a whole
+    block of classes at a time.  The classes whose largest part is k are
     (k, *rest) for the rests of n - k with no part above k, in canonical
     order; those rests end the canonical order of n - k, so the block is a
     sum of tails of the rows of the shapes left by removing a k-strip.
@@ -148,12 +112,6 @@ def _beta_row(mask: int, n: int) -> tuple[int, ...]:
                 block = list(map(sub if odd else add, block, tail))
         row += block
     return tuple(row)
-
-
-def character_value(lam: Partition, rho: Partition) -> int:
-    """chi_lam(rho) for partitions of the same n."""
-    check_partition(rho, sum(check_partition(lam)))
-    return _mn(lam, rho)
 
 
 class CharacterTable:

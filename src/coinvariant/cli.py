@@ -10,15 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .combinatorics import (
-    check_partition,
-    conjugate,
-    format_partition,
-    kostka_number,
-    parse_partition,
-    partitions_of,
-    top_degree,
-)
+from .combinatorics import check_partition, format_partition, parse_partition, top_degree
 from .errors import LimitExceeded, NonExactDivision, NonIntegral
 from .parallel import default_jobs
 from .store import CacheStore, check_report_path, report_document, write_report
@@ -261,7 +253,7 @@ def cmd_springer_scan(args) -> int:
     store = CacheStore(args.cache_dir)
     cap = _cap(args, "springer")
     if n_max > cap:
-        raise ValueError(f"n_max {n_max} above cap {cap}; raise the cap explicitly to go higher")
+        raise LimitExceeded(f"springer-scan n_max {n_max} above cap {cap}")
     springer.check_scan_range(n_max)
     ns = range(2, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns))
@@ -277,8 +269,7 @@ def cmd_springer_scan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import characters, graded, kronecker, springer, verify
-    from .polynomials import IntPoly
+    from . import audit
 
     n_max = args.n_max
     if n_max < 2:
@@ -301,44 +292,8 @@ def cmd_selftest(args) -> int:
 
     ns = range(1, n_max + 1)
     _seed(store, args, ("char", ns), ("graded", ns), ("kron", ns[1:]))
-
-    check("conjugation involution", lambda: all(
-        conjugate(conjugate(lam)) == lam for n in range(n_max + 1) for lam in partitions_of(n)
-    ))
-    check("character orthogonality", lambda: all(
-        characters.verify_orthogonality(characters.character_table(n)) for n in ns
-    ))
-    check("fake-degree three-route agreement", lambda: all(
-        graded.fake_degree_syt(lam)
-        == graded.fake_degree_hook(lam)
-        == graded.fake_degree_projection(lam, n)
-        for n in ns
-        for lam in partitions_of(n)
-    ))
-    check("graded duality", lambda: all(graded.check_duality(n) for n in ns))
-    check("Betti log-concavity", lambda: all(verify.betti_log_concavity(n) for n in ns))
-    check("Kronecker identities", lambda: all(
-        kronecker.verify_kronecker_identities(kronecker.kronecker_table(n)) for n in ns[1:]
-    ))
-    def kostka_foulkes():
-        """(lam, mu, K(lam, mu)) at every pair of every n, row lam of type mu's
-        table reversed, each n's tables built inside the suite so that their
-        guards fail it (the cache of ``kostka_foulkes_poly`` outlives a run)."""
-        for n in ns:
-            parts = partitions_of(n)
-            for mu, table in zip(parts, springer.build_springer_tables(n)):
-                yield from ((lam, mu, IntPoly(reversed(row))) for lam, row in zip(parts, table.b))
-
-    # build_springer_tables raises unless every type passes its calibration;
-    # K(lam, mu)(0) is delta(lam, mu) and K(lam, mu)(1) counts SSYT(lam, mu)
-    check("Kostka-Foulkes calibration", lambda: all(
-        poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == kostka_number(lam, mu)
-        for lam, mu, poly in kostka_foulkes()
-    ))
-    check("Kostka-Foulkes two-route agreement", lambda: all(
-        poly == springer.kostka_foulkes_poly_by_charge(lam, mu)
-        for lam, mu, poly in kostka_foulkes()
-    ))
+    for name, suite in audit.suites(ns):
+        check(name, suite)
 
     print(f"selftest: {'all suites pass' if not failures else f'{failures} suite(s) FAILED'}")
     return 0 if failures == 0 else 2

@@ -8,6 +8,10 @@ streams may be consumed from concurrent tasks without coordination.
 Canonical partition order is descending lexicographic starting from ``(n,)``.
 That order is the global indexing contract for every table and report in
 this package.
+
+The tableaux here are the semistandard ones and their charge, which the
+Kostka-Foulkes audit route reads; standard tableaux, the major index and
+the Kostka number, which only audits count, are in ``audit``.
 """
 
 from __future__ import annotations
@@ -200,26 +204,6 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> Iterator[Tableau]:
 
     place(0, 0, ())
     yield from sorted(found)
-
-
-def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
-    """All standard tableaux of ``shape``: the semistandard tableaux of
-    content (1^n), entries 1..n.  The count is n!/hook_product(shape)."""
-    yield from enumerate_ssyt(shape, (1,) * sum(check_partition(shape)))
-
-
-def major_index(tableau: Tableau) -> int:
-    """Sum of entries j such that j+1 sits in a strictly lower row than j."""
-    row_of: dict[int, int] = {}
-    for r, row in enumerate(tableau):
-        for entry in row:
-            row_of[entry] = r
-    n = len(row_of)
-    return sum(j for j in range(1, n) if row_of[j + 1] > row_of[j])
-
-
-def kostka_number(shape: Partition, content: Partition) -> int:
-    return sum(1 for _ in enumerate_ssyt(shape, content))
 
 
 def reading_word(tableau: Tableau) -> tuple[int, ...]:

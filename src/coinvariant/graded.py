@@ -6,12 +6,10 @@ top degree is c = n(n-1)/2.
 
 The multiplicity of the irreducible V(lam) in the degree-i piece equals the
 number of standard tableaux of shape lam with major index i (the fake
-degree).  Three independent routes compute the same polynomial:
-
-* ``fake_degree_syt``        -- direct major-index enumeration,
-* ``fake_degree_hook``       -- q-hook formula (production route, and the
-                                only place the formula is evaluated),
-* ``fake_degree_projection`` -- character projection of the graded character.
+degree).  It is computed one way here, by the q-hook formula
+(``fake_degree_hook``, the only place the formula is evaluated); the
+major-index enumeration and the character projection of the graded
+character that audit it are in ``audit``.
 
 The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 """
@@ -19,19 +17,13 @@ The graded dimensions ``poincare_polynomial`` are ``polynomials.q_factorial``.
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple
 
 from . import memo
-from .characters import character_table
 from .combinatorics import (
     Partition,
-    check_partition,
-    class_sign,
     conjugate,
     dimension,
-    enumerate_syt,
     hook_lengths,
-    major_index,
     n_stat,
     partition_index,
     partitions_of,
@@ -39,31 +31,10 @@ from .combinatorics import (
 )
 from .polynomials import (
     IntPoly,
-    is_unimodal,
     monomial,
     one_minus_q_product,
     q_factorial as poincare_polynomial,
 )
-
-
-def graded_character_poly(n: int, rho: Partition) -> IntPoly:
-    """Graded character at a class of cycle type rho:
-    prod_{i<=n} (1 - q^i) / prod_j (1 - q^{rho_j}), one division by
-    1 - q^part per cycle.  Exact by construction."""
-    check_partition(rho, n)
-    poly = one_minus_q_product(n)
-    for part in rho:
-        poly = poly.divide_one_minus_q_power(part)
-    return poly
-
-
-def fake_degree_syt(lam: Partition) -> IntPoly:
-    """Major-index generating polynomial over standard tableaux of shape lam."""
-    c = top_degree(sum(lam))
-    coeffs = [0] * (c + 1)
-    for tableau in enumerate_syt(lam):
-        coeffs[major_index(tableau)] += 1
-    return IntPoly(coeffs)
 
 
 def fake_degree_hook(lam: Partition) -> IntPoly:
@@ -77,24 +48,13 @@ def fake_degree_hook(lam: Partition) -> IntPoly:
     return monomial(n_stat(lam)) * poly
 
 
-def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
-    """Project the graded character onto V(lam): the q^i coefficient is
-    ``CharacterTable.multiplicity`` of rho -> [q^i] chi(rho, q) at lam, an
-    exact class sum (NonIntegral on a remainder)."""
-    check_partition(lam, n)
-    table = character_table(n)
-    c = top_degree(n)
-    chis = [graded_character_poly(n, rho).padded(c + 1) for rho in table.partitions]
-    return IntPoly(table.multiplicity(column, lam) for column in zip(*chis))
-
-
 class GradedMultiplicityTable:
     """b[lam][i] = multiplicity of V(lam) in the degree-i piece of a graded
     S_n-representation: the coinvariant ring, or a Springer fiber.
 
     The table holds only n and ``b``, one row per partition in canonical
-    order, each running over degrees 0 .. top; ``partitions``,
-    ``top_degree`` and ``supports`` are derived from them.
+    order, each running over degrees 0 .. top; ``partitions`` and
+    ``top_degree`` are derived from them.
     """
 
     def __init__(self, n: int, b: tuple[tuple[int, ...], ...]):
@@ -114,11 +74,6 @@ class GradedMultiplicityTable:
     @property
     def top_degree(self) -> int:
         return len(self.b[0]) - 1
-
-    @property
-    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per degree: the nonzero (row, multiplicity) pairs."""
-        return tuple(map(self.support, range(self.top_degree + 1)))
 
     def index(self, lam: Partition) -> int:
         return partition_index(self.n)[lam]
@@ -187,97 +142,3 @@ def _validate(table: GradedMultiplicityTable) -> None:
 def graded_table(n: int) -> GradedMultiplicityTable:
     """Process-wide memoized table; a disk cache may seed it (see memo)."""
     return memo.lookup("graded", n, build_graded_table)
-
-
-def check_duality(n: int) -> bool:
-    """Both faces of the complementary-degree duality.
-
-    Polynomial face: mirror(chi(rho, q), c) == sign(rho) * chi(rho, q) for
-    every class rho.  Multiplicity face: b[lam][c-i] == b[conjugate(lam)][i].
-    """
-    c = top_degree(n)
-    for rho in partitions_of(n):
-        poly = graded_character_poly(n, rho)
-        if poly.mirror(c) != poly.scale(class_sign(rho)):
-            return False
-    return _duality_failure(graded_table(n)) is None
-
-
-# ---------------------------------------------------------------------------
-# Representation-stability checks
-
-
-class StabilizationReport(NamedTuple):
-    """Padded degree-i multiplicities across n; stable means all constant.
-
-    For a core partition mu, the padded shape at n is (n - |mu|, *mu).
-    ``sequences`` maps each core to the multiplicity sequence over
-    n = n_min .. n_max.
-    """
-
-    degree: int
-    n_min: int
-    n_max: int
-    sequences: tuple[tuple[Partition, tuple[int, ...]], ...]
-    anomalies: tuple[Partition, ...]
-
-    @property
-    def stable(self) -> bool:
-        return not self.anomalies
-
-
-def pad_core(core: Partition, n: int) -> Partition:
-    """(n - |core|, *core); rejects paddings that are not partitions."""
-    first = n - sum(core)
-    if core and first < core[0]:
-        raise ValueError(f"cannot pad {core} to n={n}")
-    if first < 0:
-        raise ValueError(f"cannot pad {core} to n={n}")
-    return (first, *core) if first > 0 else core
-
-
-def stabilization_check(i: int, n_max: int) -> StabilizationReport:
-    """Scan b[pad(core, n)][i] for n in [2i, n_max] for every core of size <= i.
-
-    Any shape with |shape| - shape_1 > i has no tableau of major index i, so
-    the cores of size <= i cover every possibly-nonzero row; this is verified
-    during the scan and any stray nonzero row is reported as an anomaly.
-    """
-    if i < 1:
-        raise ValueError("degree must be >= 1")
-    n_min = 2 * i
-    if n_max < n_min:
-        raise ValueError(f"n_max must be at least {n_min}")
-    cores = [mu for size in range(i + 1) for mu in partitions_of(size)]
-    sequences = []
-    anomalies = []
-    for core in cores:
-        seq = tuple(
-            graded_table(n).multiplicity(pad_core(core, n), i)
-            for n in range(n_min, n_max + 1)
-        )
-        sequences.append((core, seq))
-        if len(set(seq)) > 1:
-            anomalies.append(core)
-    core_set = set(cores)
-    for n in range(n_min, n_max + 1):
-        for r, mult in graded_table(n).support(i):
-            lam = graded_table(n).partitions[r]
-            if lam[1:] not in core_set:
-                anomalies.append(lam[1:])
-    return StabilizationReport(
-        degree=i,
-        n_min=n_min,
-        n_max=n_max,
-        sequences=tuple(sequences),
-        anomalies=tuple(dict.fromkeys(anomalies)),
-    )
-
-
-def find_nonunimodal_fake_degrees(n: int) -> list[Partition]:
-    """All shapes whose fake-degree coefficient sequence is not unimodal."""
-    return [
-        lam
-        for lam in partitions_of(n)
-        if not is_unimodal(fake_degree_hook(lam).coeffs)
-    ]

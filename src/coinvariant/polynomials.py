@@ -14,7 +14,8 @@ remainder raises ``NonExactDivision``.
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import NonExactDivision
@@ -178,23 +179,48 @@ def one_minus_q_power(k: int) -> IntPoly:
     return IntPoly((1,) + (0,) * (k - 1) + (-1,))
 
 
-@cache
+def _times_q_int(coeffs: list[int], k: int) -> list[int]:
+    """coeffs times [k]_q: each output coefficient is the sum of a window
+    of k inputs, a difference of two prefix sums."""
+    prefix = [0, *accumulate(coeffs + [0] * (k - 1))]
+    return list(map(sub, prefix[1:], [0] * (k - 1) + prefix[: len(coeffs)]))
+
+
+def _times_one_minus_q_power(coeffs: list[int], k: int) -> list[int]:
+    """coeffs times 1 - q^k: one shift-subtract pass."""
+    out = coeffs + [0] * k
+    for j, c in enumerate(coeffs):
+        out[j + k] -= c
+    return out
+
+
+_Q_FACTORIALS = {0: ONE}
+_ONE_MINUS_Q_PRODUCTS = {0: ONE}
+
+
+def _product_up_to(n: int, held: dict[int, IntPoly], times) -> IntPoly:
+    """The product of factors 1 .. n (ONE for n <= 0), built in one loop
+    from the product ``held`` keeps for the largest n' <= n, ``times``
+    multiplying by each further factor; every product on the way is kept."""
+    start = n = max(n, 0)
+    while start not in held:
+        start -= 1
+    coeffs = list(held[start].coeffs)
+    for k in range(start + 1, n + 1):
+        coeffs = times(coeffs, k)
+        held[k] = IntPoly(coeffs)
+    return held[n]
+
+
 def q_factorial(n: int) -> IntPoly:
     """[n]_q! = [1]_q [2]_q ... [n]_q; also the Poincare polynomial of the
     coinvariant ring of S_n (``graded.poincare_polynomial``)."""
-    poly = ONE
-    for k in range(1, n + 1):
-        poly = poly * q_int(k)
-    return poly
+    return _product_up_to(n, _Q_FACTORIALS, _times_q_int)
 
 
-@cache
 def one_minus_q_product(n: int) -> IntPoly:
     """prod_{i=1}^{n} (1 - q^i)."""
-    poly = ONE
-    for i in range(1, n + 1):
-        poly = poly * one_minus_q_power(i)
-    return poly
+    return _product_up_to(n, _ONE_MINUS_Q_PRODUCTS, _times_one_minus_q_power)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ prod_{k<=n} (1 - q^k) / prod_j (1 - q^{rho_j}) at every class rho
 (``_graded_characters``), checked against the Betti numbers, and one
 function, ``d_matrix``, decomposes them for every coinvariant scan, on
 the rows where d can be nonzero at the degrees asked for.  A graded
-multiplicity table (a Springer fiber, or the coinvariant ring's table as
-an audit) gives its chi_j from the character rows packed by class, every
-table of one n in one batch (``d_matrices``).
+multiplicity table (a Springer fiber, or the coinvariant ring's table in
+the audits of ``audit``) gives its chi_j from the character rows packed by
+class, every table of one n in one batch (``d_matrices``).
 Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
-independent audit route.
+independent audit route; it stays here while ``perfbench/traced.py``
+counts its calls (ROADMAP item 1).
 
 Degrees outside [0, top] of a graded table contribute zero.
 """
@@ -35,20 +36,11 @@ from operator import mul
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .characters import character_rows, character_table
-from .combinatorics import (
-    Partition,
-    check_partition,
-    dimension,
-    format_partition,
-    partitions_of,
-    top_degree,
-)
+from .combinatorics import Partition, format_partition, partitions_of, top_degree
 # unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
 # when the bench reads in-tree spans (ROADMAP item 1)
 from .parallel import parallel_map  # noqa: F401
-from .polynomials import (
-    is_log_concave, is_unimodal, one_minus_q_product, q_factorial, symmetric_about,
-)
+from .polynomials import is_unimodal, one_minus_q_product, q_factorial, symmetric_about
 
 if TYPE_CHECKING:
     from .graded import GradedMultiplicityTable
@@ -75,17 +67,6 @@ def tensor_multiplicity_vector(
                 if g:
                     acc[k] += weight * g
     return tuple(acc)
-
-
-def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
-    """Multiplicity of V(nu) in H^i (x) H^j of the coinvariant ring."""
-    from .graded import graded_table
-
-    check_partition(nu, n)
-    table = graded_table(n)
-    chars = character_table(n)
-    chi_i, chi_j = chars._combine_rows([table.support(i), table.support(j)])
-    return chars.multiplicity(tuple(map(mul, chi_i, chi_j)), nu)
 
 
 def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
@@ -169,14 +150,6 @@ def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> It
     """chi_i^2 - chi_(i-1) chi_(i+1) at every class, for each i of ``degrees``."""
     for i in degrees:
         yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
-
-
-def d_vector(n: int, nu: Partition) -> list[int]:
-    """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
-    from .graded import graded_table
-
-    row = character_table(n).index(check_partition(nu, n))
-    return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +499,3 @@ class UnimodalityReport(DMatrixReport):
 def verify_d_unimodality(n: int) -> UnimodalityReport:
     check_flag_size(n)
     return UnimodalityReport(n, d_matrix(n))
-
-
-def betti_log_concavity(n: int) -> bool:
-    """Numeric log-concavity of the graded dimensions, cross-checked against
-    the dimension-weighted d identity:
-    sum_nu dim(nu) d[nu][i] == b_i^2 - b_{i-1} b_{i+1}."""
-    from .graded import graded_table
-
-    betti = q_factorial(n).coeffs
-    if not is_log_concave(betti):
-        return False
-    dims = [dimension(nu) for nu in partitions_of(n)]
-    matrix = d_matrices([graded_table(n)])[0]
-    return all(
-        sum(map(mul, dims, matrix[i])) == betti[i] ** 2 - betti[i - 1] * betti[i + 1]
-        for i in matrix
-    )

@@ -15,25 +15,23 @@ from fractions import Fraction
 import pytest
 
 from coinvariant import cli
+from coinvariant.audit import (
+    check_duality,
+    fake_degree_projection,
+    fake_degree_syt,
+    find_nonunimodal_fake_degrees,
+    kostka_number,
+    stabilization_check,
+)
 from coinvariant.characters import character_table
 from coinvariant.combinatorics import (
     centralizer_size,
     conjugate,
     dimension,
     dominates,
-    kostka_number,
     partitions_of,
 )
-from coinvariant.graded import (
-    check_duality,
-    fake_degree_hook,
-    fake_degree_projection,
-    fake_degree_syt,
-    find_nonunimodal_fake_degrees,
-    graded_table,
-    poincare_polynomial,
-    stabilization_check,
-)
+from coinvariant.graded import fake_degree_hook, graded_table, poincare_polynomial
 from coinvariant.kronecker import kronecker_coefficient, kronecker_table
 from coinvariant.parallel import default_jobs
 from coinvariant.polynomials import is_log_concave, is_unimodal, symmetric_about

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coinvariant import characters
+from coinvariant.audit import character_value
 from coinvariant.characters import (
     CharacterTable,
     _mn_row,
@@ -12,7 +13,6 @@ from coinvariant.characters import (
     build_character_table,
     character_rows,
     character_table,
-    character_value,
     verify_orthogonality,
 )
 from coinvariant.combinatorics import (

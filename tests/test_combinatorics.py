@@ -8,7 +8,15 @@ from hypothesis import given, strategies as st
 
 import coinvariant
 from coinvariant import combinatorics
-from coinvariant.characters import character_value
+from coinvariant.audit import (
+    character_value,
+    enumerate_syt,
+    fake_degree_projection,
+    fake_degree_syt,
+    graded_character_poly,
+    kostka_number,
+    major_index,
+)
 from coinvariant.combinatorics import (
     charge,
     centralizer_size,
@@ -19,25 +27,17 @@ from coinvariant.combinatorics import (
     dimension,
     dominates,
     enumerate_ssyt,
-    enumerate_syt,
     format_partition,
     hook_lengths,
     hook_product,
     is_partition,
-    kostka_number,
-    major_index,
     n_stat,
     parse_partition,
     partitions_of,
     reading_word,
 )
 from coinvariant.errors import NonIntegral
-from coinvariant.graded import (
-    fake_degree_hook,
-    fake_degree_projection,
-    fake_degree_syt,
-    graded_character_poly,
-)
+from coinvariant.graded import fake_degree_hook
 from coinvariant.kronecker import kronecker_coefficient
 from coinvariant.springer import kostka_foulkes_poly
 

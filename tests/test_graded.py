@@ -2,23 +2,25 @@ import math
 
 import pytest
 
-from coinvariant import graded
+from coinvariant import audit, graded
+from coinvariant.audit import (
+    check_duality,
+    fake_degree_projection,
+    fake_degree_syt,
+    find_nonunimodal_fake_degrees,
+    graded_character_poly,
+    pad_core,
+    stabilization_check,
+)
 from coinvariant.combinatorics import conjugate, dimension, n_stat, partitions_of
 from coinvariant.errors import NonIntegral
 from coinvariant.graded import (
     GradedMultiplicityTable,
     _validate,
     build_graded_table,
-    check_duality,
     fake_degree_hook,
-    fake_degree_projection,
-    fake_degree_syt,
-    find_nonunimodal_fake_degrees,
-    graded_character_poly,
     graded_table,
-    pad_core,
     poincare_polynomial,
-    stabilization_check,
     top_degree,
 )
 from coinvariant.polynomials import (
@@ -116,7 +118,7 @@ class TestFakeDegrees:
             poly = graded_character_poly(n, rho)
             return poly + ONE if rho == (5,) else poly
 
-        monkeypatch.setattr(graded, "graded_character_poly", bumped)
+        monkeypatch.setattr(audit, "graded_character_poly", bumped)
         with pytest.raises(NonIntegral):
             fake_degree_projection((5,), 5)
 
@@ -189,7 +191,7 @@ class TestDuality:
             poly = graded_character_poly(n, rho)
             return poly + ONE if rho == (3, 1) else poly
 
-        monkeypatch.setattr(graded, "graded_character_poly", bumped)
+        monkeypatch.setattr(audit, "graded_character_poly", bumped)
         assert not check_duality(4)
 
 

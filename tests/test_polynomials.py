@@ -125,6 +125,16 @@ class TestQAnalogs:
             poly = poly * IntPoly([1, -1])
             assert one_minus_q_product(n) == q_factorial(n) * poly
 
+    def test_products_built_from_smaller_n_are_the_dense_products(self):
+        # out of order, so that some n start from a smaller n already built
+        # and others from scratch; negative n is the empty product
+        for n in (16, 3, 9, 0, -2, *range(17)):
+            factorial, product = ONE, ONE
+            for k in range(1, n + 1):
+                factorial, product = factorial * q_int(k), product * one_minus_q_power(k)
+            assert q_factorial(n) == factorial, n
+            assert one_minus_q_product(n) == product, n
+
 
 class TestPredicates:
     def test_examples(self):

@@ -7,12 +7,12 @@ import re
 import pytest
 
 from coinvariant import cli, springer
+from coinvariant.audit import kostka_number
 from coinvariant.characters import CharacterTable, character_table
 from coinvariant.combinatorics import (
     conjugate,
     dimension,
     dominates,
-    kostka_number,
     n_stat,
     partitions_of,
     top_degree,
@@ -371,7 +371,7 @@ class TestBatchedD:
 
         def perturbed(self, supports):
             chis = combine(self, supports)
-            if supports == list(bad.supports):
+            if supports == [bad.support(j) for j in range(bad.top_degree + 1)]:
                 chis[0] = [x + y for x, y in zip(chis[0], h)]
             return chis
 

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import hashlib
@@ -89,7 +90,7 @@ class TestCacheStore:
         loaded = second.get_or_build("graded", 5)
         assert (tmp_path / "graded-5.json").stat().st_mtime_ns == stamp
         assert loaded.b == built.b
-        assert loaded.supports == built.supports
+        assert [loaded.support(i) for i in range(11)] == [built.support(i) for i in range(11)]
         assert loaded.top_degree == built.top_degree == 10
         assert loaded.support(11) == loaded.support(-1) == ()
 
@@ -870,13 +871,13 @@ class TestCli:
     def test_springer_scan_above_cap(self, tmp_path, capsys, n_max):
         assert run_cli(tmp_path, "springer-scan", "--n-max", n_max) == 1
         err = capsys.readouterr().err
-        assert err == f"error: n_max {n_max} above cap 13; raise the cap explicitly to go higher\n"
+        assert err == f"error [LimitExceeded]: springer-scan n_max {n_max} above cap 13\n"
 
     @pytest.mark.parametrize(
         "argv, error",
         [
             (["springer-scan", "--n-max", "20"],
-             "error: n_max 20 above cap 13; raise the cap explicitly to go higher"),
+             "error [LimitExceeded]: springer-scan n_max 20 above cap 13"),
             (["low-degree-harness", "--n-max", "40"],
              "error [LimitExceeded]: low-degree-harness n_max 40 above cap 16"),
             (["selftest", "--n-max", "13"],
@@ -1247,6 +1248,60 @@ class TestCli:
         package = {name.partition(".")[2] for name in loaded if name.startswith("coinvariant.")}
         assert package == route
         assert not {"dataclasses", "inspect", "logging", "csv"} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, status, loaded",
+        [
+            (["verify-flag", "--n", "6"], 0, False),
+            (["unimodal", "--n", "5"], 0, False),
+            (["low-degree-harness", "--n-max", "6"], 0, False),
+            (["springer-scan", "--n-max", "7", "--jobs", "1"], 2, False),
+            (["fake-degrees", "--n", "4", "--lambda", "2,1,1"], 0, False),
+            (["kronecker", "--n", "4", "--lambda", "2,2", "--mu", "2,2", "--nu", "2,2"], 0, False),
+            (["selftest", "--n-max", "3"], 0, True),
+        ],
+        ids=["verify-flag", "unimodal", "low-degree-harness", "springer-scan",
+             "fake-degrees", "kronecker", "selftest"],
+    )
+    def test_only_selftest_loads_the_audit_module(self, tmp_path, argv, status, loaded):
+        env = {**os.environ, "PYTHONPATH": str(Path(coinvariant.__file__).parents[1])}
+        script = (
+            "import sys\n"
+            "import coinvariant.cli\n"
+            "status = coinvariant.cli.run(sys.argv[1:])\n"
+            "print(status, 'coinvariant.audit' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--cache-dir", str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == f"{status} {loaded}", done.stderr
+
+    def test_no_production_module_imports_the_audit_module(self):
+        """The audit routes are reached from ``cli.cmd_selftest`` alone, by a
+        function-level import; no other module imports ``audit`` anywhere."""
+
+        def audit_imports(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    names = [f"{child.module or ''}.{alias.name}" for alias in child.names]
+                else:
+                    names = []
+                if any("audit" in name.split(".") for name in names):
+                    yield scope
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                yield from audit_imports(child, f"{scope}.{child.name}" if inner else scope)
+
+        package = Path(coinvariant.__file__).parent
+        found = [
+            scope
+            for path in sorted(package.glob("*.py"))
+            if path.name != "audit.py"
+            for scope in audit_imports(ast.parse(path.read_text(), str(path)), path.stem)
+        ]
+        assert found == ["cli.cmd_selftest"]
 
     @pytest.mark.parametrize(
         "argv",
