@@ -151,7 +151,7 @@ def _seed(store: CacheStore, args, *requests) -> None:
     """Load or build the tables of every ``(kind, ns)`` request.  Every size
     of a capped kind is checked first, whether or not its file is cached, so
     a refused run touches no table file.  Graded tables have no cap: only
-    springer-scan and selftest request them, each with the char table of its n."""
+    selftest requests them, each with the char table of its n."""
     _check_caps(args, *requests)
     for kind, ns in requests:
         for n in ns:
@@ -254,10 +254,7 @@ def cmd_springer_scan(args) -> int:
     cap = _cap(args, "springer")
     if n_max > cap:
         raise LimitExceeded(f"springer-scan n_max {n_max} above cap {cap}")
-    springer.check_scan_range(n_max)
-    ns = range(2, n_max + 1)
-    _seed(store, args, ("char", ns), ("graded", ns))
-    report = springer.springer_counterexample_search(n_max, jobs=args.jobs, store=store)
+    report = springer.springer_counterexample_search(n_max, store, jobs=args.jobs)
     lines = [
         f"springer-scan n_max={n_max} "
         f"counterexamples={len(report.counterexamples)} status={report.status}"

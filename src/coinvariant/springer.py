@@ -247,14 +247,11 @@ def springer_tables(n: int) -> tuple[GradedMultiplicityTable, ...]:
     return memo.lookup("springer", n, build_springer_tables)
 
 
-def _build_one_n(item: tuple[int, Path | None]) -> tuple[int, list, str | None]:
-    """The d violations of every type of n, whose tables are built from one
-    Hall-Littlewood solve; given a cache directory, a store on it builds
-    them (``CacheStore.build``), writing their ``springer-n`` file, and the
-    digest of that file comes back too."""
+def _build_one_n(item: tuple[int, Path]) -> tuple[int, list, str]:
+    """The d violations of every type of n and the digest of its
+    ``springer-n`` file, which a store on the cache directory writes as it
+    builds the tables from one Hall-Littlewood solve (``CacheStore.build``)."""
     n, root = item
-    if root is None:
-        return n, _violations(n, build_springer_tables(n)), None
     store = CacheStore(root)
     tables = store.build("springer", n)
     return n, _violations(n, tables), store.digests()[f"springer-{n}"]
@@ -265,41 +262,36 @@ def _violations(n: int, tables: tuple[GradedMultiplicityTable, ...]) -> list:
     return [LogConcavityReport(n, matrix).violations for matrix in d_matrices(tables)]
 
 
-def check_scan_range(n_max: int) -> None:
-    """ValueError unless [1, n_max] is a range the search can scan."""
+def springer_counterexample_search(n_max: int, store: CacheStore, jobs: int = 1) -> SpringerScanReport:
+    """All types mu with |mu| <= n_max whose Springer representation fails
+    equivariant log-concavity, grouped by n in canonical order.  Any
+    n_max >= 3 is scanned; the command line caps it.  Every table goes
+    through ``store``: it first loads or builds the ``char``, then the
+    ``graded`` tables of n = 2..n_max, which forked workers inherit.  The
+    sizes whose ``springer-n`` files it reads are checked in this process,
+    so a warm sweep forks nothing.  The other n go to the worker pool,
+    largest first: each worker builds the tables of its n from one
+    Hall-Littlewood solve through ``CacheStore.build`` on the store's
+    directory, which writes the file at once, and returns their d
+    violations and that file's digest, which ``store`` records.  So a sweep
+    that fails keeps the files of the sizes already done.  Either way the d
+    of all types of one n is taken in one batch (``d_matrices``).
+    """
     if n_max < 3:
         raise ValueError(
             f"n range [1, {n_max}] has no type with an interior degree; "
             "n_max must be at least 3"
         )
-
-
-def springer_counterexample_search(n_max: int, jobs: int = 1, store=None) -> SpringerScanReport:
-    """All types mu with |mu| <= n_max whose Springer representation fails
-    equivariant log-concavity, grouped by n in canonical order.  Any
-    n_max >= 3 is scanned; the command line caps it.  The character tables
-    are warmed first.  The sizes whose tables a cache ``store`` reads from
-    its ``springer-n`` files, or without one the memo holds, are checked in
-    this process, so a warm sweep forks nothing.  The other n go to the
-    worker pool, largest first: each worker builds the tables of its n from
-    one Hall-Littlewood solve, with a store through ``CacheStore.build`` on
-    its directory, which writes the file at once, and returns their d
-    violations and that file's digest, which ``store`` records.  So a
-    sweep that fails keeps the files of the sizes already done.  Either way
-    the d of all types of one n is taken in one batch (``d_matrices``).
-    """
-    check_scan_range(n_max)
-    for n in range(2, n_max + 1):
-        character_table(n)
+    for kind in ("char", "graded"):
+        for n in range(2, n_max + 1):
+            store.get_or_build(kind, n)
     ns = range(1, n_max + 1)
-    read = memo.held if store is None else store.read
-    held = {n: read("springer", n) for n in ns}
-    items = [(n, store and store.root) for n in reversed(ns) if held[n] is None]
+    held = {n: store.read("springer", n) for n in ns}
+    items = [(n, store.root) for n in reversed(ns) if held[n] is None]
     violations = {}
     for n, bad, digest in parallel_map(_build_one_n, items, jobs):
         violations[n] = bad
-        if digest is not None:
-            store.record("springer", n, digest)
+        store.record("springer", n, digest)
     for n, tables in held.items():
         if tables is not None:
             violations[n] = _violations(n, tables)

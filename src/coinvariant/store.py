@@ -38,8 +38,10 @@ One route each way for every kind: ``read`` checks a file and adopts its
 table into the process memo, and ``build`` builds a table, writes its
 file, its body spliced from list items encoded one by one, and adopts
 the table.  ``get_or_build`` is ``read``, else ``build``.  The Springer
-sweep reads in its own process and builds in its workers, each on a
-store of its own whose digests the sweep's store ``record``s (see
+sweep does all its table traffic through the store it is given: it loads
+or builds its char and graded tables there, reads its springer files in
+its own process and builds the others in its workers, each on a store of
+its own whose digests the sweep's store ``record``s (see
 ``springer_counterexample_search``).
 
 Reports are wrapped in a document {schema_version, command, parameters,

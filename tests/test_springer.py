@@ -31,7 +31,7 @@ from coinvariant.springer import (
     springer_tables,
     verify_springer_log_concavity,
 )
-from coinvariant.store import table_entry, table_from_entry
+from coinvariant.store import CacheStore, table_entry, table_from_entry
 from coinvariant.verify import d_matrices
 
 # the ten types up to S_10 whose Springer representation fails
@@ -395,29 +395,30 @@ class TestBatchedD:
 
 
 class TestCounterexampleSearch:
-    def test_none_up_to_6(self):
-        report = springer_counterexample_search(6)
+    def test_none_up_to_6(self, tmp_path):
+        report = springer_counterexample_search(6, CacheStore(tmp_path))
         assert report.types() == []
         assert report.status == "pass"
 
-    def test_s7(self):
-        report = springer_counterexample_search(7)
+    def test_s7(self, tmp_path):
+        report = springer_counterexample_search(7, CacheStore(tmp_path))
         assert report.types() == [(4, 1, 1, 1)]
         assert report.status == "fail"
 
-    def test_jobs_identical(self):
-        serial = springer_counterexample_search(7, jobs=1)
-        forked = springer_counterexample_search(7, jobs=2)
+    def test_jobs_identical(self, tmp_path):
+        serial = springer_counterexample_search(7, CacheStore(tmp_path / "1"), jobs=1)
+        forked = springer_counterexample_search(7, CacheStore(tmp_path / "2"), jobs=2)
         assert serial.payload() == forked.payload()
 
-    def test_one_pool_per_scan(self, pool_builds, fresh_memo):
-        # no springer table is held, so every type is built in the pool
-        forked = springer_counterexample_search(8, jobs=2)
+    def test_one_pool_per_scan(self, pool_builds, fresh_memo, tmp_path):
+        # no springer file is cached, so every type is built in the pool
+        forked = springer_counterexample_search(8, CacheStore(tmp_path / "2"), jobs=2)
         assert len(pool_builds) == 1
-        assert forked.payload() == springer_counterexample_search(8, jobs=1).payload()
+        serial = springer_counterexample_search(8, CacheStore(tmp_path / "1"), jobs=1)
+        assert forked.payload() == serial.payload()
         assert len(pool_builds) == 1
 
-    def test_pool_maps_over_n_largest_first(self, fresh_memo, monkeypatch):
+    def test_pool_maps_over_n_largest_first(self, fresh_memo, monkeypatch, tmp_path):
         mapped = []
 
         def inline_map(fn, items, jobs):
@@ -425,9 +426,9 @@ class TestCounterexampleSearch:
             return [fn(item) for item in items]
 
         monkeypatch.setattr(springer, "parallel_map", inline_map)
-        report = springer_counterexample_search(7, jobs=2)
-        # without a store each item carries no cache directory
-        assert mapped == [[(n, None) for n in range(7, 0, -1)]]
+        report = springer_counterexample_search(7, CacheStore(tmp_path), jobs=2)
+        # each item carries the cache directory its worker builds in
+        assert mapped == [[(n, tmp_path) for n in range(7, 0, -1)]]
         assert report.types() == [(4, 1, 1, 1)]
 
     def test_one_cpu_starts_no_pool(self, pool_builds, fresh_memo, monkeypatch, tmp_path):
@@ -449,11 +450,13 @@ class TestCounterexampleSearch:
         items = list(range(100))
         assert parallel_map(math.factorial, items, 2) == [math.factorial(k) for k in items]
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool, fresh_memo):
-        reference = springer_counterexample_search(7, jobs=1).payload()
+    def test_pool_has_at_most_one_worker_per_cpu(self, fake_pool, fresh_memo, tmp_path):
+        reference = springer_counterexample_search(7, CacheStore(tmp_path / "1"), jobs=1).payload()
         assert fake_pool == []
         for jobs, workers in ((2, 2), (3, 3), (4, 3), (500, 3)):
-            assert springer_counterexample_search(7, jobs=jobs).payload() == reference
+            # a fresh store has no springer file, so each sweep maps over a pool
+            store = CacheStore(tmp_path / str(jobs))
+            assert springer_counterexample_search(7, store, jobs=jobs).payload() == reference
             assert fake_pool.pop() == workers
         assert parallel_map(str, [1, 2], 500) == ["1", "2"]
         assert fake_pool == [2]
@@ -463,13 +466,16 @@ class TestCounterexampleSearch:
         assert cli.run(argv) == 2
         assert fake_pool == [3]
 
-    def test_scan_range_needs_an_interior_degree(self):
-        # the sweep has no size cap; the command line holds it
+    def test_scan_range_needs_an_interior_degree(self, tmp_path):
+        # the sweep has no size cap; the command line holds it.  The range
+        # is checked before the store is touched
+        store = CacheStore(tmp_path / "cache")
         with pytest.raises(ValueError, match="n_max must be at least 3"):
-            springer_counterexample_search(2)
+            springer_counterexample_search(2, store)
+        assert not store.root.exists()
 
-    def test_payload_shape(self):
-        payload = springer_counterexample_search(7).payload()
+    def test_payload_shape(self, tmp_path):
+        payload = springer_counterexample_search(7, CacheStore(tmp_path)).payload()
         assert payload["n_range"] == [1, 7]
         entry = payload["counterexamples"][0]
         assert entry["mu"] == "4,1,1,1"

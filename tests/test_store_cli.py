@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import coinvariant
-from coinvariant import cli, graded, memo, springer, verify
+from coinvariant import cli, graded, springer, verify
 from coinvariant.combinatorics import format_partition, partitions_of
 from coinvariant.polynomials import monomial
 from coinvariant.store import (
@@ -409,7 +409,7 @@ class TestCacheStore:
         with caplog.at_level("WARNING", logger="coinvariant.store"):
             table = store.build("graded", 5)
         assert caplog.records == []
-        assert memo.held("graded", 5) is table
+        assert fresh_memo[("graded", 5)] is table
         assert path.read_bytes() == (reference.root / "graded-5.json").read_bytes()
         assert store.digests() == reference.digests()
 
@@ -535,7 +535,7 @@ class TestSpringerCache:
         # the sweep on the empty b finds them, though not on its disk
         sweep("a")
         sweep("a")
-        assert all(memo.held("springer", n) for n in range(1, 8))
+        assert all(fresh_memo.get(("springer", n)) for n in range(1, 8))
         sweep("b")
         files = {
             name: {path.name: path.read_bytes() for path in (tmp_path / name).glob("springer-*.json")}
@@ -550,7 +550,7 @@ class TestSpringerCache:
         store = CacheStore(tmp_path / "cache")
         for kind in ("char", "graded", "springer"):
             table = store.read(kind, 7)
-            assert table is not None and memo.held(kind, 7) is table, kind
+            assert table is not None and fresh_memo.get((kind, 7)) is table, kind
 
     def test_cold_and_warm_payloads_identical_at_every_jobs(self, tmp_path, fresh_memo):
         payloads = set()
@@ -601,12 +601,33 @@ class TestSpringerCache:
         assert mapped == [[7]]
         assert path.read_bytes() == data
 
-    def test_library_search_without_a_store_writes_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "cache"))
-        report = springer.springer_counterexample_search(7, jobs=1)
+    def test_library_search_writes_only_under_its_store(self, tmp_path, monkeypatch):
+        work, env = tmp_path / "work", tmp_path / "env"
+        work.mkdir()
+        env.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(env))
+        report = springer.springer_counterexample_search(7, CacheStore(tmp_path / "store"), jobs=1)
         assert report.types() == [(4, 1, 1, 1)]
-        assert list(tmp_path.iterdir()) == []
+        assert list(work.iterdir()) == [] and list(env.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["env", "store", "work"]
+
+    def test_library_sweep_writes_what_the_command_writes(self, tmp_path, fresh_memo):
+        store = CacheStore(tmp_path / "a")
+        springer.springer_counterexample_search(7, store=store)
+        fresh_memo.clear()
+        out = tmp_path / "scan.json"
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--out", str(out)) == 2
+        files = {
+            name: {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+            for name in ("a", "cache")
+        }
+        assert sorted(files["a"]) == sorted(
+            [f"{kind}-{n}.json" for kind in ("char", "graded") for n in range(2, 8)]
+            + [f"springer-{n}.json" for n in range(1, 8)]
+        )
+        assert files["a"] == files["cache"]
+        assert store.digests() == json.loads(out.read_bytes())["provenance"]["cache_digests"]
 
 
 class TestReportDocuments:
@@ -689,7 +710,7 @@ class TestReportWriter:
             (["low-degree-harness", "--n-max", "6"],
              lambda: verify.low_degree_harness(6), mirror_mismatch, "fail"),
             (["springer-scan", "--n-max", "7"],
-             lambda: springer.springer_counterexample_search(7), None, "fail"),
+             lambda: springer.springer_counterexample_search(7, CacheStore()), None, "fail"),
         ],
         ids=["verify-flag-all", "verify-flag-subset", "verify-flag-violations", "unimodal",
              "low-degree-harness", "low-degree-harness-mirror", "springer-scan"],
@@ -699,6 +720,8 @@ class TestReportWriter:
     ):
         if skew is not None:
             skew(monkeypatch)
+        # the sweep's default store writes beside the command's cache
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path / "library"))
         report = report()
         assert report.status == status
         if status == "fail" and report.row_keys:
@@ -872,6 +895,23 @@ class TestCli:
         assert run_cli(tmp_path, "springer-scan", "--n-max", n_max) == 1
         err = capsys.readouterr().err
         assert err == f"error [LimitExceeded]: springer-scan n_max {n_max} above cap 13\n"
+
+    def test_one_cap_governs_springer_scan(self, tmp_path, capsys, fresh_memo, monkeypatch):
+        reference = tmp_path / "reference.json"
+        argv = ["springer-scan", "--n-max", "7", "--cache-dir", str(tmp_path / "reference")]
+        assert cli.run([*argv, "--out", str(reference)]) == 2
+        # the sweep's char tables lie under the springer cap, not the char cap
+        monkeypatch.setitem(cli.CAPS, "char", 5)
+        monkeypatch.setitem(cli.CAPS, "springer", 7)
+        fresh_memo.clear()
+        out = tmp_path / "scan.json"
+        assert run_cli(tmp_path, "springer-scan", "--n-max", "7", "--out", str(out)) == 2
+        assert payload_bytes(json.loads(out.read_bytes())) == payload_bytes(
+            json.loads(reference.read_bytes())
+        )
+        capsys.readouterr()
+        assert run_cli(tmp_path, "verify-flag", "--n", "6") == 1
+        assert capsys.readouterr().err == "error [LimitExceeded]: char table size 6 outside [1, 5]\n"
 
     @pytest.mark.parametrize(
         "argv, error",

@@ -15,6 +15,7 @@ from coinvariant.errors import NonIntegral
 from coinvariant.graded import graded_table, top_degree
 from coinvariant.kronecker import OnDemandKronecker, kronecker_table
 from coinvariant.springer import springer_counterexample_search, springer_graded_table
+from coinvariant.store import CacheStore
 from coinvariant.verify import (
     d_matrices,
     d_matrix,
@@ -538,7 +539,9 @@ IMMUTABLE = {
         ("violations", "mirror_mismatches"),
     ),
     "unimodal-report": (lambda: verify_d_unimodality(5), "matrix", ("sequences",)),
-    "springer-report": (lambda: springer_counterexample_search(4), "counterexamples", ()),
+    "springer-report": (
+        lambda: springer_counterexample_search(4, CacheStore()), "counterexamples", ()
+    ),
 }
 
 
@@ -547,7 +550,9 @@ class TestImmutability:
     derive is computed once."""
 
     @pytest.mark.parametrize("name", sorted(IMMUTABLE))
-    def test_assignment_raises(self, name):
+    def test_assignment_raises(self, name, tmp_path, monkeypatch):
+        # a sweep's default store writes under the temporary directory
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path))
         make, field, _ = IMMUTABLE[name]
         obj = make()
         held = getattr(obj, field)
