@@ -214,18 +214,8 @@ def verify_springer_log_concavity(mu: Partition) -> LogConcavityReport:
 class SpringerScanReport(ScanReport):
     """Counterexample sweep over all nilpotent types up to n_max."""
 
+    fields = ("n_max", "counterexamples")
     failures = ("counterexamples",)
-
-    def __init__(
-        self,
-        n_max: int,
-        counterexamples: tuple[tuple[Partition, tuple[tuple[Partition, int, int], ...]], ...],
-    ):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "counterexamples", counterexamples)
-
-    def types(self) -> list[Partition]:
-        return [mu for mu, _ in self.counterexamples]
 
     def body(self, entries: list) -> dict:
         # no entry rows: ``entries`` is always empty

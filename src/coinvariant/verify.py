@@ -138,15 +138,16 @@ def d_matrices(tables: Sequence[GradedMultiplicityTable]) -> list[dict[int, tupl
 
     def functions():
         for table, scan in zip(tables, scans):
-            needed = sorted({j for i in scan for j in (i - 1, i, i + 1)})
-            chi = dict(zip(needed, chars._combine_rows([table.support(j) for j in needed])))
+            chi = chars._combine_rows([table.support(j) for j in range(table.top_degree + 1)])
             yield from _d_functions(chi, scan)
 
     vectors = iter(chars._decompose_all(functions()))
     return [dict(zip(scan, vectors)) for scan in scans]
 
 
-def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> Iterator[list[int]]:
+def _d_functions(
+    chi: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], degrees: Iterable[int]
+) -> Iterator[list[int]]:
     """chi_i^2 - chi_(i-1) chi_(i+1) at every class, for each i of ``degrees``."""
     for i in degrees:
         yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
@@ -157,13 +158,20 @@ def _d_functions(chi: Mapping[int, Sequence[int]], degrees: Iterable[int]) -> It
 
 
 class ScanReport:
-    """Shared report shape: a scan fails exactly when one of the fields
-    named in ``failures`` is non-empty.  A report with entry rows names
-    their keys in ``row_keys`` and yields the rows from ``rows()``, the one
-    source of both ``payload()`` and the report file (``store.write_report``)."""
+    """Shared report shape: a report holds one value per name of ``fields``,
+    each set once.  A scan fails exactly when a field named in ``failures``
+    is non-empty.  A report with entry rows names their keys in ``row_keys``
+    and yields them from ``rows()``, the one source of ``payload()`` and ``store.write_report``."""
 
+    fields: ClassVar[tuple[str, ...]] = ()
     failures: ClassVar[tuple[str, ...]] = ()
     row_keys: ClassVar[tuple[str, ...]] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {self.fields}, got {len(values)} values")
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -202,11 +210,8 @@ class DMatrixReport(ScanReport):
     The report holds only n and ``matrix``; ``degrees`` and the entry rows
     (ordered by nu, then by degree) are derived from it."""
 
+    fields = ("n", "matrix")
     row_keys = ("nu", "i", "d")
-
-    def __init__(self, n: int, matrix: Mapping[int, tuple[int, ...]]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", matrix)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -309,13 +314,9 @@ class LowDegreeReport(ScanReport):
     ``mirror_mismatches`` (each (n, nu, m) whose d differs from d[nu][c-m])
     are derived from them."""
 
+    fields = ("n_max", "max_m", "matrices")
     failures = ("violations", "mirror_mismatches")
     row_keys = ("n", "nu", "i", "d")
-
-    def __init__(self, n_max: int, max_m: int, matrices: Mapping[int, Mapping[int, tuple]]):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "max_m", max_m)
-        object.__setattr__(self, "matrices", matrices)
 
     @property
     def entries(self) -> Iterator[tuple[int, Partition, int, int]]:  # (n, nu, i, d)
@@ -481,18 +482,13 @@ class UnimodalityReport(DMatrixReport):
         return tuple(nu for nu, seq in self.sequences if not is_unimodal(seq))
 
     def body(self, entries: list) -> dict:
+        failed = [("not-symmetric", nu) for nu in self.symmetric_failures]
+        failed += [("not-unimodal", nu) for nu in self.unimodal_failures]
         return {
             "n": self.n,
             "kind": "unimodal",
             "entries": entries,
-            "violations": [
-                {"nu": format_partition(nu), "reason": "not-symmetric"}
-                for nu in self.symmetric_failures
-            ]
-            + [
-                {"nu": format_partition(nu), "reason": "not-unimodal"}
-                for nu in self.unimodal_failures
-            ],
+            "violations": [{"nu": format_partition(nu), "reason": why} for why, nu in failed],
         }
 
 

@@ -13,6 +13,7 @@ from coinvariant.combinatorics import (
     conjugate,
     dimension,
     dominates,
+    format_partition,
     n_stat,
     partitions_of,
     top_degree,
@@ -394,16 +395,49 @@ class TestBatchedD:
         assert d_matrices(good) == [d_matrices([table])[0] for table in good]
 
 
+SPRINGER_FRONTIER = {
+    11: [
+        "8,1,1,1", "7,2,1,1", "7,1,1,1,1", "6,2,1,1,1", "6,1,1,1,1,1", "5,2,1,1,1,1",
+        "5,1,1,1,1,1,1",
+    ],
+    12: [
+        "9,1,1,1", "8,2,1,1", "8,1,1,1,1", "7,3,1,1", "7,2,2,1", "7,2,1,1,1",
+        "7,1,1,1,1,1", "6,3,1,1,1", "6,2,2,1,1", "6,2,1,1,1,1", "6,1,1,1,1,1,1",
+    ],
+    13: [
+        "10,1,1,1", "9,2,1,1", "9,1,1,1,1", "8,3,1,1", "8,2,2,1", "8,2,1,1,1",
+        "8,1,1,1,1,1", "7,3,1,1,1", "7,2,2,1,1", "7,2,1,1,1,1", "7,1,1,1,1,1,1",
+        "6,2,2,1,1,1",
+    ],
+    14: [
+        "11,1,1,1", "10,2,1,1", "10,1,1,1,1", "9,3,1,1", "9,2,2,1", "9,2,1,1,1",
+        "9,1,1,1,1,1", "8,3,2,1", "8,3,1,1,1", "8,2,2,2", "8,2,2,1,1", "8,2,1,1,1,1",
+        "8,1,1,1,1,1,1", "7,4,1,1,1", "7,3,1,1,1,1", "7,2,2,2,1", "7,2,2,1,1,1",
+        "7,2,1,1,1,1,1", "7,1,1,1,1,1,1,1", "6,3,1,1,1,1,1",
+    ],
+}
+
+
 class TestCounterexampleSearch:
     def test_none_up_to_6(self, tmp_path):
         report = springer_counterexample_search(6, CacheStore(tmp_path))
-        assert report.types() == []
+        assert [mu for mu, _ in report.counterexamples] == []
         assert report.status == "pass"
 
     def test_s7(self, tmp_path):
         report = springer_counterexample_search(7, CacheStore(tmp_path))
-        assert report.types() == [(4, 1, 1, 1)]
+        assert [mu for mu, _ in report.counterexamples] == [(4, 1, 1, 1)]
         assert report.status == "fail"
+
+    def test_frontier_past_s10(self, fresh_memo, tmp_path):
+        # the failing types of n = 11..14, in canonical order, as the sweep
+        # at n_max 14 found them; the ten up to S_10 are pinned in
+        # tests/test_acceptance.py
+        report = springer_counterexample_search(14, CacheStore(tmp_path))
+        types = [mu for mu, _ in report.counterexamples]
+        found = {n: [format_partition(mu) for mu in types if sum(mu) == n] for n in range(11, 15)}
+        assert found == SPRINGER_FRONTIER
+        assert list(map(len, found.values())) == [7, 11, 12, 20]
 
     def test_jobs_identical(self, tmp_path):
         serial = springer_counterexample_search(7, CacheStore(tmp_path / "1"), jobs=1)
@@ -429,7 +463,7 @@ class TestCounterexampleSearch:
         report = springer_counterexample_search(7, CacheStore(tmp_path), jobs=2)
         # each item carries the cache directory its worker builds in
         assert mapped == [[(n, tmp_path) for n in range(7, 0, -1)]]
-        assert report.types() == [(4, 1, 1, 1)]
+        assert [mu for mu, _ in report.counterexamples] == [(4, 1, 1, 1)]
 
     def test_one_cpu_starts_no_pool(self, pool_builds, fresh_memo, monkeypatch, tmp_path):
         # min(jobs, items, CPUs) = 1 worker, so the cold sweep maps inline

@@ -608,7 +608,7 @@ class TestSpringerCache:
         monkeypatch.chdir(work)
         monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(env))
         report = springer.springer_counterexample_search(7, CacheStore(tmp_path / "store"), jobs=1)
-        assert report.types() == [(4, 1, 1, 1)]
+        assert [mu for mu, _ in report.counterexamples] == [(4, 1, 1, 1)]
         assert list(work.iterdir()) == [] and list(env.iterdir()) == []
         assert sorted(path.name for path in tmp_path.iterdir()) == ["env", "store", "work"]
 

@@ -562,6 +562,20 @@ class TestImmutability:
         assert getattr(obj, field) is held
         assert not hasattr(obj, "extra")
 
+    @pytest.mark.parametrize("name", sorted(name for name in IMMUTABLE if name.endswith("-report")))
+    def test_wrong_number_of_values_raises(self, name, tmp_path, monkeypatch):
+        # every report is built from one value per name of its ``fields``
+        monkeypatch.setenv("COINVARIANT_CACHE_DIR", str(tmp_path))
+        report = IMMUTABLE[name][0]()
+        cls = type(report)
+        values = [getattr(report, field) for field in cls.fields]
+        assert cls(*values).payload() == report.payload()
+        for wrong in (values[:-1], [*values, None]):
+            with pytest.raises(TypeError) as raised:
+                cls(*wrong)
+            message = str(raised.value)
+            assert cls.__name__ in message and all(field in message for field in cls.fields)
+
     @pytest.mark.parametrize(
         "name", sorted(name for name, (_, _, cached) in IMMUTABLE.items() if cached)
     )
