@@ -1,28 +1,30 @@
-"""Audit routes: a second way to each quantity the scans compute, kept
-only to check the production route, and the ``selftest`` suites
-(``suites``).  No production module imports this one, so every scan runs
-one route per quantity; ``cli.cmd_selftest`` and the tests reach it.  The
-routes: one Murnaghan-Nakayama value at a time on beta-set tuples
+"""Audit routes: a second way to each quantity the scans compute, kept only
+to check the production route, and the ``selftest`` suites (``suites``)
+with the one predicate only they use, ``is_log_concave``.  No production
+module imports this one, so every scan runs one route per quantity;
+``cli.cmd_selftest`` and the tests reach it.  The routes: one
+Murnaghan-Nakayama value at a time on beta-set tuples
 (``character_value``); tableaux counted one by one; the fake degrees by
-major index and by character projection of ``graded_character_poly``; the
-duality and stabilization of the graded table; and tensor multiplicities
-and d from that table, against the closed form of ``verify.d_matrix``.
+major index and by character projection of ``graded_character_poly``;
+the duality and stabilization of the graded table; and tensor
+multiplicities and d from that table, against the closed form of
+``verify.d_matrix``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import mul
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import characters, graded, kronecker, springer
 from .characters import character_table
 from .combinatorics import (
     Partition, Tableau, check_partition, class_sign, conjugate, dimension, enumerate_ssyt,
-    partitions_of, top_degree,
+    partition_index, partitions_of, top_degree,
 )
 from .graded import graded_table
-from .polynomials import IntPoly, is_log_concave, is_unimodal, one_minus_q_product, q_factorial
+from .polynomials import IntPoly, is_unimodal, one_minus_q_product, q_factorial
 from .verify import d_matrices
 
 
@@ -119,13 +121,14 @@ def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
 def check_duality(n: int) -> bool:
     """Both faces of the complementary-degree duality.
 
-    Polynomial face: mirror(chi(rho, q), c) == sign(rho) * chi(rho, q) for
-    every class rho.  Multiplicity face: b[lam][c-i] == b[conjugate(lam)][i].
+    Polynomial face: q^c chi(rho, 1/q) == sign(rho) * chi(rho, q) for every
+    class rho, on the coefficients padded to degree c.  Multiplicity face:
+    b[lam][c-i] == b[conjugate(lam)][i].
     """
     c = top_degree(n)
     for rho in partitions_of(n):
-        poly = graded_character_poly(n, rho)
-        if poly.mirror(c) != poly.scale(class_sign(rho)):
+        coeffs = graded_character_poly(n, rho).padded(c + 1)
+        if coeffs[::-1] != tuple(class_sign(rho) * x for x in coeffs):
             return False
     return graded._duality_failure(graded_table(n)) is None
 
@@ -173,7 +176,7 @@ def stabilization_check(i: int, n_max: int) -> StabilizationReport:
     ns = range(n_min, n_max + 1)
     sequences, anomalies = [], []
     for core in cores:
-        seq = tuple(graded_table(n).multiplicity(pad_core(core, n), i) for n in ns)
+        seq = tuple(graded_table(n).b[partition_index(n)[pad_core(core, n)]][i] for n in ns)
         sequences.append((core, seq))
         if len(set(seq)) > 1:
             anomalies.append(core)
@@ -206,6 +209,13 @@ def d_vector(n: int, nu: Partition) -> list[int]:
     return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
 
 
+def is_log_concave(seq: Sequence[int]) -> bool:
+    """a_k^2 >= a_{k-1} * a_{k+1} at every interior index, applied literally."""
+    return all(
+        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
+    )
+
+
 def betti_log_concavity(n: int) -> bool:
     """Numeric log-concavity of the graded dimensions, cross-checked against
     the dimension-weighted d identity:
@@ -227,13 +237,14 @@ def suites(ns: range) -> list[tuple[str, Callable[[], bool]]]:
     routes are looked up on their modules when a check runs."""
 
     def kostka_foulkes():
-        """(lam, mu, K(lam, mu)) at every pair of every n, row lam of type mu's
-        table reversed, each n's tables built inside the suite so that their
-        guards fail it (the cache of ``kostka_foulkes_poly`` outlives a run)."""
+        """(lam, mu, row) at every pair of every n, row lam of type mu's table,
+        the coefficients of K(lam, mu) from degree n(mu) down, each n's tables
+        built inside the suite so that their guards fail it (the cache of
+        ``kostka_foulkes_poly`` outlives a run)."""
         for n in ns:
             parts = partitions_of(n)
             for mu, table in zip(parts, springer.build_springer_tables(n)):
-                yield from ((lam, mu, IntPoly(reversed(row))) for lam, row in zip(parts, table.b))
+                yield from ((lam, mu, row) for lam, row in zip(parts, table.b))
 
     return [
         ("conjugation involution", lambda: all(
@@ -253,13 +264,14 @@ def suites(ns: range) -> list[tuple[str, Callable[[], bool]]]:
             kronecker.verify_kronecker_identities(kronecker.kronecker_table(n)) for n in ns[1:]
         )),
         # build_springer_tables raises unless every type passes its calibration;
-        # K(lam, mu)(0) is delta(lam, mu) and K(lam, mu)(1) counts SSYT(lam, mu)
+        # K(lam, mu)(0), the row's last entry, is delta(lam, mu) and
+        # K(lam, mu)(1), the row sum, counts SSYT(lam, mu)
         ("Kostka-Foulkes calibration", lambda: all(
-            poly.coeff(0) == (1 if lam == mu else 0) and poly(1) == kostka_number(lam, mu)
-            for lam, mu, poly in kostka_foulkes()
+            row[-1] == (1 if lam == mu else 0) and sum(row) == kostka_number(lam, mu)
+            for lam, mu, row in kostka_foulkes()
         )),
         ("Kostka-Foulkes two-route agreement", lambda: all(
-            poly == springer.kostka_foulkes_poly_by_charge(lam, mu)
-            for lam, mu, poly in kostka_foulkes()
+            IntPoly(reversed(row)) == springer.kostka_foulkes_poly_by_charge(lam, mu)
+            for lam, mu, row in kostka_foulkes()
         )),
     ]

@@ -118,9 +118,9 @@ class CharacterTable:
     """Character rows of S_n: ``values[k]`` is chi of ``shapes[k]`` at
     every class of S_n in canonical order.  ``shapes`` defaults to every
     partition of n in canonical order, the full table.  Rows are looked up
-    by shape (``row``, ``value``, ``multiplicity``) and classes by
-    canonical position (``index``, ``partitions``), so a row subset
-    answers as the full table does at its shapes.
+    by shape (``row``, ``multiplicity``) and classes by canonical position
+    (``index``, ``partitions``), so a row subset answers as the full table
+    does at its shapes.
     """
 
     def __init__(
@@ -132,11 +132,6 @@ class CharacterTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("CharacterTable is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CharacterTable) and (self.n, self.values, self.shapes) == (
-            other.n, other.values, other.shapes
-        )
 
     @property
     def partitions(self) -> tuple[Partition, ...]:
@@ -151,9 +146,6 @@ class CharacterTable:
 
     def row(self, lam: Partition) -> tuple[int, ...]:
         return self.values[self._row_index[lam]]
-
-    def value(self, lam: Partition, rho: Partition) -> int:
-        return self.row(lam)[self.index(rho)]
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:

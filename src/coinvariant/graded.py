@@ -64,9 +64,6 @@ class GradedMultiplicityTable:
     def __setattr__(self, name, value):
         raise AttributeError("GradedMultiplicityTable is immutable")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedMultiplicityTable) and (self.n, self.b) == (other.n, other.b)
-
     @property
     def partitions(self) -> tuple[Partition, ...]:
         return partitions_of(self.n)
@@ -74,18 +71,6 @@ class GradedMultiplicityTable:
     @property
     def top_degree(self) -> int:
         return len(self.b[0]) - 1
-
-    def index(self, lam: Partition) -> int:
-        return partition_index(self.n)[lam]
-
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.b[self.index(lam)]
-
-    def multiplicity(self, lam: Partition, i: int) -> int:
-        """b[lam][i]; degrees outside [0, top] hold the zero representation."""
-        if not 0 <= i <= self.top_degree:
-            return 0
-        return self.b[self.index(lam)][i]
 
     def support(self, i: int) -> tuple[tuple[int, int], ...]:
         """Nonzero (partition row, multiplicity) pairs in degree i, read

@@ -1,11 +1,12 @@
 """Dense univariate polynomials over the integers, plus q-analog helpers
-([k]_q, [n]_q!, products of 1 - q^k) and the sequence predicates
-``symmetric_about``, ``is_unimodal`` and ``is_log_concave``.
+([n]_q! and products of 1 - q^k) and the sequence predicates
+``symmetric_about`` and ``is_unimodal``.
 Nothing here knows about partitions: the q-hook fake degree is in ``graded``.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
-exact.  The zero polynomial is the empty coefficient tuple; its degree is
-undefined and operations that need a degree reject it.
+exact.  The zero polynomial is the empty coefficient tuple.  ``IntPoly``
+has only what the engine and its audits use: the product, the one
+division, padded coefficients, equality and the printed form.
 
 The one polynomial division is by 1 - q^k (``divide_one_minus_q_power``),
 the only divisor the engine's quotients of prod_{i<=n} (1 - q^i) need; a
@@ -35,21 +36,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    # -- basic structure ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def padded(self, length: int) -> tuple[int, ...]:
         """Coefficients padded with zeros up to ``length`` entries."""
         if len(self.coeffs) > length:
@@ -59,28 +45,7 @@ class IntPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    # -- ring arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+    # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -93,9 +58,6 @@ class IntPoly:
                     if cb:
                         out[i + j] += ca * cb
         return IntPoly(out)
-
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(k * c for c in self.coeffs)
 
     def divide_one_minus_q_power(self, k: int) -> "IntPoly":
         """Quotient q with q*(1 - q^k) == self exactly; NonExactDivision
@@ -114,24 +76,6 @@ class IntPoly:
         if any(out[-k:]):
             raise NonExactDivision(f"nonzero remainder dividing by 1 - q^{k}")
         return IntPoly(out[:-k])
-
-    def mirror(self, c: int) -> "IntPoly":
-        """Coefficient reversal about degree ``c``: q^c * p(1/q).
-
-        Requires degree(p) <= c; an involution when c == degree(p).
-        """
-        if self.is_zero:
-            return IntPoly()
-        if self.degree > c:
-            raise ValueError(f"degree {self.degree} exceeds mirror degree {c}")
-        padded = self.padded(c + 1)
-        return IntPoly(reversed(padded))
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
 
     # -- text form ------------------------------------------------------
 
@@ -159,24 +103,11 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
 def monomial(k: int) -> IntPoly:
     return IntPoly((0,) * k + (1,))
-
-
-def q_int(k: int) -> IntPoly:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    return IntPoly((1,) * k)
-
-
-def one_minus_q_power(k: int) -> IntPoly:
-    """1 - q^k for k >= 1."""
-    if k < 1:
-        raise ValueError(f"1 - q^k needs k >= 1, got {k}")
-    return IntPoly((1,) + (0,) * (k - 1) + (-1,))
 
 
 def _times_q_int(coeffs: list[int], k: int) -> list[int]:
@@ -243,10 +174,3 @@ def is_unimodal(seq: Sequence[int]) -> bool:
     while k + 1 < len(seq) and seq[k] >= seq[k + 1]:
         k += 1
     return k + 1 >= len(seq)
-
-
-def is_log_concave(seq: Sequence[int]) -> bool:
-    """a_k^2 >= a_{k-1} * a_{k+1} at every interior index, applied literally."""
-    return all(
-        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
-    )

@@ -161,7 +161,7 @@ def kostka_foulkes_poly(lam: Partition, mu: Partition) -> IntPoly:
     check_partition(mu, sum(check_partition(lam)))
     if not mu:
         return ONE
-    return IntPoly(reversed(springer_graded_table(mu).row(lam)))
+    return IntPoly(reversed(springer_graded_table(mu).b[partition_index(sum(mu))[lam]]))
 
 
 def kostka_foulkes_poly_by_charge(lam: Partition, mu: Partition) -> IntPoly:

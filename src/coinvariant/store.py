@@ -14,10 +14,11 @@ followed by the fields of its kind.  A table is read back from n and the
 fields it holds; everything it derives (partitions, class sizes) is
 written for readers of the file only.  The digest covers the stored body
 bytes, so a body written indented by an older version still reads as it
-is.  A digest mismatch, a version mismatch, a file without the header or
-an envelope other than the one the file name promises (say ``graded-4``
-copied over ``graded-5``) or a body of the wrong shape triggers a
-rebuild, never a partial read.  The shapes: a char table needs p(n) rows
+is.  A digest mismatch, a version mismatch, a file without the header, a
+header or body nested deeper than ``json`` parses, an envelope other than
+the one the file name promises (say ``graded-4`` copied over
+``graded-5``) or a body of the wrong shape triggers a rebuild, never a
+partial read.  The shapes: a char table needs p(n) rows
 of p(n) ints, a graded table p(n) rows of n(n-1)/2 + 1 ints, a kron table
 distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and
 g > 0, and a springer table one entry per type, the types exactly the
@@ -332,9 +333,10 @@ class CacheStore:
         except FileNotFoundError:
             return None
         header, _, body = data.partition(b"\n")
+        # RecursionError: json cannot parse a value nested that deep
         try:
             digest = json.loads(header)["sha256"]
-        except (ValueError, KeyError, TypeError):
+        except (RecursionError, ValueError, KeyError, TypeError):
             _warn("cache %s-%s has no digest header; rebuilding", kind, n)
             return None
         if _digest(body) != digest:
@@ -342,7 +344,7 @@ class CacheStore:
             return None
         try:
             doc = json.loads(body)
-        except ValueError:
+        except (RecursionError, ValueError):
             doc = None
         if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
             _warn("cache %s-%s has a stale schema; rebuilding", kind, n)

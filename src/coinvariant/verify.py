@@ -233,11 +233,6 @@ class LogConcavityReport(DMatrixReport):
 
     failures = ("violations",)
 
-    @property
-    def entries(self) -> tuple[tuple[Partition, int, int], ...]:  # (nu, i, d)
-        degrees = self.degrees
-        return tuple((nu, i, d) for nu, column in self._columns() for i, d in zip(degrees, column))
-
     @cached_property
     def violations(self) -> tuple[tuple[Partition, int, int], ...]:
         degrees = self.degrees

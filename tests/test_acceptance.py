@@ -20,6 +20,7 @@ from coinvariant.audit import (
     fake_degree_projection,
     fake_degree_syt,
     find_nonunimodal_fake_degrees,
+    is_log_concave,
     kostka_number,
     stabilization_check,
 )
@@ -34,7 +35,7 @@ from coinvariant.combinatorics import (
 from coinvariant.graded import fake_degree_hook, graded_table, poincare_polynomial
 from coinvariant.kronecker import kronecker_coefficient, kronecker_table
 from coinvariant.parallel import default_jobs
-from coinvariant.polynomials import is_log_concave, is_unimodal, symmetric_about
+from coinvariant.polynomials import is_unimodal, symmetric_about
 from coinvariant.springer import kostka_foulkes_poly, springer_graded_table
 from coinvariant.store import payload_bytes
 from coinvariant.verify import verify_flag_log_concavity
@@ -152,7 +153,9 @@ def test_criterion_05_d_symmetry(capsys):
     for n in range(3, 9):
         report = verify_flag_log_concavity(n)
         c = n * (n - 1) // 2
-        values = {(nu, i): d for nu, i, d in report.entries}
+        values = {
+            (nu, i): d for i, row in report.matrix.items() for nu, d in zip(partitions_of(n), row)
+        }
         for nu in partitions_of(n):
             for i in range(1, c):
                 assert values[(nu, i)] == values[(nu, c - i)], (n, nu, i)
@@ -238,10 +241,10 @@ def test_criterion_08_structural_identities(capsys):
         table = graded_table(n)
         betti = poincare_polynomial(n).padded(table.top_degree + 1)
         dims = {lam: dimension(lam) for lam in table.partitions}
-        for lam in table.partitions:
-            assert sum(table.row(lam)) == dims[lam], (n, lam)
+        for lam, row in zip(table.partitions, table.b):
+            assert sum(row) == dims[lam], (n, lam)
         for i in range(table.top_degree + 1):
-            weighted = sum(dims[lam] * table.row(lam)[i] for lam in table.partitions)
+            weighted = sum(dims[lam] * row[i] for lam, row in zip(table.partitions, table.b))
             assert weighted == betti[i], (n, i)
         assert symmetric_about(betti, table.top_degree), n
         assert is_unimodal(betti) and is_log_concave(betti), n
@@ -258,10 +261,11 @@ def test_criterion_09_kostka_foulkes_calibration(capsys):
     for n in range(1, 9):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                poly = kostka_foulkes_poly(lam, mu)
-                assert poly.coeff(0) == (1 if lam == mu else 0), (lam, mu)
-                assert poly(1) == kostka_number(lam, mu), (lam, mu)
-                assert poly.is_zero == (not dominates(lam, mu)), (lam, mu)
+                coeffs = kostka_foulkes_poly(lam, mu).coeffs
+                # K(0) is the constant term, K(1) the coefficient sum
+                assert sum(coeffs[:1]) == (1 if lam == mu else 0), (lam, mu)
+                assert sum(coeffs) == kostka_number(lam, mu), (lam, mu)
+                assert (not coeffs) == (not dominates(lam, mu)), (lam, mu)
         springer = springer_graded_table((1,) * n)
         assert springer.b == graded_table(n).b, n
     elapsed = time.monotonic() - started

@@ -55,7 +55,7 @@ class TestBuildTable:
 
     def test_n3_dimensions(self):
         table = build_character_table(3)
-        dims = tuple(table.value(lam, (1, 1, 1)) for lam in table.partitions)
+        dims = tuple(table.row(lam)[table.index((1, 1, 1))] for lam in table.partitions)
         assert dims == (1, 2, 1)
 
     def test_dimension_column_matches_hooks(self):
@@ -63,7 +63,7 @@ class TestBuildTable:
             table = character_table(n)
             identity = (1,) * n
             for lam in table.partitions:
-                assert table.value(lam, identity) == dimension(lam)
+                assert table.row(lam)[table.index(identity)] == dimension(lam)
 
     def test_sum_of_squares(self):
         for n in range(1, 13):
@@ -437,7 +437,7 @@ class TestRowSubsets:
                 for lam in shapes:
                     assert rows.row(lam) == table.row(lam)
                     for rho in table.partitions:
-                        assert rows.value(lam, rho) == table.value(lam, rho)
+                        assert rows.row(lam)[rows.index(rho)] == table.row(lam)[table.index(rho)]
                 for f, d in zip(functions, full):
                     assert rows.decompose(f) == tuple(d[k] for k in at), (n, shapes)
                     for lam in shapes:
@@ -454,7 +454,8 @@ class TestRowSubsets:
 
     def test_rows_of_every_partition_are_the_full_table(self):
         for n in range(1, 11):
-            assert character_rows(n, partitions_of(n)) == character_table(n)
+            rows, table = character_rows(n, partitions_of(n)), character_table(n)
+            assert (rows.n, rows.values, rows.shapes) == (table.n, table.values, table.shapes)
 
 
 def reference_d_matrix(table) -> dict[int, tuple[int, ...]]:
@@ -545,7 +546,7 @@ class TestBuildGuards:
         j = table.index(rho)
         for lam in ((5, 1), conjugate((5, 1))):
             values[table.index(lam)][j] *= -1
-        assert table.value((5, 1), rho) == 2
+        assert table.row((5, 1))[j] == 2
         broken = with_values(table, values)
         assert all(
             sum(map(operator.mul, broken.class_sizes, map(operator.mul, row, row))) == 720

@@ -9,10 +9,11 @@ from coinvariant.audit import (
     fake_degree_syt,
     find_nonunimodal_fake_degrees,
     graded_character_poly,
+    is_log_concave,
     pad_core,
     stabilization_check,
 )
-from coinvariant.combinatorics import conjugate, dimension, n_stat, partitions_of
+from coinvariant.combinatorics import conjugate, dimension, n_stat, partition_index, partitions_of
 from coinvariant.errors import NonIntegral
 from coinvariant.graded import (
     GradedMultiplicityTable,
@@ -26,11 +27,15 @@ from coinvariant.graded import (
 from coinvariant.polynomials import (
     ONE,
     IntPoly,
-    is_log_concave,
     is_unimodal,
     monomial,
     symmetric_about,
 )
+
+
+def plus_one(poly):
+    """``poly`` with 1 more at q^0."""
+    return IntPoly((poly.coeffs[0] + 1, *poly.coeffs[1:]))
 
 
 class TestGradedCharacter:
@@ -48,7 +53,7 @@ class TestGradedCharacter:
         # numerator degree n(n+1)/2 minus denominator degree n, for any class
         for n in range(1, 9):
             for rho in partitions_of(n):
-                assert graded_character_poly(n, rho).degree == top_degree(n)
+                assert len(graded_character_poly(n, rho).coeffs) - 1 == top_degree(n)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
@@ -57,7 +62,7 @@ class TestGradedCharacter:
     def test_vanishing_at_one_off_identity(self):
         for n in range(2, 11):
             for rho in partitions_of(n):
-                value = graded_character_poly(n, rho)(1)
+                value = sum(graded_character_poly(n, rho).coeffs)
                 assert value == (math.factorial(n) if rho == (1,) * n else 0)
 
 
@@ -69,13 +74,13 @@ class TestPoincare:
 
     def test_value_at_one_is_group_order(self):
         for n in range(1, 11):
-            assert poincare_polynomial(n)(1) == math.factorial(n)
+            assert sum(poincare_polynomial(n).coeffs) == math.factorial(n)
 
     def test_predicates(self):
         for n in range(1, 13):
             poly = poincare_polynomial(n)
             seq = poly.coeffs
-            assert symmetric_about(seq, poly.degree) and is_unimodal(seq) and is_log_concave(seq)
+            assert symmetric_about(seq, len(seq) - 1) and is_unimodal(seq) and is_log_concave(seq)
 
 
 class TestFakeDegrees:
@@ -116,7 +121,7 @@ class TestFakeDegrees:
         # that must be a multiple of 5! = 120
         def bumped(n, rho):
             poly = graded_character_poly(n, rho)
-            return poly + ONE if rho == (5,) else poly
+            return plus_one(poly) if rho == (5,) else poly
 
         monkeypatch.setattr(audit, "graded_character_poly", bumped)
         with pytest.raises(NonIntegral):
@@ -134,20 +139,19 @@ class TestGradedTable:
     def test_n2(self):
         table = build_graded_table(2)
         assert table.top_degree == 1
-        assert table.row((2,)) == (1, 0)
-        assert table.row((1, 1)) == (0, 1)
+        assert table.partitions == ((2,), (1, 1))
+        assert table.b == ((1, 0), (0, 1))
 
     def test_n3(self):
         table = build_graded_table(3)
         assert table.top_degree == 3
-        assert table.row((3,)) == (1, 0, 0, 0)
-        assert table.row((2, 1)) == (0, 1, 1, 0)
-        assert table.row((1, 1, 1)) == (0, 0, 0, 1)
+        assert table.partitions == ((3,), (2, 1), (1, 1, 1))
+        assert table.b == ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1))
 
     def test_row_sums_are_dimensions(self):
         table = graded_table(6)
-        for lam in table.partitions:
-            assert sum(table.row(lam)) == dimension(lam)
+        for lam, row in zip(table.partitions, table.b):
+            assert sum(row) == dimension(lam)
         # canonical order pins the leading dimension sequence for n = 6
         sums = tuple(sum(row) for row in table.b)
         assert sums[:6] == (1, 5, 9, 10, 5, 16)
@@ -158,14 +162,9 @@ class TestGradedTable:
             betti = poincare_polynomial(n).padded(table.top_degree + 1)
             for i in range(table.top_degree + 1):
                 total = sum(
-                    dimension(lam) * table.row(lam)[i] for lam in table.partitions
+                    dimension(lam) * row[i] for lam, row in zip(table.partitions, table.b)
                 )
                 assert total == betti[i]
-
-    def test_multiplicity_out_of_range_is_zero(self):
-        table = graded_table(3)
-        assert table.multiplicity((2, 1), -1) == 0
-        assert table.multiplicity((2, 1), 99) == 0
 
     def test_support(self):
         table = graded_table(3)
@@ -177,8 +176,9 @@ class TestGradedTable:
 
 class TestDuality:
     def test_explicit_n2(self):
-        poly = graded_character_poly(2, (2,))
-        assert poly.mirror(1) == poly.scale(-1)
+        # 1 - q reversed about degree 1 is -q + 1, its sign twist
+        coeffs = graded_character_poly(2, (2,)).padded(2)
+        assert coeffs[::-1] == tuple(-x for x in coeffs) == (-1, 1)
 
     def test_small(self):
         for n in range(1, 9):
@@ -189,7 +189,7 @@ class TestDuality:
         # own mirror at c = 6
         def bumped(n, rho):
             poly = graded_character_poly(n, rho)
-            return poly + ONE if rho == (3, 1) else poly
+            return plus_one(poly) if rho == (3, 1) else poly
 
         monkeypatch.setattr(audit, "graded_character_poly", bumped)
         assert not check_duality(4)
@@ -198,11 +198,11 @@ class TestDuality:
 def bumped_table(table, *bumps):
     """``table`` with delta added at b[lam][i] and at b[conjugate(lam)][c - i]
     for each (lam, i, delta), which keeps duality."""
-    c = table.top_degree
+    c, idx = table.top_degree, partition_index(table.n)
     b = [list(row) for row in table.b]
     for lam, i, delta in bumps:
-        b[table.index(lam)][i] += delta
-        b[table.index(conjugate(lam))][c - i] += delta
+        b[idx[lam]][i] += delta
+        b[idx[conjugate(lam)]][c - i] += delta
     return GradedMultiplicityTable(table.n, tuple(map(tuple, b)))
 
 
@@ -236,7 +236,7 @@ class TestBuildGuards:
         # swapping their rows keeps every row sum and weighted column
         table = graded_table(6)
         b = list(table.b)
-        a, z = table.index((5, 1)), table.index((3, 3))
+        a, z = partition_index(6)[(5, 1)], partition_index(6)[(3, 3)]
         b[a], b[z] = b[z], b[a]
         broken = GradedMultiplicityTable(6, tuple(b))
         assert guards_held(broken) == (True, False, True)
@@ -259,7 +259,7 @@ class TestBuildGuards:
         # weighted column; only the lowest degree n(lam) tells them apart
         table = graded_table(6)
         b = list(table.b)
-        a, z = table.index((5, 1)), table.index((2, 1, 1, 1, 1))
+        a, z = partition_index(6)[(5, 1)], partition_index(6)[(2, 1, 1, 1, 1)]
         b[a], b[z] = b[z], b[a]
         broken = GradedMultiplicityTable(6, tuple(b))
         assert guards_held(broken) == (True, True, True)
@@ -275,9 +275,9 @@ class TestStabilization:
         # in degree 1 only the shape (n-1, 1) appears, with multiplicity 1
         for n in range(2, 10):
             table = graded_table(n)
-            for lam in table.partitions:
+            for lam, row in zip(table.partitions, table.b):
                 expected = 1 if lam == (n - 1, 1) else 0
-                assert table.multiplicity(lam, 1) == expected
+                assert row[1] == expected
 
     def test_stable_up_to_degree_four(self):
         for i in range(1, 5):

@@ -15,6 +15,7 @@ from coinvariant.combinatorics import (
     dominates,
     format_partition,
     n_stat,
+    partition_index,
     partitions_of,
     top_degree,
 )
@@ -59,7 +60,7 @@ class TestKostkaFoulkes:
         assert kostka_foulkes_poly((2, 1), (1, 1, 1)) == IntPoly([0, 1, 1])
 
     def test_non_dominating_vanishes(self):
-        assert kostka_foulkes_poly((1, 1), (2,)).is_zero
+        assert not kostka_foulkes_poly((1, 1), (2,)).coeffs
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -85,20 +86,21 @@ class TestKostkaFoulkes:
         for n in range(1, 8):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    poly = kostka_foulkes_poly(lam, mu)
-                    assert poly.coeff(0) == (1 if lam == mu else 0)
+                    # the constant term, 0 for the zero polynomial too
+                    coeffs = kostka_foulkes_poly(lam, mu).coeffs
+                    assert sum(coeffs[:1]) == (1 if lam == mu else 0)
 
     def test_value_at_one_is_kostka_number(self):
         for n in range(1, 8):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    assert kostka_foulkes_poly(lam, mu)(1) == kostka_number(lam, mu)
+                    assert sum(kostka_foulkes_poly(lam, mu).coeffs) == kostka_number(lam, mu)
 
     def test_dominance_vanishing(self):
         for n in range(1, 8):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    assert kostka_foulkes_poly(lam, mu).is_zero == (
+                    assert (not kostka_foulkes_poly(lam, mu).coeffs) == (
                         not dominates(lam, mu)
                     )
 
@@ -106,9 +108,9 @@ class TestKostkaFoulkes:
         for n in range(1, 8):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    poly = kostka_foulkes_poly(lam, mu)
-                    if not poly.is_zero:
-                        assert poly.degree == n_stat(mu) - n_stat(lam)
+                    coeffs = kostka_foulkes_poly(lam, mu).coeffs
+                    if coeffs:
+                        assert len(coeffs) - 1 == n_stat(mu) - n_stat(lam)
 
 
 def table_pairs(n):
@@ -247,10 +249,8 @@ class TestSpringerTable:
         for n in (2, 4, 6):
             table = springer_graded_table((n,))
             assert table.top_degree == 0
-            assert table.row((n,)) == (1,)
-            for lam in partitions_of(n):
-                if lam != (n,):
-                    assert table.row(lam) == (0,)
+            for lam, row in zip(partitions_of(n), table.b):
+                assert row == ((1,) if lam == (n,) else (0,))
 
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError, match="not a partition: "):
@@ -259,9 +259,8 @@ class TestSpringerTable:
     def test_subregular_n3(self):
         table = springer_graded_table((2, 1))
         assert table.top_degree == 1
-        assert table.row((3,)) == (1, 0)
-        assert table.row((2, 1)) == (0, 1)
-        assert table.row((1, 1, 1)) == (0, 0)
+        assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
+        assert table.b == ((1, 0), (0, 1), (0, 0))
 
     def test_column_dimension_sums_match_kostka_at_one(self):
         # ungraded, the Springer fiber of type mu carries the permutation
@@ -273,7 +272,7 @@ class TestSpringerTable:
             assert table.top_degree == n_stat(mu)
             assert table.support(-1) == table.support(n_stat(mu) + 1) == ()
             total = sum(
-                dimension(lam) * sum(table.row(lam)) for lam in partitions_of(n)
+                dimension(lam) * sum(row) for lam, row in zip(partitions_of(n), table.b)
             )
             denom = 1
             for part in mu:
@@ -285,7 +284,7 @@ class TestSpringerTable:
         # entry each hold all their zero rows as one object
         for mu, built in zip(partitions_of(7), build_springer_tables(7)):
             read = table_from_entry(mu, json.loads(json.dumps(table_entry(mu, built))))
-            assert read == built
+            assert (read.n, read.b) == (built.n, built.b)
             for table in (built, read):
                 zeros = [row for row in table.b if not any(row)]
                 assert len({id(row) for row in zeros}) == min(len(zeros), 1), mu
@@ -294,7 +293,7 @@ class TestSpringerTable:
 def with_row(table, lam, row):
     """``table`` with the row of ``lam`` replaced."""
     b = list(table.b)
-    b[table.index(lam)] = tuple(row)
+    b[partition_index(table.n)[lam]] = tuple(row)
     return GradedMultiplicityTable(table.n, tuple(b))
 
 
@@ -332,7 +331,7 @@ class TestSpringerLogConcavity:
     def test_vacuous_for_one_row(self):
         report = verify_springer_log_concavity((6,))
         assert report.status == "pass"
-        assert report.entries == ()
+        assert report.matrix == {}
 
     def test_smallest_counterexample(self):
         report = verify_springer_log_concavity((4, 1, 1, 1))

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import coinvariant
-from coinvariant import cli, graded, springer, verify
+from coinvariant import audit, cli, graded, springer, verify
 from coinvariant.combinatorics import format_partition, partitions_of
-from coinvariant.polynomials import monomial
+from coinvariant.polynomials import IntPoly
 from coinvariant.store import (
     _KINDS,
     CacheStore,
@@ -61,6 +61,11 @@ def digest_and_body(path: Path) -> tuple[str, bytes]:
 
 def write_table_file(path: Path, digest: str, body: bytes) -> None:
     path.write_bytes(json.dumps({"sha256": digest}).encode() + b"\n" + body)
+
+
+def fields(tables) -> list:
+    """(n, b) of each graded table: the fields that make up a table."""
+    return [(table.n, table.b) for table in tables]
 
 
 def swap(items: list, a: int, b: int) -> None:
@@ -312,6 +317,31 @@ class TestCacheStore:
         assert path.read_bytes() == true_file
 
     @pytest.mark.parametrize(
+        "part, message", [("header", "has no digest header"), ("body", "has a stale schema")]
+    )
+    def test_too_deeply_nested_file_rebuilds(self, tmp_path, fresh_memo, caplog, part, message):
+        # nested deeper than json can parse: json raises RecursionError, and
+        # the header or body reads as one of the wrong form
+        def run(tag):
+            out = tmp_path / f"{tag}.json"
+            assert run_cli(tmp_path, "verify-flag", "--n", "5", "--out", str(out)) == 0
+            return payload_bytes(json.loads(out.read_bytes()))
+
+        cold = run("cold")
+        path = tmp_path / "cache" / "char-5.json"
+        true_file = path.read_bytes()
+        deep = b"[" * 100000 + b"]" * 100000
+        if part == "header":
+            path.write_bytes(deep + b"\n" + digest_and_body(path)[1])
+        else:
+            write_table_file(path, sha256(deep), deep)
+        fresh_memo.clear()
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            assert run("deep") == cold
+        assert [r.getMessage() for r in caplog.records] == [f"cache char-5 {message}; rebuilding"]
+        assert path.read_bytes() == true_file
+
+    @pytest.mark.parametrize(
         "lam, other",
         [((5, 1), (4, 2)), ((5, 1), (2, 1, 1, 1, 1))],
         ids=["rows-of-two-dimensions", "conjugate-rows"],
@@ -429,7 +459,7 @@ class TestSpringerCache:
         built = CacheStore(tmp_path / "built")
         for n in range(1, 9):
             # read adopts its tables into the memo, so compare a fresh build
-            assert store.read("springer", n) == build_springer_tables(n), n
+            assert fields(store.read("springer", n)) == fields(build_springer_tables(n)), n
             # the store's own build writes the entries the workers returned
             built.get_or_build("springer", n)
             name = f"springer-{n}.json"
@@ -518,7 +548,7 @@ class TestSpringerCache:
         store = CacheStore(cache)
         for path in left:
             n = int(path.stem.split("-")[1])
-            assert store.read("springer", n) == build_springer_tables(n), path.name
+            assert fields(store.read("springer", n)) == fields(build_springer_tables(n)), path.name
         payloads = []
         for name in ("cache", "cold"):
             fresh_memo.clear()
@@ -1176,13 +1206,31 @@ class TestCli:
 
         def skewed(lam, mu):
             poly = charge_route(lam, mu)
-            return poly + monomial(1) if (lam, mu) == ((3, 1), (2, 1, 1)) else poly
+            if (lam, mu) != ((3, 1), (2, 1, 1)):
+                return poly
+            # one more at q^1
+            return IntPoly(c + (k == 1) for k, c in enumerate(poly.coeffs + (0, 0)))
 
         monkeypatch.setattr(springer, "kostka_foulkes_poly_by_charge", skewed)
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
         lines = capsys.readouterr().out.splitlines()
         assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
         assert "selftest Kostka-Foulkes calibration: pass" in lines
+        assert lines[-1] == "selftest: 1 suite(s) FAILED"
+
+    def test_selftest_reports_a_calibration_disagreement(self, tmp_path, capsys, monkeypatch):
+        # K(1) of every pair is the sum of its table row; one Kostka number
+        # off by one fails the calibration suite alone
+        count = audit.kostka_number
+
+        def skewed(shape, content):
+            return count(shape, content) + ((shape, content) == ((3, 1), (2, 1, 1)))
+
+        monkeypatch.setattr(audit, "kostka_number", skewed)
+        assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "selftest Kostka-Foulkes calibration: FAIL" in lines
+        assert "selftest Kostka-Foulkes two-route agreement: pass" in lines
         assert lines[-1] == "selftest: 1 suite(s) FAILED"
 
     def test_warm_and_cold_payloads_identical(self, tmp_path, fresh_memo):
