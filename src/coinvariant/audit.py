@@ -205,7 +205,7 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
 
 def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
-    row = character_table(n).index(check_partition(nu, n))
+    row = partition_index(n)[check_partition(nu, n)]
     return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
 
 

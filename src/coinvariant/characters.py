@@ -26,8 +26,8 @@ Each digit read back is therefore exactly its class sum; every
 multiplicity is still divided by n! with a ``NonIntegral`` check, a whole
 row's digits at once by one division of its packed sum
 (``_exact_digits``), and the build keeps its dimension, twist and
-orthogonality guards.  A table read from a file passes its closed-form
-columns and the twist first (``check_stored_table``).  Combinations
+orthogonality guards.  A table read from a file is used only if it holds
+exactly the rows ``_mn_row`` builds (``check_stored_table``).  Combinations
 sum_k c_k chi_k (graded characters) are taken the same way from the rows
 packed by class, with bound max|chi| * sum_k |c_k|; a table keeps each
 row it has packed, per digit size, so the many Springer tables of one n
@@ -118,9 +118,9 @@ class CharacterTable:
     """Character rows of S_n: ``values[k]`` is chi of ``shapes[k]`` at
     every class of S_n in canonical order.  ``shapes`` defaults to every
     partition of n in canonical order, the full table.  Rows are looked up
-    by shape (``row``, ``multiplicity``) and classes by canonical position
-    (``index``, ``partitions``), so a row subset answers as the full table
-    does at its shapes.
+    by shape (``row``, ``multiplicity``) and classes are in the canonical
+    order of ``partitions``, so a row subset answers as the full table does
+    at its shapes.
     """
 
     def __init__(
@@ -136,9 +136,6 @@ class CharacterTable:
     @property
     def partitions(self) -> tuple[Partition, ...]:
         return partitions_of(self.n)
-
-    def index(self, rho: Partition) -> int:
-        return partition_index(self.n)[rho]
 
     @cached_property
     def _row_index(self) -> dict[Partition, int]:
@@ -343,22 +340,13 @@ def _check_twist(table: CharacterTable) -> None:
 
 
 def check_stored_table(table: CharacterTable) -> None:
-    """The guards a full table read from a file passes before it is used,
-    the columns with closed forms and the twist: the identity column is
-    dim V(lam) (hooks), the transposition column dim V(lam) * 2 * (sum of
-    the contents of lam) / (n(n-1)), whose sign tells lam from lam', and
-    chi_lam' = sign * chi_lam, the check the build also runs.
-    AssertionError otherwise, naming the first row that fails."""
-    n = table.n
-    _check_dimensions(table)
-    # the transposition class, or at n = 1 any class: both sides are then 0
-    at = table.index((2,) + (1,) * (n - 2)) if n > 1 else 0
+    """A table read from a file is used only if every row is the one
+    ``_mn_row`` builds for its shape: the rule is deterministic and its rows
+    passed orthogonality when the file was written, so the check is
+    complete.  AssertionError otherwise, naming the first row that differs."""
     for lam, row in zip(table.shapes, table.values):
-        contents = sum(part * (part - 1) // 2 - i * part for i, part in enumerate(lam))
-        # row[-1] is dim V(lam), checked above
-        if row[at] * n * (n - 1) != 2 * row[-1] * contents:
-            raise AssertionError(f"transposition column wrong at {lam}")
-    _check_twist(table)
+        if row != _mn_row(lam):
+            raise AssertionError(f"row {lam} is not its Murnaghan-Nakayama row")
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:

@@ -24,12 +24,12 @@ distinct entries [a, b, c, g] of ints with 0 <= a <= b <= c < p(n) and
 g > 0, and a springer table one entry per type, the types exactly the
 partitions of n in order, each with top = n(mu) and p(n) rows of even
 length whose degrees increase within [0, top] and whose multiplicities
-are positive ints.  Every char table read passes its closed-form columns
-and the twist (``characters.check_stored_table``), every graded table
-read the guards of its build (``graded._validate``), and every Springer
-table read is calibrated again (``springer._calibrate``); one that fails
-is malformed too.  Every
-write goes to a unique temp file in the same directory and is renamed
+are positive ints.  Every char table read must hold exactly the rows its
+build computes (``characters.check_stored_table``), every graded table
+read passes the guards of its build (``graded._validate``), and every
+Springer table read is calibrated again (``springer._calibrate``); one
+that fails is malformed too.  Every write goes to a new temp file of a
+random name in the same directory, created exclusively, and is renamed
 into place, and no file is shared between tables, so concurrent runs on
 one directory never see a half-written file; every file written, table or
 report, gets the mode any new file gets under the umask.  Any n >= 1 is
@@ -62,7 +62,6 @@ import errno
 import hashlib
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
 from importlib import import_module
 from itertools import chain, islice
@@ -105,23 +104,19 @@ def _warn(message: str, *args) -> None:
 
 
 def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to a unique temp file beside ``path``, then rename it
-    into place with the mode any new file gets under the umask; an OS error
-    names ``path``, never the temp file, and leaves no temp file."""
-    tmp = None
+    """Write ``chunks`` to a new temp file beside ``path``, which exclusive
+    creation gives the mode any new file gets under the umask, then rename
+    it into place; an OS error names ``path``, never the temp file, and no
+    error leaves the temp file behind."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
-            # mkstemp makes the file 0600; reading the umask sets it for a
-            # moment, and the package starts no thread that could create a
-            # file meanwhile
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+        with open(tmp, "xb") as handle:
+            created = True
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
+        if created:
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
@@ -165,8 +160,8 @@ def _rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _char_from_doc(doc: dict) -> CharacterTable:
-    """p(n) rows of p(n) ints, ValueError otherwise, that pass the guards of
-    ``characters.check_stored_table``, AssertionError otherwise."""
+    """p(n) rows of p(n) ints, ValueError otherwise, each the row its build
+    computes (``characters.check_stored_table``), AssertionError otherwise."""
     table = CharacterTable(doc["n"], _rows(doc, "values", len(partitions_of(doc["n"]))))
     check_stored_table(table)
     return table

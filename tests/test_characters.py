@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from coinvariant.characters import (
     _validate,
     build_character_table,
     character_rows,
+    check_stored_table,
     character_table,
     verify_orthogonality,
 )
@@ -20,6 +22,7 @@ from coinvariant.combinatorics import (
     class_sign,
     conjugate,
     dimension,
+    partition_index,
     partitions_of,
 )
 from coinvariant.errors import NonIntegral
@@ -55,7 +58,7 @@ class TestBuildTable:
 
     def test_n3_dimensions(self):
         table = build_character_table(3)
-        dims = tuple(table.row(lam)[table.index((1, 1, 1))] for lam in table.partitions)
+        dims = tuple(table.row(lam)[partition_index(3)[(1, 1, 1)]] for lam in table.partitions)
         assert dims == (1, 2, 1)
 
     def test_dimension_column_matches_hooks(self):
@@ -63,7 +66,7 @@ class TestBuildTable:
             table = character_table(n)
             identity = (1,) * n
             for lam in table.partitions:
-                assert table.row(lam)[table.index(identity)] == dimension(lam)
+                assert table.row(lam)[partition_index(n)[identity]] == dimension(lam)
 
     def test_sum_of_squares(self):
         for n in range(1, 13):
@@ -395,7 +398,7 @@ class TestCharacterRows:
         assert rows.values == tuple(table.row(lam) for lam in shapes)
         functions = [virtual_character(table, range(15)), table.values[3]]
         full = table._decompose_all(functions)
-        at = [table.index(lam) for lam in shapes]
+        at = [partition_index(7)[lam] for lam in shapes]
         assert rows._decompose_all(functions) == [tuple(d[k] for k in at) for d in full]
 
     def test_non_virtual_function_names_the_row_partition(self):
@@ -432,12 +435,13 @@ class TestRowSubsets:
             full = table._decompose_all(functions)
             for shapes in self.subsets(n):
                 rows = character_rows(n, shapes)
-                at = [table.index(lam) for lam in shapes]
+                at = [partition_index(n)[lam] for lam in shapes]
                 assert rows.shapes == shapes
                 for lam in shapes:
                     assert rows.row(lam) == table.row(lam)
                     for rho in table.partitions:
-                        assert rows.row(lam)[rows.index(rho)] == table.row(lam)[table.index(rho)]
+                        j = partition_index(n)[rho]
+                        assert rows.row(lam)[j] == table.row(lam)[j]
                 for f, d in zip(functions, full):
                     assert rows.decompose(f) == tuple(d[k] for k in at), (n, shapes)
                     for lam in shapes:
@@ -506,7 +510,7 @@ class TestTwistPreservingDefects:
             table = character_table(n)
             parts = table.partitions
             for k, lam in enumerate(parts):
-                twin = table.index(conjugate(lam))
+                twin = partition_index(n)[conjugate(lam)]
                 if twin <= k:
                     continue
                 for mu in parts:
@@ -528,9 +532,10 @@ class TestBuildGuards:
         lam, rho = (4, 2), (3, 2, 1)
         assert conjugate(lam) != lam and rho != (1,) * 6
         values = [list(row) for row in table.values]
-        j = table.index(rho)
-        values[table.index(lam)][j] += 1
-        values[table.index(conjugate(lam))][j] += class_sign(rho)
+        index = partition_index(6)
+        j = index[rho]
+        values[index[lam]][j] += 1
+        values[index[conjugate(lam)]][j] += class_sign(rho)
         broken = with_values(table, values)
         assert not verify_orthogonality(broken)
         with pytest.raises(AssertionError, match="orthogonality fails for n=6"):
@@ -543,9 +548,10 @@ class TestBuildGuards:
         table = character_table(6)
         rho = (3, 1, 1, 1)
         values = [list(row) for row in table.values]
-        j = table.index(rho)
+        index = partition_index(6)
+        j = index[rho]
         for lam in ((5, 1), conjugate((5, 1))):
-            values[table.index(lam)][j] *= -1
+            values[index[lam]][j] *= -1
         assert table.row((5, 1))[j] == 2
         broken = with_values(table, values)
         assert all(
@@ -561,7 +567,7 @@ class TestBuildGuards:
         # swapping their rows keeps the dimension column and orthogonality
         table = character_table(6)
         values = list(table.values)
-        a, b = table.index((5, 1)), table.index((3, 3))
+        a, b = partition_index(6)[(5, 1)], partition_index(6)[(3, 3)]
         values[a], values[b] = values[b], values[a]
         broken = with_values(table, values)
         assert verify_orthogonality(broken)
@@ -573,8 +579,38 @@ class TestBuildGuards:
         table = character_table(6)
         values = [list(row) for row in table.values]
         for lam in ((4, 2), (2, 2, 1, 1)):
-            values[table.index(lam)] = [-v for v in values[table.index(lam)]]
+            k = partition_index(6)[lam]
+            values[k] = [-v for v in values[k]]
         broken = with_values(table, values)
         assert verify_orthogonality(broken)
         with pytest.raises(AssertionError, match=r"dimension column wrong at \(4, 2\)"):
             _validate(broken)
+
+
+class TestStoredTableCheck:
+    """A table read from a file is used only if it holds the built rows."""
+
+    def test_built_tables_pass(self):
+        for n in range(1, 11):
+            check_stored_table(character_table(n))
+
+    @pytest.mark.parametrize(
+        "edits, first",
+        [
+            # (3,2,1) is self-conjugate and (3,1,1,1) even: the dimension
+            # column, the transposition column and the twist all still hold
+            ([((3, 2, 1), (3, 1, 1, 1), 18)], (3, 2, 1)),
+            # (4,1,1) is odd, so the matching edit of the conjugate row keeps
+            # the twist; (5,1) comes first in canonical order
+            ([((2, 1, 1, 1, 1), (4, 1, 1), -8), ((5, 1), (4, 1, 1), 8)], (5, 1)),
+        ],
+        ids=["self-conjugate-row", "conjugate-rows"],
+    )
+    def test_an_edited_entry_names_the_first_row_that_differs(self, edits, first):
+        table = character_table(6)
+        index = partition_index(6)
+        values = [list(row) for row in table.values]
+        for lam, rho, delta in edits:
+            values[index[lam]][index[rho]] += delta
+        with pytest.raises(AssertionError, match=re.escape(f"row {first} is not")):
+            check_stored_table(with_values(table, values))

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from coinvariant.polynomials import IntPoly
 from coinvariant.store import (
     _KINDS,
     CacheStore,
+    _atomic_write,
     _char_doc,
     _graded_doc,
     default_cache_dir,
@@ -347,10 +349,9 @@ class TestCacheStore:
         ids=["rows-of-two-dimensions", "conjugate-rows"],
     )
     def test_swapped_char_rows_rebuild(self, tmp_path, fresh_memo, caplog, capsys, lam, other):
-        # a digest-valid char-6 of true rows in the wrong places: the
-        # dimension column tells (5,1) from (4,2), and only the transposition
-        # column tells (5,1) from its conjugate, since the swap keeps the
-        # dimensions, the twist and orthogonality
+        # a digest-valid char-6 of true rows in the wrong places: neither
+        # swap is the rows the build computes, though the conjugate swap
+        # keeps the dimensions, the twist and orthogonality
         commands = [["verify-flag", "--n", "6"], ["unimodal", "--n", "6"],
                     ["springer-scan", "--n-max", "6"]]
 
@@ -375,6 +376,52 @@ class TestCacheStore:
         fresh_memo.clear()
         with caplog.at_level("WARNING", logger="coinvariant.store"):
             assert payloads("swapped") == cold
+        assert [r.getMessage() for r in caplog.records] == ["cache char-6 is malformed; rebuilding"]
+        assert path.read_bytes() == true_file
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # (3,2,1) is self-conjugate and (3,1,1,1) even, so the dimension
+            # column, the transposition column and the twist all hold; read
+            # warm, verify-flag passed with another payload and unimodal
+            # found (3,2,1) not unimodal
+            [((3, 2, 1), (3, 1, 1, 1), 18)],
+            # (4,1,1) is odd, so the matching edit of the conjugate row keeps
+            # the twist; read warm, it gave a log-concavity violation
+            [((5, 1), (4, 1, 1), 8), ((2, 1, 1, 1, 1), (4, 1, 1), -8)],
+        ],
+        ids=["self-conjugate-row", "conjugate-rows"],
+    )
+    def test_forged_char_entries_rebuild(self, tmp_path, fresh_memo, caplog, capsys, edits):
+        # a digest-valid char-6 with entries moved by n!/|C_rho|, so every
+        # class sum stays integral: only the rows the build computes tell
+        commands = [["verify-flag", "--n", "6", "--degrees", "all"], ["unimodal", "--n", "6"],
+                    ["springer-scan", "--n-max", "6"]]
+
+        def payloads(tag):
+            found = []
+            for k, argv in enumerate(commands):
+                out = tmp_path / f"{tag}-{k}.json"
+                assert run_cli(tmp_path, *argv, "--out", str(out)) == 0
+                printed = capsys.readouterr()
+                assert "status=pass" in printed.out and "error" not in printed.err, argv
+                found.append(payload_bytes(json.loads(out.read_bytes())))
+            return found
+
+        cold = payloads("cold")
+        path = tmp_path / "cache" / "char-6.json"
+        true_file = path.read_bytes()
+        _, body = digest_and_body(path)
+        doc = json.loads(body)
+        index = {lam: doc["partitions"].index(format_partition(lam)) for lam in partitions_of(6)}
+        for lam, rho, delta in edits:
+            doc["values"][index[lam]][index[rho]] += delta
+        body = json.dumps(doc, separators=(",", ":")).encode()
+        write_table_file(path, sha256(body), body)
+        fresh_memo.clear()
+        with caplog.at_level("WARNING", logger="coinvariant.store"):
+            assert payloads("forged") == cold
         assert [r.getMessage() for r in caplog.records] == ["cache char-6 is malformed; rebuilding"]
         assert path.read_bytes() == true_file
 
@@ -789,6 +836,27 @@ class TestReportWriter:
             os.umask(old)
         for path in [*outs, tmp_path / "cache" / "char-4.json"]:
             assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("stop"), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))]
+    )
+    def test_a_write_that_fails_midway_keeps_the_old_file(self, tmp_path, error):
+        # the chunks raise after the temp file has bytes in it: the target
+        # keeps its old bytes, the temp file is gone, and an OS error names
+        # the target
+        path = tmp_path / "r.json"
+        path.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise error
+
+        with pytest.raises(type(error)) as raised:
+            _atomic_write(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+        if isinstance(error, OSError):
+            assert raised.value.filename == str(path)
 
 
 class TestCli:
