@@ -108,14 +108,15 @@ def fake_degree_syt(lam: Partition) -> IntPoly:
 
 
 def fake_degree_projection(lam: Partition, n: int) -> IntPoly:
-    """Project the graded character onto V(lam): the q^i coefficient is
-    ``CharacterTable.multiplicity`` of rho -> [q^i] chi(rho, q) at lam, an
-    exact class sum (NonIntegral on a remainder)."""
-    check_partition(lam, n)
+    """Project the graded character onto V(lam): the q^i coefficient is the
+    entry at lam of the decomposition of rho -> [q^i] chi(rho, q), all c + 1
+    degrees in one ``CharacterTable._decompose_all`` batch of exact class
+    sums (NonIntegral on a remainder)."""
+    at = partition_index(n)[check_partition(lam, n)]
     table = character_table(n)
     c = top_degree(n)
     chis = [graded_character_poly(n, rho).padded(c + 1) for rho in table.partitions]
-    return IntPoly(table.multiplicity(column, lam) for column in zip(*chis))
+    return IntPoly(vector[at] for vector in table._decompose_all(zip(*chis)))
 
 
 def check_duality(n: int) -> bool:
@@ -200,7 +201,7 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     table = graded_table(n)
     chars = character_table(n)
     chi_i, chi_j = chars._combine_rows([table.support(i), table.support(j)])
-    return chars.multiplicity(tuple(map(mul, chi_i, chi_j)), nu)
+    return chars.decompose(tuple(map(mul, chi_i, chi_j)))[partition_index(n)[nu]]
 
 
 def d_vector(n: int, nu: Partition) -> list[int]:

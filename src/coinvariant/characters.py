@@ -33,9 +33,10 @@ packed by class, with bound max|chi| * sum_k |c_k|; a table keeps each
 row it has packed, per digit size, so the many Springer tables of one n
 pack each row once per size.  A batch packs each distinct class function
 once and gives every function its own vector (``_decompose_all``), so no
-caller dedupes: the coinvariant d (f_(c-i) = f_i), the Springer sweep's
-one batch per n (its functions repeat across types) and the
-Kostka-Foulkes Gram matrix all share the rule.
+caller dedupes, and it is the one decomposition route: the coinvariant d
+(f_(c-i) = f_i), the Springer sweep's one batch per n (its functions
+repeat across types), the Kostka-Foulkes Gram matrix and a single
+Kronecker coefficient all take it.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ class CharacterTable:
     """Character rows of S_n: ``values[k]`` is chi of ``shapes[k]`` at
     every class of S_n in canonical order.  ``shapes`` defaults to every
     partition of n in canonical order, the full table.  Rows are looked up
-    by shape (``row``, ``multiplicity``) and classes are in the canonical
-    order of ``partitions``, so a row subset answers as the full table does
-    at its shapes.
+    by shape (``row``) and classes are in the canonical order of
+    ``partitions``, so a row subset answers as the full table does at its
+    shapes.  Every decomposition, ``decompose`` included, is one packed
+    ``_decompose_all`` batch.
     """
 
     def __init__(
@@ -159,12 +161,6 @@ class CharacterTable:
         character."""
         return self._decompose_all([values])[0]
 
-    def multiplicity(self, values: Sequence[int], lam: Partition) -> int:
-        """The entry of ``decompose(values)`` at lam, from its one class sum."""
-        k = self._row_index[lam]
-        weighted = map(mul, self.class_sizes, values)
-        return self._exact(sum(map(mul, weighted, self.values[k])), k)
-
     def _decompose_all(self, functions: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         """The multiplicities at every row of each class function in
         ``functions``, in input order, each distinct function decomposed
@@ -193,14 +189,14 @@ class CharacterTable:
         exactly, from one division of ``total``: if total = n! q and every
         digit e of q has |n! e| < half, then the digits n! e expand total,
         and that expansion is unique, so they are its digits.  Otherwise
-        some digit is not divisible, and ``_exact`` names the row."""
+        some digit is not divisible, and NonIntegral names the row."""
         nfact = factorial(self.n)
         quotient, rem = divmod(total, nfact)
         if not rem:
             digits = _unpack(quotient, layout)
             if max(map(abs, digits), default=0) * nfact < layout.half:
                 return digits
-        return [self._exact(digit, k) for digit in _unpack(total, layout)]
+        raise NonIntegral(f"class sum for {self.shapes[k]} is not divisible by {self.n}!")
 
     def _packed_class_sums(self, weighted: Collection[Sequence[int]], layout: _Layout) -> list[int]:
         """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
@@ -208,13 +204,6 @@ class CharacterTable:
         (row, class) does the class sums of every i at once."""
         packed = [_pack(column, layout) for column in zip(*weighted)]
         return [sum(map(mul, row, packed)) for row in self.values]
-
-    def _exact(self, total: int, k: int) -> int:
-        """total / n!, the class sum of the k-th row, exactly."""
-        mult, rem = divmod(total, factorial(self.n))
-        if rem:
-            raise NonIntegral(f"class sum for {self.shapes[k]} is not divisible by {self.n}!")
-        return mult
 
     @cached_property
     def _packed_rows(self) -> dict[int, dict[int, int]]:

@@ -29,12 +29,7 @@ from .combinatorics import (
     partitions_of,
     top_degree,
 )
-from .polynomials import (
-    IntPoly,
-    monomial,
-    one_minus_q_product,
-    q_factorial as poincare_polynomial,
-)
+from .polynomials import IntPoly, one_minus_q_product, q_factorial as poincare_polynomial
 
 
 def fake_degree_hook(lam: Partition) -> IntPoly:
@@ -45,7 +40,7 @@ def fake_degree_hook(lam: Partition) -> IntPoly:
     poly = one_minus_q_product(sum(lam))
     for h in sorted(hook_lengths(lam), reverse=True):
         poly = poly.divide_one_minus_q_power(h)
-    return monomial(n_stat(lam)) * poly
+    return IntPoly((0,) * n_stat(lam) + poly.coeffs)
 
 
 class GradedMultiplicityTable:

@@ -5,12 +5,14 @@ Nothing here knows about partitions: the q-hook fake degree is in ``graded``.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision and
 exact.  The zero polynomial is the empty coefficient tuple.  ``IntPoly``
-has only what the engine and its audits use: the product, the one
-division, padded coefficients, equality and the printed form.
+has only what the engine and its audits use: the one division, padded
+coefficients, equality and the printed form.
 
-The one polynomial division is by 1 - q^k (``divide_one_minus_q_power``),
-the only divisor the engine's quotients of prod_{i<=n} (1 - q^i) need; a
-remainder raises ``NonExactDivision``.
+Every quotient by products of 1 - q^k is one recurrence, q_j = p_j +
+q_(j-k), in ``series_quotient``: the power series of the graded
+characters, and the one polynomial division, by 1 - q^k
+(``divide_one_minus_q_power``), the only divisor the engine's quotients
+of prod_{i<=n} (1 - q^i) need; a remainder raises ``NonExactDivision``.
 """
 
 from __future__ import annotations
@@ -47,32 +49,18 @@ class IntPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return IntPoly(out)
-
     def divide_one_minus_q_power(self, k: int) -> "IntPoly":
         """Quotient q with q*(1 - q^k) == self exactly; NonExactDivision
         otherwise, ValueError for k < 1.
 
-        One pass from low degree up, q_j = p_j + q_(j-k).  The top k values
-        of that pass are the coefficients the quotient would need above
+        The power series quotient to deg(p) + 1 terms (``series_quotient``).
+        Its top k values are the coefficients the quotient would need above
         degree deg(p) - k; since the quotient in Z[q] is unique, it exists
         exactly when they are all zero.
         """
         if k < 1:
             raise ValueError(f"1 - q^k needs k >= 1, got {k}")
-        out = list(self.coeffs)
-        for j in range(k, len(out)):
-            out[j] += out[j - k]
+        out = series_quotient(self.coeffs, (k,), len(self.coeffs))
         if any(out[-k:]):
             raise NonExactDivision(f"nonzero remainder dividing by 1 - q^{k}")
         return IntPoly(out[:-k])
@@ -106,8 +94,14 @@ class IntPoly:
 ONE = IntPoly((1,))
 
 
-def monomial(k: int) -> IntPoly:
-    return IntPoly((0,) * k + (1,))
+def series_quotient(coeffs: Sequence[int], parts: Iterable[int], length: int) -> list[int]:
+    """The first ``length`` coefficients of the power series
+    coeffs / prod over parts p of (1 - q^p)."""
+    out = list(coeffs[:length])
+    for p in parts:
+        for j in range(p, length):
+            out[j] += out[j - p]
+    return out
 
 
 def _times_q_int(coeffs: list[int], k: int) -> list[int]:

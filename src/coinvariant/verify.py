@@ -40,7 +40,7 @@ from .combinatorics import Partition, format_partition, partitions_of, top_degre
 # unused here: perfbench/traced.py wraps verify.parallel_map; the import goes
 # when the bench reads in-tree spans (ROADMAP item 1)
 from .parallel import parallel_map  # noqa: F401
-from .polynomials import is_unimodal, one_minus_q_product, q_factorial, symmetric_about
+from .polynomials import is_unimodal, one_minus_q_product, q_factorial, series_quotient, symmetric_about
 
 if TYPE_CHECKING:
     from .graded import GradedMultiplicityTable
@@ -368,16 +368,6 @@ def low_degree_shapes(n: int, max_m: int) -> tuple[Partition, ...]:
     return tuple(nu for nu in partitions_of(n) if n - nu[0] <= 2 * max_m)
 
 
-def _truncated_quotient(coeffs: Sequence[int], parts: Partition, length: int) -> list[int]:
-    """The first ``length`` coefficients of the power series
-    coeffs / prod over parts p of (1 - q^p)."""
-    out = list(coeffs[:length])
-    for p in parts:
-        for j in range(p, length):
-            out[j] += out[j - p]
-    return out
-
-
 def _graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]]:
     """chi_j at every class rho of S_n, in canonical order: the q^j
     coefficients of N(q) / prod_j (1 - q^{rho_j}), N = prod_{k<=n} (1 - q^k),
@@ -392,9 +382,9 @@ def _graded_characters(n: int, length: int) -> dict[int, tuple[int, ...]]:
     reversed_numerator = numerator[::-1]
     low, top = [], []
     for rho in partitions_of(n):
-        low.append(_truncated_quotient(numerator, rho, min(length, c + 1)))
+        low.append(series_quotient(numerator, rho, min(length, c + 1)))
         sign = -1 if len(rho) % 2 else 1
-        top.append([sign * v for v in _truncated_quotient(reversed_numerator, rho, top_length)])
+        top.append([sign * v for v in series_quotient(reversed_numerator, rho, top_length)])
     chi = {c - k: column for k, column in enumerate(zip(*top))}
     chi.update(enumerate(zip(*low)))
     return chi

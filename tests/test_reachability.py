@@ -38,7 +38,6 @@ ALLOWLIST = {
     "cli.cmd_selftest": ENTRY + ": selftest, which reaches the audit module",
     "cli.cmd_selftest.check": ENTRY + ": one selftest suite",
     # pinned by perfbench/traced.py
-    "characters.CharacterTable.decompose": PINNED,
     "combinatorics.charge": PINNED,
     "combinatorics.enumerate_ssyt": PINNED,
     "combinatorics.enumerate_ssyt.place": PINNED,

@@ -955,6 +955,17 @@ class TestCli:
         assert repr(str(out)) in err
         assert ".tmp" not in err
 
+    def test_out_that_is_a_fifo_is_refused(self, tmp_path, capsys):
+        # the report's rename would put a regular file where the FIFO was
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "report.fifo"
+        os.mkfifo(out)
+        assert run_cli(tmp_path, "verify-flag", "--n", "4", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {str(out)!r} exists and is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert list(cache.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, header, rows, report",
         [
