@@ -6,18 +6,18 @@ module imports this one, so every scan runs one route per quantity;
 Murnaghan-Nakayama value at a time on beta-set tuples
 (``character_value``); tableaux counted one by one; the fake degrees by
 major index and by character projection of ``graded_character_poly``;
-the duality and stabilization of the graded table; and tensor
-multiplicities and d from that table, against the closed form of
-``verify.d_matrix``.
+the duality and stabilization of the graded table; tensor multiplicities
+and d from that table, against ``verify.d_matrix``; and the d of any
+graded table over Kronecker coefficients (``d_by_kronecker``).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from . import characters, graded, kronecker, springer
+from . import characters, graded, kronecker, springer, verify
 from .characters import character_table
 from .combinatorics import (
     Partition, Tableau, check_partition, class_sign, conjugate, dimension, enumerate_ssyt,
@@ -200,7 +200,9 @@ def tensor_pair_multiplicity(n: int, i: int, j: int, nu: Partition) -> int:
     check_partition(nu, n)
     table = graded_table(n)
     chars = character_table(n)
-    chi_i, chi_j = chars._combine_rows([table.support(i), table.support(j)])
+    chi_i, chi_j = chars._combine_rows(
+        [[row[k] if 0 <= k < len(row) else 0 for row in table.b] for k in (i, j)]
+    )
     return chars.decompose(tuple(map(mul, chi_i, chi_j)))[partition_index(n)[nu]]
 
 
@@ -208,6 +210,16 @@ def d_vector(n: int, nu: Partition) -> list[int]:
     """d[nu][i] for i = 1 .. c-1 in the coinvariant ring of S_n."""
     row = partition_index(n)[check_partition(nu, n)]
     return [d[row] for d in d_matrices([graded_table(n)])[0].values()]
+
+
+def d_by_kronecker(table: graded.GradedMultiplicityTable, kron, degrees) -> dict[int, tuple[int, ...]]:
+    """d of ``table`` at ``degrees`` by the tensor route: mult(nu, H^i (x) H^i)
+    - mult(nu, H^(i-1) (x) H^(i+1)), summed over Kronecker coefficients."""
+    vector = verify.tensor_multiplicity_vector
+    return {
+        i: tuple(map(sub, vector(table, kron, i, i), vector(table, kron, i - 1, i + 1)))
+        for i in degrees
+    }
 
 
 def is_log_concave(seq: Sequence[int]) -> bool:
@@ -274,5 +286,14 @@ def suites(ns: range) -> list[tuple[str, Callable[[], bool]]]:
         ("Kostka-Foulkes two-route agreement", lambda: all(
             IntPoly(reversed(row)) == springer.kostka_foulkes_poly_by_charge(lam, mu)
             for lam, mu, row in kostka_foulkes()
+        )),
+        # the batch of all types of n against the tensor route, tables built here
+        ("Springer d two-route agreement", lambda: all(
+            verify.d_matrices(tables) == [
+                d_by_kronecker(table, kronecker.kronecker_table(n), range(1, table.top_degree))
+                for table in tables
+            ]
+            for n in ns[2:]
+            for tables in [springer.build_springer_tables(n)]
         )),
     ]

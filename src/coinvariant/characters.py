@@ -15,35 +15,31 @@ Python int.
 
 Class sums are batched by packing (Kronecker substitution): the values of
 many functions at one class are packed into one integer, digit i of
-signed base 2^w holding function i, so one big-integer multiply-add per
-(row, class) takes the class sums of all of them.  The digit width w is
-bitlen(B) + 2, rounded up to whole bytes (and, below 9 bytes, to 1, 2, 4
-or 8 bytes, whose digits ``struct`` converts in one call), for a proven
-bound B on every digit: max|chi| * sum_rho max_i |C_rho f_i(rho)| for
-decompositions, and n! for row orthogonality, once every row norm is n!
-(Cauchy-Schwarz for the positive form sum_rho |C_rho| a_rho b_rho).
-Each digit read back is therefore exactly its class sum; every
-multiplicity is still divided by n! with a ``NonIntegral`` check, a whole
-row's digits at once by one division of its packed sum
-(``_exact_digits``), and the build keeps its dimension, twist and
-orthogonality guards.  A table read from a file is used only if it holds
-exactly the rows ``_mn_row`` builds (``check_stored_table``).  Combinations
-sum_k c_k chi_k (graded characters) are taken the same way from the rows
-packed by class, with bound max|chi| * sum_k |c_k|; a table keeps each
-row it has packed, per digit size, so the many Springer tables of one n
-pack each row once per size.  A batch packs each distinct class function
-once and gives every function its own vector (``_decompose_all``), so no
-caller dedupes, and it is the one decomposition route: the coinvariant d
-(f_(c-i) = f_i), the Springer sweep's one batch per n (its functions
-repeat across types), the Kostka-Foulkes Gram matrix and a single
-Kronecker coefficient all take it.
+signed base 2^w holding function i, and weighted by |C_rho| as one
+integer, so one big-integer multiply-add per (row, class) takes the class
+sums of all of them.  The digit width w is bitlen(B) + 2, rounded up to
+whole bytes (and, below 9 bytes, to 1, 2, 4 or 8 bytes, whose digits
+``struct`` converts in one call), for a proven bound B on every digit:
+max|chi| * sum_rho |C_rho| max_i |f_i(rho)| for decompositions, and n!
+for row orthogonality, once every row norm is n! (Cauchy-Schwarz for the
+positive form sum_rho |C_rho| a_rho b_rho).  Each digit read back is
+therefore exactly its class sum; every multiplicity is still divided by
+n! with a ``NonIntegral`` check, a whole row's digits at once by one
+division of its packed sum (``_exact_digits``), and the build keeps its
+dimension, twist and orthogonality guards.  A table read from a file is
+used only if it holds exactly the rows ``_mn_row`` builds
+(``check_stored_table``).  Graded characters sum_k c_k chi_k, one per
+dense coefficient column, come from the rows packed by class once per
+call (``_combine_rows``).  A batch compares its functions and decomposes
+each distinct one once (``_decompose_all``); it is the one decomposition
+route, for the coinvariant d, the Springer sweep's one batch per n, the
+Kostka-Foulkes Gram matrix and a single Kronecker coefficient.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cache, cached_property
-from itertools import repeat
 from math import factorial
 from operator import add, mul, neg, sub
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -163,23 +159,18 @@ class CharacterTable:
 
     def _decompose_all(self, functions: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         """The multiplicities at every row of each class function in
-        ``functions``, in input order, each distinct function decomposed
-        once: its weighted values |C_rho| f(rho), equal exactly when the
-        functions are (every |C_rho| > 0), are kept once, in first-seen
-        order, and packed into one class sum per row.  Digit i of row k's
-        sum is sum_rho |C_rho| f_i(rho) chi_k(rho), so every digit and every
-        packed value is at most max|chi| * sum_rho max_i |C_rho f_i(rho)| in
-        size.  ``functions`` may be a generator that drops each f once read."""
-        # each distinct function's weighted values, with their position
-        weighted: dict[tuple[int, ...], int] = {}
-        sizes = self.class_sizes
-        at = [weighted.setdefault(tuple(map(mul, sizes, f)), len(weighted)) for f in functions]
-        per_class = sum(max(map(abs, column)) for column in zip(*weighted))
-        layout = _digit_layout(self._max_abs_value * per_class, len(weighted))
-        totals = self._packed_class_sums(weighted, layout)
-        # drop the weighted values before the multiplicities are made, so
-        # a large batch never holds both
-        del weighted
+        ``functions``, in input order: the functions are compared, and each
+        distinct one, in first-seen order, is digit i of one packed class sum
+        per row k, sum_rho |C_rho| f_i(rho) chi_k(rho), which like every packed
+        value is at most max|chi| * sum_rho |C_rho| max_i |f_i(rho)| in size.
+        ``functions`` may be a generator that drops each f once read."""
+        distinct: dict[tuple[int, ...], int] = {}
+        at = [distinct.setdefault(tuple(f), len(distinct)) for f in functions]
+        per_class = sum(map(mul, self.class_sizes, (max(map(abs, c)) for c in zip(*distinct))))
+        layout = _digit_layout(self._max_abs_value * per_class, len(distinct))
+        totals = self._packed_class_sums(distinct, layout)
+        # dropped before the multiplicities are made: a batch never holds both
+        del distinct
         sums = [self._exact_digits(total, k, layout) for k, total in enumerate(totals)]
         vectors = list(zip(*sums))
         return [vectors[a] for a in at]
@@ -198,32 +189,20 @@ class CharacterTable:
                 return digits
         raise NonIntegral(f"class sum for {self.shapes[k]} is not divisible by {self.n}!")
 
-    def _packed_class_sums(self, weighted: Collection[Sequence[int]], layout: _Layout) -> list[int]:
-        """For every row k, sum_rho chi_k(rho) P_rho, where P_rho packs
-        weighted[i][rho] into digit i: one big-integer multiply-add per
-        (row, class) does the class sums of every i at once."""
-        packed = [_pack(column, layout) for column in zip(*weighted)]
+    def _packed_class_sums(self, functions: Collection[Sequence[int]], layout: _Layout) -> list[int]:
+        """For every row k, sum_rho chi_k(rho) |C_rho| P_rho, P_rho packing functions[i][rho]
+        into digit i: each class column packed and weighted once, for every i at once."""
+        packed = [size * _pack(c, layout) for size, c in zip(self.class_sizes, zip(*functions))]
         return [sum(map(mul, row, packed)) for row in self.values]
 
-    @cached_property
-    def _packed_rows(self) -> dict[int, dict[int, int]]:
-        """Per digit size, the rows ``_combine_rows`` has packed by class so
-        far, by row index; a row's packing depends only on the size, since
-        every layout here has one digit per class."""
-        return {}
-
-    def _combine_rows(self, supports: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
-        """For each sparse list of (row index k, c_k), the class function
-        sum_k c_k chi_k, as one multiply-add per pair on the rows packed by
-        class; every value is at most max|chi| * sum_k |c_k| in size."""
-        weight = max((sum(abs(c) for _, c in support) for support in supports), default=0)
+    def _combine_rows(self, columns: Sequence[Sequence[int]]) -> list[list[int]]:
+        """For each dense coefficient column (c_k over the rows k), the class
+        function sum_k c_k chi_k, each value at most max|chi| * max over
+        columns of sum_k |c_k|: every row packed by class once per call."""
+        weight = max((sum(map(abs, column)) for column in columns), default=0)
         layout = _digit_layout(self._max_abs_value * max(weight, 1), len(self.class_sizes))
-        packed = self._packed_rows.setdefault(layout.size, {})
-        for k in {k for support in supports for k, _ in support} - packed.keys():
-            packed[k] = _pack(self.values[k], layout)
-        return [
-            _unpack(sum(c * packed[k] for k, c in support), layout) for support in supports
-        ]
+        packed = [_pack(row, layout) for row in self.values]
+        return [_unpack(sum(map(mul, column, packed)), layout) for column in columns]
 
 
 def character_rows(n: int, shapes: Iterable[Partition]) -> CharacterTable:
@@ -258,8 +237,8 @@ class _Layout(NamedTuple):
     count: int
 
 
-# struct codes of the unsigned little-endian digit sizes that have one
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# struct codes of the signed little-endian digit sizes that have one
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _digit_layout(bound: int, count: int) -> _Layout:
@@ -277,23 +256,26 @@ def _digit_layout(bound: int, count: int) -> _Layout:
 
 
 def _pack(values: Iterable[int], layout: _Layout) -> int:
-    """sum_i values[i] 2^(8 size i), built from bytes in linear time."""
-    size, half, offset, count = layout
+    """sum_i values[i] 2^(8 size i), built from bytes in linear time: the
+    two's complement of each v is v + half with its top bit flipped, so XOR
+    ``offset`` gives the unsigned digits v + half, and less ``offset`` the sum."""
+    size, _, offset, count = layout
     if size in _FORMATS:
-        data = struct.pack(f"<{count}{_FORMATS[size]}", *map(add, values, repeat(half)))
+        data = struct.pack(f"<{count}{_FORMATS[size]}", *values)
     else:
-        data = b"".join((v + half).to_bytes(size, "little") for v in values)
-    return int.from_bytes(data, "little") - offset
+        data = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
+    return (int.from_bytes(data, "little") ^ offset) - offset
 
 
 def _unpack(total: int, layout: _Layout) -> list[int]:
-    """The signed digits of ``total`` (the inverse of ``_pack``)."""
-    size, half, offset, count = layout
-    data = (total + offset).to_bytes(size * count, "little")
+    """The signed digits of ``total`` (the inverse of ``_pack``): each digit u
+    of total + offset, XOR ``offset``, reads in two's complement as u - half."""
+    size, _, offset, count = layout
+    data = ((total + offset) ^ offset).to_bytes(size * count, "little")
     if size in _FORMATS:
-        return [v - half for v in struct.unpack(f"<{count}{_FORMATS[size]}", data)]
+        return list(struct.unpack(f"<{count}{_FORMATS[size]}", data))
     return [
-        int.from_bytes(data[at : at + size], "little") - half
+        int.from_bytes(data[at : at + size], "little", signed=True)
         for at in range(0, len(data), size)
     ]
 
@@ -351,11 +333,10 @@ def verify_orthogonality(table: CharacterTable) -> bool:
     sum over all rows is n! shifted to digit k.
     """
     nfact = factorial(table.n)
-    weighted = [tuple(map(mul, table.class_sizes, row)) for row in table.values]
-    if any(sum(map(mul, w, row)) != nfact for w, row in zip(weighted, table.values)):
+    if any(sum(map(mul, table.class_sizes, map(mul, row, row))) != nfact for row in table.values):
         return False
-    layout = _digit_layout(nfact, len(weighted))
-    totals = table._packed_class_sums(weighted, layout)
+    layout = _digit_layout(nfact, len(table.values))
+    totals = table._packed_class_sums(table.values, layout)
     return all(total == nfact << (8 * layout.size * k) for k, total in enumerate(totals))
 
 

@@ -69,8 +69,8 @@ class GradedMultiplicityTable:
 
     def support(self, i: int) -> tuple[tuple[int, int], ...]:
         """Nonzero (partition row, multiplicity) pairs in degree i, read
-        from the rows on each call and not kept: a Springer sweep holds
-        many tables and needs each support once."""
+        from the rows on each call and not kept; only calibration and the
+        audit routes read it (a sweep's d reads the degree columns)."""
         if not 0 <= i <= self.top_degree:
             return ()
         return tuple((r, row[i]) for r, row in enumerate(self.b) if row[i])

@@ -5,7 +5,7 @@ class_size(rho) * chi_lam(rho) * chi_mu(rho) * chi_nu(rho).
 
 On-demand pair vectors and single coefficients both decompose the
 product character chi_lam * chi_mu with ``CharacterTable.decompose``, a
-coefficient being its entry at nu; each class sum is divided by n! once
+coefficient on the one row nu alone; each class sum is divided by n! once
 and a remainder raises NonIntegral: a failure means a character table
 bug, never data.  ``build_kronecker_table`` keeps its own bulk loop over
 sorted triples, with the same exactness check, as the independent
@@ -38,7 +38,8 @@ def kronecker_coefficient(
     check_partition(nu, n)
     if table is None:
         table = character_table(n)
-    return table.decompose(tuple(map(mul, table.row(lam), table.row(mu))))[partition_index(n)[nu]]
+    product = tuple(map(mul, table.row(lam), table.row(mu)))
+    return CharacterTable(n, (table.row(nu),), (nu,)).decompose(product)[0]
 
 
 @dataclass

@@ -17,8 +17,9 @@ prod_{k<=n} (1 - q^k) / prod_j (1 - q^{rho_j}) at every class rho
 function, ``d_matrix``, decomposes them for every coinvariant scan, on
 the rows where d can be nonzero at the degrees asked for.  A graded
 multiplicity table (a Springer fiber, or the coinvariant ring's table in
-the audits of ``audit``) gives its chi_j from the character rows packed by
-class, every table of one n in one batch (``d_matrices``).
+the audits of ``audit``) gives its chi_j from its degree columns, every
+table of one n in one pass that takes each distinct column and each
+distinct function once (``d_matrices``).
 Negative d values are findings, so reports always carry the full d
 table, never just a flag.
 ``tensor_multiplicity_vector`` (sums over Kronecker coefficients) is the
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import factorial
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .characters import character_rows, character_table
@@ -50,22 +52,14 @@ SCHEMA_VERSION = 1
 
 
 def tensor_multiplicity_vector(
-    table: GradedMultiplicityTable,
-    kron: KroneckerTable | OnDemandKronecker,
-    i: int,
-    j: int,
+    table: GradedMultiplicityTable, kron: KroneckerTable | OnDemandKronecker, i: int, j: int
 ) -> tuple[int, ...]:
     """Multiplicity of every V(nu) in (degree-i piece) (x) (degree-j piece),
     summed over Kronecker coefficients (the audit route)."""
     acc = [0] * len(table.partitions)
-    right = table.support(j)
     for a, ma in table.support(i):
-        for b, mb in right:
-            weight = ma * mb
-            vec = kron.pair_vector(a, b)
-            for k, g in enumerate(vec):
-                if g:
-                    acc[k] += weight * g
+        for b, mb in table.support(j):
+            acc = list(map(add, acc, map(mul, repeat(ma * mb), kron.pair_vector(a, b))))
     return tuple(acc)
 
 
@@ -81,9 +75,8 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
     and completeness is checked, not assumed: by Parseval the sum of d^2 over every nu is
     <f, f> = (1/n!) sum_rho |C_rho| f(rho)^2 for f = chi_i^2 - chi_(i-1) chi_(i+1),
     so the sum over the rows must equal it exactly, at every degree.  The
-    kernel decomposes each distinct class function once, comparing them
-    (``CharacterTable._decompose_all``): f_(c-i) = f_i for this ring, since
-    chi_(c-j) = sign * chi_j, and functions that differ are each decomposed."""
+    kernel compares the functions and decomposes each distinct one once
+    (f_(c-i) = f_i for this ring, since chi_(c-j) = sign * chi_j)."""
     c = top_degree(n)
     scan = range(1, c) if degrees is None else tuple(degrees)
     for i in scan:
@@ -91,7 +84,7 @@ def d_matrix(n: int, degrees: Iterable[int] | None = None) -> dict[int, tuple[in
             raise ValueError(f"degree {i} outside interior range [1, {c - 1}]")
     m = _depth(c, scan)
     chi = _checked_graded_characters(n, m + 2)
-    functions = list(_d_functions(chi, scan))
+    functions = list(_d_functions(chi, ((i - 1, i, i + 1) for i in scan)))
     if needs_every_row(n, scan):
         vectors = character_table(n)._decompose_all(functions)
     else:
@@ -124,33 +117,34 @@ def _depth(top: int, degrees: Iterable[int]) -> int:
 
 def d_matrices(tables: Sequence[GradedMultiplicityTable]) -> list[dict[int, tuple[int, ...]]]:
     """The d matrix of every table of ``tables``, all of one n, at its every
-    interior degree: the functions chi_i^2 - chi_(i-1) chi_(i+1) of every
-    table in one batch, one packed class sum per irreducible, each distinct
-    function once (``CharacterTable._decompose_all``; the functions of one n
-    repeat across types).  A table's graded characters are dropped before the
-    next table's are taken, so the batch holds only its weighted functions."""
+    interior degree, with no work repeated across the types of one n: each
+    distinct degree column (b[lam][j] over lam) becomes its chi_j once
+    (``CharacterTable._combine_rows``), each distinct triple of adjacent
+    columns its function once, and every function goes into one batch
+    (``CharacterTable._decompose_all``, which compares them)."""
     if len({table.n for table in tables}) > 1:
         raise ValueError("d_matrices needs tables of one n")
     if not tables:
         return []
-    scans = [range(1, table.top_degree) for table in tables]
     chars = character_table(tables[0].n)
-
-    def functions():
-        for table, scan in zip(tables, scans):
-            chi = chars._combine_rows([table.support(j) for j in range(table.top_degree + 1)])
-            yield from _d_functions(chi, scan)
-
-    vectors = iter(chars._decompose_all(functions()))
-    return [dict(zip(scan, vectors)) for scan in scans]
+    # first-seen ids of the distinct columns and of the distinct triples of
+    # adjacent column ids; at[t] holds table t's triple ids at degrees 1..top-1
+    columns: dict[tuple[int, ...], int] = {}
+    triples: dict[tuple[int, ...], int] = {}
+    at = []
+    for table in tables:
+        ids = [columns.setdefault(column, len(columns)) for column in zip(*table.b)]
+        at.append([triples.setdefault(t, len(triples)) for t in zip(ids, ids[1:], ids[2:])])
+    vectors = chars._decompose_all(_d_functions(chars._combine_rows(list(columns)), triples))
+    return [{i: vectors[k] for i, k in enumerate(found, 1)} for found in at]
 
 
 def _d_functions(
-    chi: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], degrees: Iterable[int]
-) -> Iterator[list[int]]:
-    """chi_i^2 - chi_(i-1) chi_(i+1) at every class, for each i of ``degrees``."""
-    for i in degrees:
-        yield [x * x - lo * hi for x, lo, hi in zip(chi[i], chi[i - 1], chi[i + 1])]
+    chi: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], triples: Iterable[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """chi_i^2 - chi_h chi_j at every class, for each (h, i, j) of ``triples``."""
+    for h, i, j in triples:
+        yield tuple(map(sub, map(mul, chi[i], chi[i]), map(mul, chi[h], chi[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +229,8 @@ class LogConcavityReport(DMatrixReport):
 
     @cached_property
     def violations(self) -> tuple[tuple[Partition, int, int], ...]:
+        if self.min_d is None or self.min_d >= 0:
+            return ()
         degrees = self.degrees
         return tuple(
             (nu, i, d) for nu, column in self._columns() for i, d in zip(degrees, column) if d < 0

@@ -1,6 +1,7 @@
 import math
 import operator
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -256,9 +257,9 @@ class TestPackedKernel:
         packed = []
         class_sums = CharacterTable._packed_class_sums
 
-        def recording(self, weighted, layout):
-            packed.append(list(weighted))
-            return class_sums(self, weighted, layout)
+        def recording(self, functions, layout):
+            packed.append(list(functions))
+            return class_sums(self, functions, layout)
 
         monkeypatch.setattr(CharacterTable, "_packed_class_sums", recording)
         for n in range(1, 9):
@@ -270,14 +271,14 @@ class TestPackedKernel:
             ]
             # every product again in reverse, and the first once more: the
             # products repeat already (chi_sign chi_lam = chi_lam'), and
-            # only their distinct weighted values, in first-seen order, are packed
+            # only the distinct functions, in first-seen order, are packed
             batch = products + products[::-1] + products[:1]
             distinct = list(dict.fromkeys(products))
             packed.clear()
             assert table._decompose_all(batch) == [
                 reference_decompose(table, product) for product in batch
             ], n
-            assert packed == [[tuple(map(operator.mul, table.class_sizes, f)) for f in distinct]], n
+            assert packed == [distinct], n
 
     @given(
         st.integers(1, 7).flatmap(
@@ -337,11 +338,51 @@ class TestPackedKernel:
         assert character_table(4)._decompose_all([]) == []
 
 
-class TestPackedRows:
-    """``CharacterTable._combine_rows`` keeps the rows it packed, per digit size."""
+class TestDigitPacking:
+    """``_pack`` and ``_unpack`` against the plain signed base-2^(8 size)
+    expansion, at every ``struct`` digit size and at two sizes past it."""
 
-    def test_each_row_is_packed_once_per_digit_size(self, monkeypatch):
+    @staticmethod
+    def layout(size, count):
+        # a bound of bit length 8 size - 2 takes exactly ``size`` bytes
+        layout = characters._digit_layout((1 << (8 * size - 2)) - 1, count)
+        assert layout.size == size
+        return layout
+
+    @given(
+        st.sampled_from([1, 2, 4, 8, 9, 17]).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(st.integers(-(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1), max_size=9),
+            )
+        )
+    )
+    def test_round_trip_at_every_digit(self, case):
+        size, values = case
+        layout = self.layout(size, len(values))
+        total = sum(v << (8 * size * i) for i, v in enumerate(values))
+        assert characters._pack(values, layout) == total
+        assert characters._unpack(total, layout) == values
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 17])
+    def test_extremes_and_out_of_range_digits(self, size):
+        half = 1 << (8 * size - 1)
+        values = [-half, half - 1, 0, -1, 1, half - 1, -half]
+        layout = self.layout(size, len(values))
+        assert characters._unpack(characters._pack(values, layout), layout) == values
+        for bad in (half, -half - 1):
+            with pytest.raises((struct.error, OverflowError)):
+                characters._pack([*values, bad], self.layout(size, len(values) + 1))
+
+
+class TestCombineRows:
+    """``CharacterTable._combine_rows`` on dense coefficient columns packs
+    every row once per call, at the digit size its widest column needs, and
+    keeps nothing between calls."""
+
+    def test_each_row_is_packed_once_per_call(self, monkeypatch):
         table = build_character_table(6)
+        count = len(table.values)
         packed = []
         pack = characters._pack
 
@@ -350,26 +391,22 @@ class TestPackedRows:
             return pack(values, layout)
 
         monkeypatch.setattr(characters, "_pack", recording_pack)
-        small = [[(0, 1), (3, 2)], [(3, -1)]]
-        expected = [
-            virtual_character(table, [1, 0, 0, 2] + [0] * 7),
-            virtual_character(table, [0, 0, 0, -1] + [0] * 7),
-        ]
+        small = [[1, 0, 0, 2] + [0] * 7, [0, 0, 0, -1] + [0] * 7, [0] * count]
+        expected = [virtual_character(table, c) for c in small]
         assert table._combine_rows(small) == expected
+        narrow = packed[0][1]
+        assert sorted(packed) == [(k, narrow) for k in range(count)]
+        # nothing is kept: a second call packs every row again
+        packed.clear()
         assert table._combine_rows(small) == expected
-        first = sorted(packed)
-        assert [k for k, _ in first] == [0, 3]
-        # a weight that needs wider digits packs its rows again, once
-        large = [[(0, 2**40), (5, -1)]]
-        assert table._combine_rows(large) == [
-            virtual_character(table, [2**40, 0, 0, 0, 0, -1] + [0] * 5)
-        ]
-        wide = sorted(set(packed) - set(first))
-        assert [k for k, _ in wide] == [0, 5] and wide[0][1] > first[0][1]
-        # in a batch with the large weight, row 3 is packed wide as well
-        assert table._combine_rows(small + large)[:2] == expected
-        assert packed[len(first) + len(wide):] == [(3, wide[0][1])]
-        assert len(packed) == len(set(packed)) == 5
+        assert sorted(packed) == [(k, narrow) for k in range(count)]
+        # a column that needs wider digits packs every row wide, once
+        large = [2**40, 0, 0, 0, 0, -1] + [0] * 5
+        packed.clear()
+        assert table._combine_rows([*small, large]) == [*expected, virtual_character(table, large)]
+        wide = packed[0][1]
+        assert wide > narrow and sorted(packed) == [(k, wide) for k in range(count)]
+        assert table._combine_rows([]) == []
 
     @given(
         st.integers(1, 7).flatmap(
@@ -384,13 +421,14 @@ class TestPackedRows:
             )
         )
     )
-    def test_kept_rows_give_the_combinations_of_every_size(self, case):
-        # one table over many calls, so rows packed at one size are reused
+    def test_dense_columns_give_the_combinations_of_every_size(self, case):
+        # alone and in one call, so narrow columns share a wide call's layout
         n, coefficients = case
         table = character_table(n)
-        for c in coefficients:
-            support = [(k, x) for k, x in enumerate(c) if x]
-            assert table._combine_rows([support]) == [virtual_character(table, c)]
+        expected = [virtual_character(table, c) for c in coefficients]
+        assert table._combine_rows(coefficients) == expected
+        for c, chi in zip(coefficients, expected):
+            assert table._combine_rows([c]) == [chi]
 
 
 class TestCharacterRows:
@@ -459,14 +497,16 @@ class TestRowSubsets:
                     for lam, mult in zip(shapes, rows.decompose(f)):
                         assert mult == plain_multiplicity(table, f, lam)
                 # small and wide coefficients: both digit routes of the layout
-                supports = [
-                    [(k, k + 1) for k in range(len(shapes))],
-                    [(k, (-1) ** k * 2**70) for k in range(len(shapes))][::-1],
+                columns = [
+                    [k + 1 for k in range(len(shapes))],
+                    [(-1) ** k * 2**70 for k in range(len(shapes))],
                 ]
-                expected = table._combine_rows(
-                    [[(at[k], c) for k, c in support] for support in supports]
-                )
-                assert rows._combine_rows(supports) == expected, (n, shapes)
+                full_columns = [[0] * count for _ in columns]
+                for dense, column in zip(full_columns, columns):
+                    for k, c in zip(at, column):
+                        dense[k] = c
+                expected = table._combine_rows(full_columns)
+                assert rows._combine_rows(columns) == expected, (n, shapes)
 
     def test_rows_of_every_partition_are_the_full_table(self):
         for n in range(1, 11):

@@ -1,14 +1,18 @@
+import operator
+import re
 from fractions import Fraction
 
 import pytest
 
-from coinvariant.characters import character_table
+from coinvariant.characters import CharacterTable, character_table
 from coinvariant.combinatorics import (
     centralizer_size,
     conjugate,
     dimension,
+    partition_index,
     partitions_of,
 )
+from coinvariant.errors import NonIntegral
 from coinvariant.kronecker import (
     KroneckerTable,
     OnDemandKronecker,
@@ -59,6 +63,34 @@ class TestCoefficient:
                         assert kronecker_coefficient(lam, mu, nu) == (
                             kronecker_by_character_product(lam, mu, nu)
                         )
+
+
+class TestOneRowCoefficient:
+    """A single coefficient is the one class sum of row nu."""
+
+    def test_matches_the_full_decomposition(self):
+        for n in range(1, 7):
+            table = character_table(n)
+            index = partition_index(n)
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    product = tuple(map(operator.mul, table.row(lam), table.row(mu)))
+                    full = table.decompose(product)
+                    for nu in partitions_of(n):
+                        assert kronecker_coefficient(lam, mu, nu) == full[index[nu]], (lam, mu, nu)
+
+    def test_perturbed_table_names_nu(self):
+        # row (6) replaced by h = (chi_lam + chi_lam') / 2, lam = (5, 1), which
+        # is integer-valued with multiplicity 1/2 at lam and at lam'; the
+        # sign twist leaves h as it is, so the product of rows (6) and (1^6) is h
+        n, lam, sign = 6, (5, 1), (1,) * 6
+        table = character_table(n)
+        h = tuple((x + y) // 2 for x, y in zip(table.row(lam), table.row(conjugate(lam))))
+        broken = CharacterTable(n, (h, *table.values[1:]))
+        for nu in (lam, conjugate(lam)):
+            with pytest.raises(NonIntegral, match=rf"^class sum for {re.escape(str(nu))} is not"):
+                kronecker_coefficient((n,), sign, nu, table=broken)
+        assert kronecker_coefficient((n,), sign, (4, 2), table=broken) == 0
 
 
 class TestTable:

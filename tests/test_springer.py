@@ -359,29 +359,38 @@ class TestBatchedD:
         assert d_matrices([]) == []
 
     def test_perturbed_type_names_the_failing_partition(self, monkeypatch):
-        # chi_0 of the type (4,1,1,1) gains h = (chi_lam + chi_lam') / 2,
-        # lam = (6,1), which is no virtual character; chi_0 enters only
-        # f_1 = chi_1^2 - chi_0 chi_2, so only that function is off
+        # every type shares the degree-0 column (row (n) holds 1), so the
+        # fault goes on a degree column of the type (4,1,1,1) that no other
+        # type of n = 7 has: its chi gains h = (chi_lam + chi_lam') / 2,
+        # lam = (6,1), which is no virtual character, and only the functions
+        # of (4,1,1,1) that take that chi are off
         n, lam = 7, (6, 1)
         tables = springer_tables(n)
         bad = tables[partitions_of(n).index((4, 1, 1, 1))]
+        shared = {column for table in tables if table is not bad for column in zip(*table.b)}
+        target = next(column for column in zip(*bad.b) if column not in shared)
+        assert any(target) and target != next(zip(*bad.b))
         chars = character_table(n)
         h = [(x + y) // 2 for x, y in zip(chars.row(lam), chars.row(conjugate(lam)))]
         combine = CharacterTable._combine_rows
 
-        def perturbed(self, supports):
-            chis = combine(self, supports)
-            if supports == [bad.support(j) for j in range(bad.top_degree + 1)]:
-                chis[0] = [x + y for x, y in zip(chis[0], h)]
-            return chis
+        def perturbed(self, columns):
+            chis = combine(self, columns)
+            return [
+                [x + e for x, e in zip(chi, h)] if column == target else chi
+                for column, chi in zip(columns, chis)
+            ]
 
-        chi0, chi1, chi2 = combine(chars, [bad.support(j) for j in range(3)])
-        f1 = [x * x - (lo + e) * hi for x, lo, hi, e in zip(chi1, chi0, chi2, h)]
-        weighted = list(map(operator.mul, chars.class_sizes, f1))
+        chi = perturbed(chars, list(zip(*bad.b)))
+        functions = (
+            [x * x - lo * hi for lo, x, hi in zip(*chi[i - 1 : i + 2])]
+            for i in range(1, bad.top_degree)
+        )
+        weighted = [list(map(operator.mul, chars.class_sizes, f)) for f in functions]
         failing = [
             nu
             for nu, row in zip(partitions_of(n), chars.values)
-            if sum(map(operator.mul, weighted, row)) % math.factorial(n)
+            if any(sum(map(operator.mul, f, row)) % math.factorial(n) for f in weighted)
         ]
         assert failing
         message = f"class sum for {failing[0]} is not divisible by {n}!"

@@ -859,6 +859,15 @@ class TestReportWriter:
             assert raised.value.filename == str(path)
 
 
+# the selftest suites that build the Springer tables of each n themselves,
+# so that a failing build guard fails each of them
+BUILDING_SUITES = (
+    "Kostka-Foulkes calibration",
+    "Kostka-Foulkes two-route agreement",
+    "Springer d two-route agreement",
+)
+
+
 class TestCli:
     def test_fake_degrees_prints_polynomial(self, tmp_path, capsys):
         assert run_cli(tmp_path, "fake-degrees", "--n", "3", "--lambda", "2,1") == 0
@@ -1237,8 +1246,26 @@ class TestCli:
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 0
         out = capsys.readouterr().out
         assert "selftest Kostka-Foulkes two-route agreement: pass" in out.splitlines()
+        assert "selftest Springer d two-route agreement: pass" in out.splitlines()
         assert "selftest Betti log-concavity: pass" in out.splitlines()
         assert "all suites pass" in out
+
+    def test_selftest_reports_a_springer_d_disagreement(self, tmp_path, capsys, monkeypatch):
+        # one d entry of the batch off by one, at the type (2, 1, 1) of n = 4
+        batch = verify.d_matrices
+
+        def skewed(tables):
+            matrices = batch(tables)
+            if tables and tables[0].n == 4:
+                d = matrices[3][1]
+                matrices[3][1] = (d[0] + 1, *d[1:])
+            return matrices
+
+        monkeypatch.setattr(verify, "d_matrices", skewed)
+        assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "selftest Springer d two-route agreement: FAIL" in lines
+        assert lines[-1] == "selftest: 1 suite(s) FAILED"
 
     def test_selftest_reports_a_failing_build_guard(self, tmp_path, capsys, monkeypatch):
         calibrate = springer._calibrate
@@ -1252,13 +1279,12 @@ class TestCli:
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        # both suites read K from calibrated tables, so both fail
-        assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
-        assert lines[-1] == "selftest: 2 suite(s) FAILED"
+        # the three suites build the Springer tables themselves, so all three fail
+        for suite in BUILDING_SUITES:
+            assert f"selftest {suite}: FAIL" in lines
+        assert lines[-1] == "selftest: 3 suite(s) FAILED"
         assert captured.err == "".join(
-            f"selftest Kostka-Foulkes {suite}: calibration broken for mu=(3,)\n"
-            for suite in ("calibration", "two-route agreement")
+            f"selftest {suite}: calibration broken for mu=(3,)\n" for suite in BUILDING_SUITES
         )
 
     def test_selftest_reports_a_failing_kostka_foulkes_guard(self, tmp_path, capsys, monkeypatch):
@@ -1272,12 +1298,11 @@ class TestCli:
         assert run_cli(tmp_path, "selftest", "--n-max", "4") == 2
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        assert "selftest Kostka-Foulkes calibration: FAIL" in lines
-        assert "selftest Kostka-Foulkes two-route agreement: FAIL" in lines
-        assert lines[-1] == "selftest: 2 suite(s) FAILED"
+        for suite in BUILDING_SUITES:
+            assert f"selftest {suite}: FAIL" in lines
+        assert lines[-1] == "selftest: 3 suite(s) FAILED"
         assert captured.err == "".join(
-            f"selftest Kostka-Foulkes {suite}: diagonal of mu=(2, 1) is not E_mu\n"
-            for suite in ("calibration", "two-route agreement")
+            f"selftest {suite}: diagonal of mu=(2, 1) is not E_mu\n" for suite in BUILDING_SUITES
         )
 
     def test_selftest_reports_a_route_disagreement(self, tmp_path, capsys, monkeypatch):

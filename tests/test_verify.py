@@ -5,6 +5,7 @@ import pytest
 from coinvariant import characters, verify
 from coinvariant.audit import (
     betti_log_concavity,
+    d_by_kronecker,
     d_vector,
     graded_character_poly,
     tensor_pair_multiplicity,
@@ -14,7 +15,9 @@ from coinvariant.combinatorics import centralizer_size, dimension, partition_ind
 from coinvariant.errors import NonIntegral
 from coinvariant.graded import graded_table, top_degree
 from coinvariant.kronecker import OnDemandKronecker, kronecker_table
-from coinvariant.springer import springer_counterexample_search, springer_graded_table
+from coinvariant.springer import (
+    springer_counterexample_search, springer_graded_table, springer_tables,
+)
 from coinvariant.store import CacheStore
 from coinvariant.verify import (
     d_matrices,
@@ -22,7 +25,6 @@ from coinvariant.verify import (
     low_degree_harness,
     low_degree_window,
     parse_degree_filter,
-    tensor_multiplicity_vector,
     verify_d_unimodality,
     verify_flag_log_concavity,
 )
@@ -137,7 +139,7 @@ class TestClosedFormRoute:
             table = graded_table(n)
             chi = verify._graded_characters(n, c + 1)
             assert sorted(chi) == list(range(c + 1)), n
-            combined = character_table(n)._combine_rows([table.support(j) for j in range(c + 1)])
+            combined = character_table(n)._combine_rows(list(zip(*table.b)))
             assert [list(chi[j]) for j in range(c + 1)] == combined, n
             for k, rho in enumerate(partitions_of(n)):
                 poly = graded_character_poly(n, rho)
@@ -220,6 +222,26 @@ class TestFlagLogConcavity:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             verify_flag_log_concavity(1)
+
+
+class TestViolations:
+    """``LogConcavityReport.violations`` against a literal scan of its matrix."""
+
+    def test_failing_passing_and_empty_matrices(self):
+        n = 7
+        found = {}
+        for mu in ((4, 1, 1, 1), (1,) * n, (n,)):
+            matrix = d_matrices([springer_graded_table(mu)])[0]
+            scan = tuple(
+                (nu, i, matrix[i][k])
+                for k, nu in enumerate(partitions_of(n))
+                for i in sorted(matrix)
+                if matrix[i][k] < 0
+            )
+            found[mu] = verify.LogConcavityReport(n, matrix).violations
+            assert found[mu] == scan, mu
+        assert found[(4, 1, 1, 1)] and found[(1,) * n] == found[(n,)] == ()
+        assert d_matrices([springer_graded_table((n,))]) == [{}]
 
 
 class TestDegreeFilter:
@@ -471,21 +493,6 @@ class TestBettiLogConcavity:
                 assert weighted == betti[i] ** 2 - betti[i - 1] * betti[i + 1]
 
 
-def d_by_kronecker(table, kron, degrees):
-    """The audit route: d from tensor multiplicities over Kronecker
-    coefficients."""
-    return {
-        i: tuple(
-            square - cross
-            for square, cross in zip(
-                tensor_multiplicity_vector(table, kron, i, i),
-                tensor_multiplicity_vector(table, kron, i - 1, i + 1),
-            )
-        )
-        for i in degrees
-    }
-
-
 class TestCharacterRouteMatchesKronecker:
     def test_coinvariant_every_degree(self):
         for n in range(2, 10):
@@ -508,6 +515,16 @@ class TestCharacterRouteMatchesKronecker:
                 ), mu
                 checked += 1
         assert checked > 0
+
+    def test_batch_of_every_type(self):
+        # the batch dedupes columns and functions across the types of one n,
+        # which a table alone never meets
+        for n in range(1, 9):
+            kron = kronecker_table(n)
+            assert d_matrices(springer_tables(n)) == [
+                d_by_kronecker(table, kron, range(1, table.top_degree))
+                for table in springer_tables(n)
+            ], n
 
     def test_low_degree_harness_degrees_on_demand(self):
         for n in range(10, 13):
